@@ -30,10 +30,9 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-size experiments (seconds instead of minutes)")
 	charts := flag.Bool("charts", false, "also render each grid as ASCII bar charts")
 	artifacts := flag.String("artifacts", "", "directory to write per-figure JSON artifacts into")
-	cachedir := flag.String("cachedir", "", "directory memoizing matrix cells across runs (created if missing; reruns only execute cells whose inputs changed)")
+	cachedir := flag.String("cachedir", "", "directory memoizing cells across runs (created if missing; reruns only execute cells whose inputs changed)")
 	cachemax := flag.Int64("cachemax", 0, "cap -cachedir at this many bytes, evicting least-recently-used cells (0 = unlimited)")
-	cachestats := flag.Bool("cachestats", false, "print an inventory of -cachedir (entry kinds, trace bytes, orphaned temps) and exit")
-	direct := flag.Bool("directmatrix", false, "run every matrix cell by direct workload execution instead of record-once/replay-many")
+	cachestats := flag.Bool("cachestats", false, "print an inventory of -cachedir (entry kinds, bytes, orphaned temps) and exit")
 	sections := flag.String("sections", strings.Join(harness.AllSections, ","),
 		"comma-separated experiment sections to run (extras: "+strings.Join(harness.ExtraSections, ", ")+")")
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := harness.Options{Quick: *quick, Seed: common.Seed, Charts: *charts, ArtifactDir: *artifacts,
-		Workers: common.Workers, CacheDir: *cachedir, CacheMax: *cachemax, DirectMatrix: *direct,
+		Workers: common.Workers, CacheDir: *cachedir, CacheMax: *cachemax,
 		Suite: suite}
 	if common.Trace != "" {
 		opts.Trace = &harness.TraceCollector{}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,45 +19,41 @@ import (
 // simulator's measured semantics change in a way the config string cannot
 // express (engine scheduling, scheme internals, metric definitions): the
 // version participates in every key, so a bump invalidates everything.
-// v2: workload identity moved from the global Tuning to per-workload
-// Options, and per-thread runner seeds changed to engine.ShardSeed.
-// v3: traces store in the compact wire format, capture keys dropped the
-// txs field (one capture serves every prefix), and the cache went
-// section-generic (direct, contention, and wear entries joined
-// capture/replay).
-const cacheSchema = "hoop-cellcache/v3"
+// v4: one entry layout for every job; matrix cells share the direct-cell
+// key, and captures stay in memory (no trace files).
+const cacheSchema = "hoop-cellcache/v4"
 
-// Entry kinds. Each kind's key string starts with its name, so kinds can
-// never alias each other even with otherwise identical fields.
+// Entry kinds. The kind participates in the key and is checked on load, so
+// kinds can never alias each other even with otherwise identical inputs.
 const (
-	kindCapture    = "capture"
-	kindReplay     = "replay"
-	kindDirect     = "direct"
+	kindCell       = "cell" // a Cell, whether run direct, captured, or replayed
 	kindContention = "contention"
 	kindWear       = "wear"
 )
 
-// cacheStats counts one section's cache traffic. Bytes cover the files
-// this layer reads and writes (JSON sidecars and trace wires).
+// cacheEntry is the one on-disk layout, stored as <key>.json.
+type cacheEntry struct {
+	Schema string          `json:"schema"`
+	Kind   string          `json:"kind"`
+	Value  json.RawMessage `json:"value"`
+}
+
+// cacheStats counts one section's cache traffic (entry bytes read and
+// written).
 type cacheStats struct {
 	Hits, Misses, Evictions int
 	BytesRead, BytesWritten int64
 }
 
-// cellCache memoizes harness cells on disk. A capture cell is keyed by
-// everything that determines its op stream except the transaction count
-// (a capture at T transactions serves any prefix T' <= T); replay,
-// direct, contention, and wear entries are keyed by their full inputs
-// including txs. Cached metrics round-trip through JSON exactly
-// (sim.Histogram included), so a warm rerun renders byte-identical grids.
-// All cache I/O happens on the orchestrator goroutine between cell
-// batches — workers never touch it.
+// cellCache memoizes harness jobs on disk, each keyed by its full inputs.
+// Cached values round-trip through JSON exactly (sim.Histogram included),
+// so a warm rerun renders byte-identical grids. All cache I/O happens on
+// the orchestrator goroutine between batches — workers never touch it.
 type cellCache struct {
 	dir string
 	max int64 // byte cap; <= 0 means unlimited
 	// used marks keys loaded or stored during this run: eviction skips
-	// them, so a tiny cap can never delete a trace a later replay batch
-	// of the same run still needs.
+	// them, so a tiny cap never deletes what this run already served.
 	used map[string]bool
 	// section labels hit/miss attribution; RunSections rotates it.
 	section string
@@ -65,9 +62,8 @@ type cellCache struct {
 }
 
 // staleTempAge is how old an orphaned *.tmp* file must be before the
-// sweep on cache open deletes it. Temps live for milliseconds (write +
-// rename); an hour-old temp is from a dead run, but a fresh one may
-// belong to a concurrent run sharing the cache dir.
+// sweep on cache open deletes it: temps live for milliseconds, but a fresh
+// one may belong to a concurrent run sharing the cache dir.
 const staleTempAge = time.Hour
 
 // openCellCache returns nil when caching is off. Tracing disables the
@@ -87,17 +83,10 @@ func openCellCache(opts Options) (*cellCache, error) {
 // sweepTemps deletes stale temp files orphaned by runs that died between
 // CreateTemp and the rename in writeFile.
 func (cc *cellCache) sweepTemps() {
-	ents, err := os.ReadDir(cc.dir)
-	if err != nil {
-		return
-	}
-	cutoff := time.Now().Add(-staleTempAge)
+	ents, _ := os.ReadDir(cc.dir)
 	for _, ent := range ents {
-		if ent.IsDir() || !strings.Contains(ent.Name(), ".tmp") {
-			continue
-		}
 		info, err := ent.Info()
-		if err == nil && info.ModTime().Before(cutoff) {
+		if err == nil && !ent.IsDir() && strings.Contains(ent.Name(), ".tmp") && time.Since(info.ModTime()) > staleTempAge {
 			os.Remove(filepath.Join(cc.dir, ent.Name()))
 		}
 	}
@@ -124,192 +113,69 @@ func (cc *cellCache) stat() *cacheStats {
 	return s
 }
 
-// statsReport renders the per-section accounting block for the end-of-run
-// report; empty when the cache saw no traffic.
-func (cc *cellCache) statsReport() string {
-	if cc == nil || len(cc.order) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Cell cache (%s):\n", cc.dir)
-	var tot cacheStats
-	for _, name := range cc.order {
-		s := cc.stats[name]
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten), s.Evictions)
-		tot.Hits += s.Hits
-		tot.Misses += s.Misses
-		tot.Evictions += s.Evictions
-		tot.BytesRead += s.BytesRead
-		tot.BytesWritten += s.BytesWritten
-	}
-	if len(cc.order) > 1 {
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten), tot.Evictions)
-	}
-	return b.String()
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 10<<20:
-		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
-	case n >= 10<<10:
-		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
-// configCacheKey canonicalizes the post-Mut engine config. Config is all
-// value fields, so %+v is deterministic — except SchemeOpts, whose map
-// iteration order is not: cells carrying SchemeOpts are simply not cached.
-func configCacheKey(scheme string, mut func(*engine.Config)) (string, bool) {
+// cacheKey hashes a job's full inputs: the schema, the kind, the job's own
+// fields, and its effective engine config — %+v of the post-mut Config,
+// deterministic because Config is all value fields except SchemeOpts,
+// whose map order is not. Jobs carrying SchemeOpts return "" (uncached).
+func cacheKey(kind, scheme string, mut func(*engine.Config), fields string) string {
 	cfg := engine.DefaultConfig(scheme)
 	if mut != nil {
 		mut(&cfg)
 	}
 	if cfg.SchemeOpts != nil {
-		return "", false
+		return ""
 	}
-	return fmt.Sprintf("%+v", cfg), true
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\n%s\n%s\nconfig=%+v\n", cacheSchema, kind, fields, cfg)))
+	return hex.EncodeToString(sum[:])
 }
 
-// captureKey identifies a workload capture. Deliberately txs-free: the
-// capture stored under it is a full recording at some transaction count,
-// and any cell needing a shorter window replays a committed-tx prefix.
-func (cc *cellCache) captureKey(c Cell) (string, bool) {
-	if c.Sink != nil {
-		return "", false
-	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=%s\nseed=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindCapture, c.Workload.Name, c.Seed, c.Workload.Opts, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-func (cc *cellCache) replayKey(c Cell, col *matrixColumn) (string, bool) {
-	if c.Sink != nil || col.hash == "" {
-		return "", false
-	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\ntrace=%s\nsetupops=%d\ntxs=%d\nconfig=%s\n",
-		cacheSchema, kindReplay, col.hash, col.setupOps, c.Txs, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// contentionKey identifies one contention-sweep cell. The hash covers
-// the effective engine config (thread count and abortability applied,
-// exactly as runContentionCell builds it) plus the cc-layer policy and
-// workload geometry, so a DefaultConfig or pool-size change invalidates
-// these entries like any other kind.
-func (cc *cellCache) contentionKey(c contentionCell) (string, bool) {
-	cfg, ok := configCacheKey(c.scheme, func(cfg *engine.Config) {
-		cfg.Threads = c.threads
-		if c.threads > cfg.Cores {
-			cfg.Cores = c.threads
-		}
-		cfg.Abortable = true
-	})
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\npolicy=%s\ntheta=%g\nkeys=%d\nopspertx=%d\ntxs=%d\nseed=%d\nconfig=%s\n",
-		cacheSchema, kindContention, c.policy, c.theta, contentionKeys, contentionOpsPerTx, c.txs, c.seed, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// directKey identifies a direct-execution cell (the non-matrix sections:
-// TableIV, the GC/latency/map-size sweeps, ablation variants). Cells with
-// a custom Exec or a sink are not cacheable.
-func (cc *cellCache) directKey(c Cell) (string, bool) {
+// cellKey keys one Cell. Direct, capture, and replay execution of a cell
+// are bit-identical, so every matrix and non-matrix section shares this
+// key. Cells with a sink or a custom Exec are not cached.
+func cellKey(c Cell) string {
 	if c.Sink != nil || c.Exec != nil {
-		return "", false
+		return ""
 	}
-	cfg, ok := configCacheKey(c.Scheme, c.mut())
+	return cacheKey(kindCell, c.Scheme, c.mut(), fmt.Sprintf("workload=%s\nseed=%d\ntxs=%d\nopts=%+v",
+		c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts))
+}
+
+// encodeEntry renders v as the bytes cacheStore writes for it.
+func encodeEntry(kind string, v any) ([]byte, error) {
+	val, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(cacheEntry{Schema: cacheSchema, Kind: kind, Value: val})
+}
+
+// cacheLoad returns the value stored under key, or a miss on any problem:
+// a missing file, bad JSON, the wrong schema or kind, or bytes that are
+// not exactly what cacheStore would have written for the decoded value.
+// Corruption therefore degrades to re-execution, never to wrong numbers.
+func cacheLoad[T any](cc *cellCache, kind, key string) (T, bool) {
+	var e cacheEntry
+	var v T
+	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
+	ok := err == nil && json.Unmarshal(raw, &e) == nil && e.Schema == cacheSchema && e.Kind == kind && json.Unmarshal(e.Value, &v) == nil
+	if ok {
+		canon, err := encodeEntry(kind, v)
+		ok = err == nil && bytes.Equal(canon, raw)
+	}
 	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=%s\nseed=%d\ntxs=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindDirect, c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// wearKey identifies one wear-experiment run (scheme + effective config
-// + workload sizing + seed + transaction count).
-func (cc *cellCache) wearKey(scheme string, mut func(*engine.Config), txs int, opts Options) (string, bool) {
-	cfg, ok := configCacheKey(scheme, mut)
-	if !ok {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\nworkload=hashmap\nseed=%d\ntxs=%d\nopts=%+v\nconfig=%s\n",
-		cacheSchema, kindWear, opts.Seed, txs, opts.WL, cfg)
-	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// captureEntry is the JSON sidecar of a cached capture cell; the trace
-// wire bytes live next to it in <key>.trc. Txs is the transaction count
-// the capture was measured at — cells needing fewer replay a prefix,
-// cells needing more re-capture (and overwrite the entry).
-type captureEntry struct {
-	Schema    string  `json:"schema"`
-	Workload  string  `json:"workload"`
-	Threads   int     `json:"threads"`
-	SetupOps  int     `json:"setup_ops"`
-	Txs       int     `json:"txs"`
-	TraceHash string  `json:"trace_hash"`
-	Metrics   Metrics `json:"metrics"`
-}
-
-// metricsEntry is the JSON sidecar of every metrics-valued cache kind
-// (replay, direct, contention).
-type metricsEntry struct {
-	Schema  string  `json:"schema"`
-	Kind    string  `json:"kind"`
-	Scheme  string  `json:"scheme"`
-	Metrics Metrics `json:"metrics"`
-}
-
-// wearEntry wraps a cached WearReport — the one cache kind whose value
-// is not a Metrics window.
-type wearEntry struct {
-	Schema string     `json:"schema"`
-	Kind   string     `json:"kind"`
-	Scheme string     `json:"scheme"`
-	Report WearReport `json:"report"`
-}
-
-func (cc *cellCache) loadWear(key string) (WearReport, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
-	if err != nil {
 		cc.stat().Misses++
-		return WearReport{}, false
-	}
-	var e wearEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Kind != kindWear {
-		cc.stat().Misses++
-		return WearReport{}, false
+		return *new(T), false
 	}
 	s := cc.stat()
 	s.Hits++
 	s.BytesRead += int64(len(raw))
 	cc.markUsed(key)
-	return e.Report, true
+	return v, true
 }
 
-func (cc *cellCache) storeWear(key, scheme string, rep WearReport) error {
-	data, err := json.Marshal(wearEntry{Schema: cacheSchema, Kind: kindWear, Scheme: scheme, Report: rep})
+// cacheStore writes v under key and evicts down to the byte cap.
+func cacheStore(cc *cellCache, kind, key string, v any) error {
+	data, err := encodeEntry(kind, v)
 	if err != nil {
 		return fmt.Errorf("harness: cache: %w", err)
 	}
@@ -317,181 +183,100 @@ func (cc *cellCache) storeWear(key, scheme string, rep WearReport) error {
 		return err
 	}
 	cc.markUsed(key)
-	return cc.enforceMax()
+	cc.enforceMax()
+	return nil
 }
 
-func (cc *cellCache) tracePath(key string) string {
-	return filepath.Join(cc.dir, key+".trc")
-}
-
-// loadCapture returns the cached capture entry if it covers at least
-// needTxs transactions, or miss on any problem — missing files, wrong
-// schema, wrong workload, too-short capture — so corruption degrades to
-// re-execution, never to wrong numbers.
-func (cc *cellCache) loadCapture(key, workloadName string, needTxs int) (*captureEntry, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
+// cachedBatch memoizes a batch of n jobs. With a cache, key(i) names job
+// i ("" = uncacheable); run receives the indices of every job the cache
+// could not serve, in order, and returns their values, which are then
+// stored. With cc nil every job runs. Returns all n values and the count
+// served from the cache.
+func cachedBatch[T any](cc *cellCache, kind string, n int, key func(i int) string, run func(miss []int) ([]T, error)) ([]T, int, error) {
+	vals := make([]T, n)
+	keys := make([]string, n)
+	var miss []int
+	for i := range vals {
+		if cc != nil {
+			keys[i] = key(i)
+		}
+		if keys[i] != "" {
+			if v, ok := cacheLoad[T](cc, kind, keys[i]); ok {
+				vals[i] = v
+				continue
+			}
+		}
+		miss = append(miss, i)
+	}
+	if len(miss) == 0 {
+		return vals, n, nil
+	}
+	res, err := run(miss)
 	if err != nil {
-		cc.stat().Misses++
-		return nil, false
+		return nil, 0, err
 	}
-	var e captureEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Workload != workloadName ||
-		e.Threads <= 0 || e.Txs < needTxs || e.TraceHash == "" {
-		cc.stat().Misses++
-		return nil, false
+	for k, i := range miss {
+		vals[i] = res[k]
+		if keys[i] != "" {
+			if err := cacheStore(cc, kind, keys[i], res[k]); err != nil {
+				return nil, 0, err
+			}
+		}
 	}
-	if _, err := os.Stat(cc.tracePath(key)); err != nil {
-		cc.stat().Misses++
-		return nil, false
-	}
-	s := cc.stat()
-	s.Hits++
-	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
-	return &e, true
+	return vals, n - len(miss), nil
 }
 
-func (cc *cellCache) storeCapture(key string, col *matrixColumn, wire []byte, met Metrics) error {
-	e := captureEntry{
-		Schema:    cacheSchema,
-		Workload:  col.workload,
-		Threads:   col.threads,
-		SetupOps:  col.setupOps,
-		Txs:       col.capturedTxs,
-		TraceHash: col.hash,
-		Metrics:   met,
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("harness: cache: %w", err)
-	}
-	if err := cc.writeFile(key+".trc", wire); err != nil {
-		return err
-	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
-}
-
-// loadMetrics is the shared read path of the metrics-valued kinds.
-func (cc *cellCache) loadMetrics(key, kind string) (Metrics, bool) {
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
-	if err != nil {
-		cc.stat().Misses++
-		return Metrics{}, false
-	}
-	var e metricsEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Kind != kind {
-		cc.stat().Misses++
-		return Metrics{}, false
-	}
-	s := cc.stat()
-	s.Hits++
-	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
-	return e.Metrics, true
-}
-
-func (cc *cellCache) storeMetrics(key, kind, scheme string, met Metrics) error {
-	data, err := json.Marshal(metricsEntry{Schema: cacheSchema, Kind: kind, Scheme: scheme, Metrics: met})
-	if err != nil {
-		return fmt.Errorf("harness: cache: %w", err)
-	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	return cc.enforceMax()
-}
-
-// markUsed records that this run touched key — it is pinned against
-// eviction for the rest of the run — and refreshes the entry's file
-// timestamps, which are the cache's LRU clock.
+// markUsed pins key against eviction for the rest of the run and
+// refreshes the entry's timestamp, which is the cache's LRU clock.
 func (cc *cellCache) markUsed(key string) {
 	cc.used[key] = true
 	now := time.Now()
-	for _, name := range []string{key + ".json", key + ".trc"} {
-		path := filepath.Join(cc.dir, name)
-		if _, err := os.Stat(path); err == nil {
-			os.Chtimes(path, now, now)
-		}
-	}
+	os.Chtimes(filepath.Join(cc.dir, key+".json"), now, now)
 }
 
 // enforceMax evicts least-recently-used entries until the cache fits the
-// byte cap. Entries are whole key groups — a capture's <key>.json and
-// <key>.trc leave together — ordered by newest file modification time
-// (loads refresh it via markUsed), with the key as a deterministic
-// tiebreak. Keys used during this run are pinned. Eviction failures
-// degrade to a larger cache, never to an error: the cache is an
-// optimization, and a stale entry is re-keyed or re-validated on load.
-func (cc *cellCache) enforceMax() error {
+// byte cap, oldest modification time first with the name as a
+// deterministic tiebreak. Entries used during this run are pinned.
+// Eviction failures degrade to a larger cache, never to an error: the
+// cache is an optimization.
+func (cc *cellCache) enforceMax() {
 	if cc.max <= 0 {
-		return nil
+		return
 	}
 	ents, err := os.ReadDir(cc.dir)
 	if err != nil {
-		return nil
+		return
 	}
-	type group struct {
-		key   string
-		size  int64
-		mtime time.Time
-		files []string
-	}
-	groups := map[string]*group{}
 	var total int64
+	var order []os.FileInfo
 	for _, ent := range ents {
 		name := ent.Name()
-		ext := filepath.Ext(name)
-		if ent.IsDir() || (ext != ".json" && ext != ".trc") {
+		if ent.IsDir() || filepath.Ext(name) != ".json" {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue
 		}
-		key := strings.TrimSuffix(name, ext)
-		g := groups[key]
-		if g == nil {
-			g = &group{key: key}
-			groups[key] = g
-		}
-		g.size += info.Size()
-		g.files = append(g.files, name)
-		if mt := info.ModTime(); mt.After(g.mtime) {
-			g.mtime = mt
-		}
 		total += info.Size()
-	}
-	if total <= cc.max {
-		return nil
-	}
-	order := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		if !cc.used[g.key] {
-			order = append(order, g)
+		if !cc.used[strings.TrimSuffix(name, ".json")] {
+			order = append(order, info)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if !order[i].mtime.Equal(order[j].mtime) {
-			return order[i].mtime.Before(order[j].mtime)
+		if !order[i].ModTime().Equal(order[j].ModTime()) {
+			return order[i].ModTime().Before(order[j].ModTime())
 		}
-		return order[i].key < order[j].key
+		return order[i].Name() < order[j].Name()
 	})
-	for _, g := range order {
+	for _, info := range order {
 		if total <= cc.max {
 			break
 		}
-		for _, f := range g.files {
-			os.Remove(filepath.Join(cc.dir, f))
-		}
-		total -= g.size
+		os.Remove(filepath.Join(cc.dir, info.Name()))
+		total -= info.Size()
 		cc.stat().Evictions++
 	}
-	return nil
 }
 
 // writeFile writes via a temp file + rename so an interrupted run never
@@ -501,16 +286,14 @@ func (cc *cellCache) writeFile(name string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("harness: cache: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache: %w", err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(cc.dir, name))
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(cc.dir, name)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache: %w", err)
 	}
@@ -518,80 +301,40 @@ func (cc *cellCache) writeFile(name string, data []byte) error {
 	return nil
 }
 
-// CacheInventory summarizes what lives in a cell cache directory without
-// running anything (the hoopbench -cachestats flag).
-type CacheInventory struct {
-	Entries    map[string]int // kind -> sidecar count
-	TraceBytes int64          // bytes in .trc files
-	TotalBytes int64
-	TempFiles  int
-}
-
-// ReadCacheInventory scans dir and classifies every entry by kind.
-func ReadCacheInventory(dir string) (*CacheInventory, error) {
+// ReadCacheInventory summarizes a cell cache directory without running
+// anything (hoopbench -cachestats): files by entry kind ("foreign" for
+// anything that is not a current-schema entry), orphaned temps, and total
+// bytes.
+func ReadCacheInventory(dir string) (string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("harness: -cachestats: %w", err)
+		return "", fmt.Errorf("harness: -cachestats: %w", err)
 	}
-	inv := &CacheInventory{Entries: map[string]int{}}
+	kinds := map[string]int{}
+	files, total := 0, int64(0)
 	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
 		info, err := ent.Info()
-		if err != nil {
+		if ent.IsDir() || err != nil {
 			continue
 		}
-		inv.TotalBytes += info.Size()
-		if strings.Contains(name, ".tmp") {
-			inv.TempFiles++
-			continue
+		files++
+		total += info.Size()
+		var e cacheEntry
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		switch {
+		case strings.Contains(ent.Name(), ".tmp"):
+			e.Kind = "orphaned temp"
+		case err != nil || json.Unmarshal(raw, &e) != nil || e.Schema != cacheSchema:
+			e.Kind = "foreign"
 		}
-		switch filepath.Ext(name) {
-		case ".trc":
-			inv.TraceBytes += info.Size()
-		case ".json":
-			raw, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			var probe struct {
-				Schema   string `json:"schema"`
-				Kind     string `json:"kind"`
-				Workload string `json:"workload"`
-			}
-			if json.Unmarshal(raw, &probe) != nil || !strings.HasPrefix(probe.Schema, "hoop-cellcache/") {
-				inv.Entries["foreign"]++
-				continue
-			}
-			kind := probe.Kind
-			if kind == "" {
-				kind = kindCapture
-			}
-			inv.Entries[kind]++
-		}
+		kinds[e.Kind]++
 	}
-	return inv, nil
-}
-
-// String renders the inventory as a one-screen summary.
-func (inv *CacheInventory) String() string {
 	var b strings.Builder
-	kinds := make([]string, 0, len(inv.Entries))
-	for k := range inv.Entries {
-		kinds = append(kinds, k)
+	for _, k := range []string{kindCell, kindContention, kindWear, "foreign", "orphaned temp"} {
+		if kinds[k] > 0 {
+			fmt.Fprintf(&b, "  %-15s %d files\n", k+":", kinds[k])
+		}
 	}
-	sort.Strings(kinds)
-	total := 0
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "  %-12s %d entries\n", k+":", inv.Entries[k])
-		total += inv.Entries[k]
-	}
-	fmt.Fprintf(&b, "  %-12s %d entries, %s of traces, %s total", "all:", total,
-		fmtBytes(inv.TraceBytes), fmtBytes(inv.TotalBytes))
-	if inv.TempFiles > 0 {
-		fmt.Fprintf(&b, ", %d orphaned temp files", inv.TempFiles)
-	}
-	return b.String()
+	fmt.Fprintf(&b, "  %-15s %d files, %s", "all:", files, fmtBytes(total))
+	return b.String(), nil
 }

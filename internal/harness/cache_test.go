@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,9 +55,9 @@ func TestCellCacheWarmRerun(t *testing.T) {
 	}
 }
 
-// TestCellCacheCorruptionDegradesToMiss: corrupt entries re-execute
-// instead of feeding wrong numbers, and a corrupt trace file fails loudly
-// rather than replaying garbage.
+// TestCellCacheCorruptionDegradesToMiss: unparseable, wrong-schema, and
+// truncated entries all re-execute instead of feeding wrong numbers, and
+// the re-executed run rewrites them into valid entries.
 func TestCellCacheCorruptionDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir}
@@ -71,44 +72,131 @@ func TestCellCacheCorruptionDegradesToMiss(t *testing.T) {
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("expected 2 cache entries, got %v (%v)", entries, err)
 	}
-	for _, p := range entries {
-		if err := os.WriteFile(p, []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
+	corruptions := map[string]func([]byte) []byte{
+		"unparseable":  func([]byte) []byte { return []byte("{not json") },
+		"wrong schema": func(b []byte) []byte { return []byte(strings.Replace(string(b), cacheSchema, "hoop-cellcache/v3", 1)) },
+		"truncated":    func(b []byte) []byte { return b[:len(b)-1] },
+	}
+	for name, corrupt := range corruptions {
+		for _, p := range entries {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	warm, err := RunMatrixOn(opts, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Cached != 0 {
-		t.Fatalf("corrupt entries still hit: %d cached", warm.Stats.Cached)
-	}
-	if !reflect.DeepEqual(cold.Cells, warm.Cells) {
-		t.Fatal("re-executed metrics diverge from cold run")
-	}
-
-	// Now corrupt the trace payload under a valid meta entry: the replay
-	// stage must refuse it via the content hash.
-	traces, err := filepath.Glob(filepath.Join(dir, "*.trc"))
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("expected 1 cached trace, got %v (%v)", traces, err)
-	}
-	if err := os.WriteFile(traces[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Remove the replay entry so the column must reload its trace file.
-	for _, p := range entries {
-		raw, err := os.ReadFile(p)
+		warm, err := RunMatrixOn(opts, wls, schemes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(raw), `"scheme"`) {
-			os.Remove(p)
+		if warm.Stats.Cached != 0 {
+			t.Fatalf("%s entries still hit: %d cached", name, warm.Stats.Cached)
+		}
+		if !reflect.DeepEqual(cold.Cells, warm.Cells) {
+			t.Fatalf("%s: re-executed metrics diverge from cold run", name)
 		}
 	}
-	if _, err := RunMatrixOn(opts, wls, schemes); err == nil || !strings.Contains(err.Error(), "content hash") {
-		t.Fatalf("corrupt cached trace must fail its hash check, got %v", err)
+	rewritten, err := RunMatrixOn(opts, wls, schemes)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rewritten.Stats.Cached != rewritten.Stats.Cells {
+		t.Fatalf("re-executed entries were not rewritten: %d/%d cached", rewritten.Stats.Cached, rewritten.Stats.Cells)
+	}
+}
+
+// TestDirectMatrixServedFromReplayCache: replay and direct execution share
+// one cell key, so a DirectMatrix run after a cold replay run of the same
+// cells executes nothing.
+func TestDirectMatrixServedFromReplayCache(t *testing.T) {
+	opts := Options{Quick: true, Seed: 3, Workers: 2, CacheDir: t.TempDir()}
+	wls := []workload.Workload{quickWL("queue"), quickWL("hashmap")}
+	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
+	replayM, err := RunMatrixOn(opts, wls, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.DirectMatrix = true
+	directM, err := RunMatrixOn(opts, wls, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if directM.Stats.Cached != directM.Stats.Cells || directM.Stats.Cells != len(wls)*len(schemes) {
+		t.Fatalf("direct matrix cached %d/%d cells, want all %d", directM.Stats.Cached, directM.Stats.Cells, len(wls)*len(schemes))
+	}
+	if !reflect.DeepEqual(replayM.Cells, directM.Cells) {
+		t.Fatal("cached direct matrix diverges from the replay run that filled the cache")
+	}
+}
+
+// TestCellCacheAddScheme: widening a cached matrix by one scheme runs one
+// in-memory capture per column — on the new scheme's cell — and executes
+// only the new cells, with numbers identical to an uncached run.
+func TestCellCacheAddScheme(t *testing.T) {
+	opts := Options{Quick: true, Seed: 3, Workers: 2, CacheDir: t.TempDir()}
+	wls := []workload.Workload{quickWL("queue"), quickWL("hashmap")}
+	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP}
+	if _, err := RunMatrixOn(opts, wls, schemes); err != nil {
+		t.Fatal(err)
+	}
+	wider := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
+	m, err := RunMatrixOn(opts, wls, wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CapturesRun != len(wls) {
+		t.Fatalf("widened matrix ran %d captures, want one per column (%d)", m.CapturesRun, len(wls))
+	}
+	if executed := m.Stats.Cells - m.Stats.Cached; executed != len(wls) {
+		t.Fatalf("widened matrix executed %d cells, want only the %d new ones", executed, len(wls))
+	}
+	uncached := opts
+	uncached.CacheDir = ""
+	want, err := RunMatrixOn(uncached, wls, wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Cells, want.Cells) {
+		t.Fatalf("widened cached matrix diverges from an uncached run\ncached:   %+v\nuncached: %+v", m.Cells, want.Cells)
+	}
+}
+
+// FuzzCacheEntry: arbitrary bytes stored under a valid key load as a
+// miss — never a panic — unless they are exactly the bytes cacheStore
+// writes for the value they decode to.
+func FuzzCacheEntry(f *testing.F) {
+	met := Metrics{Txs: 7, Counters: map[string]int64{"a": 1}}
+	valid, err := encodeEntry(kindCell, met)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, n := range []int{0, 1, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Add([]byte(strings.Replace(string(valid), cacheSchema, "hoop-cellcache/v3", 1)))
+	f.Add([]byte(strings.Replace(string(valid), kindCell, kindWear, 1)))
+	f.Add([]byte(`{"schema":"` + cacheSchema + `","kind":"cell","value":{"Txs":7} }`))
+	cc, err := openCellCache(Options{CacheDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const key = "0123456789abcdef"
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(filepath.Join(cc.dir, key+".json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, hit := cacheLoad[Metrics](cc, kindCell, key)
+		if !hit {
+			return
+		}
+		canon, err := encodeEntry(kindCell, got)
+		if err != nil || !bytes.Equal(canon, raw) {
+			t.Fatalf("loaded %+v from bytes cacheStore would not write:\n%q", got, raw)
+		}
+	})
 }
 
 // TestCellCacheLRUEviction: with a byte cap (-cachemax), the least
@@ -164,75 +252,13 @@ func TestCellCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCellCachePrefixSharedCapture: a capture cached at a large
-// transaction count serves a later matrix at a smaller count without
-// re-capturing — the first scheme's cell prefix-replays instead — and the
-// small run's numbers are bit-identical to an uncached small run.
-func TestCellCachePrefixSharedCapture(t *testing.T) {
-	dir := t.TempDir()
-	wls := []workload.Workload{quickWL("queue")}
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
-	big := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir, TxsPerCell: 400}
-
-	cold, err := RunMatrixOn(big, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Captures != 1 || cold.CapturesRun != 1 {
-		t.Fatalf("cold run: %d captures, %d executed; want 1 and 1", cold.Captures, cold.CapturesRun)
-	}
-
-	small := big
-	small.TxsPerCell = 150
-	prefix, err := RunMatrixOn(small, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prefix.CapturesRun != 0 {
-		t.Fatalf("prefix run re-captured %d columns despite a longer cached capture", prefix.CapturesRun)
-	}
-	nocache := small
-	nocache.CacheDir = ""
-	direct, err := RunMatrixOn(nocache, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(prefix.Cells, direct.Cells) {
-		t.Fatalf("prefix-replayed matrix diverges from uncached run\nprefix: %+v\ndirect: %+v", prefix.Cells, direct.Cells)
-	}
-
-	// A warm rerun at the small count comes entirely from cache.
-	warm, err := RunMatrixOn(small, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Cached != warm.Stats.Cells || warm.CapturesRun != 0 {
-		t.Fatalf("warm prefix rerun cached %d/%d cells, executed %d captures", warm.Stats.Cached, warm.Stats.Cells, warm.CapturesRun)
-	}
-	if !reflect.DeepEqual(prefix.Cells, warm.Cells) {
-		t.Fatal("warm prefix rerun diverges from its own cold pass")
-	}
-
-	// Asking for more transactions than any cached capture covers must
-	// re-capture (and the grown capture then serves the big count again).
-	bigger := big
-	bigger.TxsPerCell = 600
-	grown, err := RunMatrixOn(bigger, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.CapturesRun != 1 {
-		t.Fatalf("larger-txs run executed %d captures, want 1 (cached capture too short)", grown.CapturesRun)
-	}
-}
-
 // TestCellCacheSweepsStaleTemps: opening the cache removes temp files
 // orphaned by a dead run, but leaves fresh ones (a concurrent run may
 // still be mid-rename) and real entries alone.
 func TestCellCacheSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "abc.json.tmp123")
-	fresh := filepath.Join(dir, "def.trc.tmp456")
+	fresh := filepath.Join(dir, "def.json.tmp456")
 	entry := filepath.Join(dir, "0ff.json")
 	for _, p := range []string{stale, fresh, entry} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {

@@ -163,56 +163,50 @@ func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
 	return results, stats, nil
 }
 
-// runCellsCached is RunCells behind the run's cell cache: direct cells
-// whose full inputs (workload + options, seed, txs, post-Mut config) are
-// memoized skip execution, everything else goes through the normal worker
-// pool and is stored afterwards. Every non-matrix section (TableIV, the
-// GC/latency/map-size sweeps, ablation) runs through here, which is what
-// makes the -cachedir flag section-generic rather than matrix-only.
-// Results are byte-identical with and without the cache.
+// runCellsCached is RunCells behind the run's cell cache: cells whose
+// full inputs (cellKey) are memoized skip execution, the rest run on the
+// worker pool and are stored afterwards. Every non-matrix section
+// (TableIV, the GC/latency/map-size sweeps, ablation) and the direct
+// matrix run through here. Results are byte-identical with and without
+// the cache.
 func runCellsCached(cells []Cell, opts Options) ([]Metrics, CellStats, error) {
+	return runCellsMemo(cells, opts, func(miss []int) ([]Metrics, CellStats, error) {
+		return RunCells(pick(cells, miss), opts.workers())
+	})
+}
+
+// runCellsMemo serves cells from the cache and hands the indices of the
+// misses to exec, which runs them and reports its pool stats. The
+// returned stats count every cell, cached ones included.
+func runCellsMemo(cells []Cell, opts Options, exec func(miss []int) ([]Metrics, CellStats, error)) ([]Metrics, CellStats, error) {
 	cache, err := opts.ensureCache()
 	if err != nil {
 		return nil, CellStats{}, err
 	}
-	if cache == nil {
-		return RunCells(cells, opts.workers())
-	}
-	mets := make([]Metrics, len(cells))
-	keys := make([]string, len(cells))
-	var batch []Cell
-	var batchIdx []int
-	cached := 0
-	for i, c := range cells {
-		if key, ok := cache.directKey(c); ok {
-			keys[i] = key
-			if met, hit := cache.loadMetrics(key, kindDirect); hit {
-				mets[i] = met
-				cached++
-				continue
-			}
-		}
-		batch = append(batch, c)
-		batchIdx = append(batchIdx, i)
-	}
-	res, stats, err := RunCells(batch, opts.workers())
+	var stats CellStats
+	mets, cached, err := cachedBatch(cache, kindCell, len(cells), func(i int) string { return cellKey(cells[i]) },
+		func(miss []int) ([]Metrics, error) {
+			res, s, err := exec(miss)
+			stats = s
+			return res, err
+		})
 	if err != nil {
 		return nil, stats, err
 	}
-	for k, i := range batchIdx {
-		mets[i] = res[k]
-		if keys[i] != "" {
-			if err := cache.storeMetrics(keys[i], kindDirect, cells[i].Scheme, res[k]); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
-	stats.Cells = len(cells)
-	stats.Cached = cached
+	stats.Cells, stats.Cached = len(cells), cached
 	if stats.Workers == 0 {
 		stats.Workers = opts.workers()
 	}
 	return mets, stats, nil
+}
+
+// pick returns xs[idx[0]], xs[idx[1]], ...
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = xs[i]
+	}
+	return out
 }
 
 // buildSystem constructs a paper-default system with the given scheme,

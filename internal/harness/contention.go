@@ -48,15 +48,19 @@ type contentionCell struct {
 	seed    uint64
 }
 
-// runContentionCell executes one contention cell and returns its window.
-func runContentionCell(c contentionCell) (Metrics, error) {
-	cfg := engine.DefaultConfig(c.scheme)
+// mut sizes the paper-default config for the cell's thread count and
+// makes it abortable.
+func (c contentionCell) mut(cfg *engine.Config) {
 	cfg.Threads = c.threads
 	if c.threads > cfg.Cores {
 		cfg.Cores = c.threads
 	}
 	cfg.Abortable = true
-	sys, err := engine.New(cfg)
+}
+
+// runContentionCell executes one contention cell and returns its window.
+func runContentionCell(c contentionCell) (Metrics, error) {
+	sys, err := buildSystem(c.scheme, c.mut)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -117,45 +121,24 @@ func runContentionCells(cells []contentionCell, workers int) ([]Metrics, error) 
 }
 
 // runContentionCellsCached is runContentionCells behind the run's cell
-// cache (kindContention entries): memoized cells skip execution, misses
-// run on the normal pool and are stored afterwards. Results are
-// byte-identical with and without the cache.
+// cache: memoized cells skip execution, misses run on the normal pool and
+// are stored afterwards. The key covers the effective engine config plus
+// the cc policy and workload geometry. Results are byte-identical with
+// and without the cache.
 func runContentionCellsCached(cells []contentionCell, opts Options) ([]Metrics, error) {
 	cache, err := opts.ensureCache()
 	if err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		return runContentionCells(cells, opts.workers())
+	key := func(i int) string {
+		c := cells[i]
+		return cacheKey(kindContention, c.scheme, c.mut, fmt.Sprintf("policy=%s\ntheta=%g\nkeys=%d\nopspertx=%d\ntxs=%d\nseed=%d",
+			c.policy, c.theta, contentionKeys, contentionOpsPerTx, c.txs, c.seed))
 	}
-	mets := make([]Metrics, len(cells))
-	keys := make([]string, len(cells))
-	var batch []contentionCell
-	var batchIdx []int
-	for i, c := range cells {
-		if key, ok := cache.contentionKey(c); ok {
-			keys[i] = key
-			if met, hit := cache.loadMetrics(key, kindContention); hit {
-				mets[i] = met
-				continue
-			}
-		}
-		batch = append(batch, c)
-		batchIdx = append(batchIdx, i)
-	}
-	res, err := runContentionCells(batch, opts.workers())
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range batchIdx {
-		mets[i] = res[k]
-		if keys[i] != "" {
-			if err := cache.storeMetrics(keys[i], kindContention, cells[i].scheme, res[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return mets, nil
+	mets, _, err := cachedBatch(cache, kindContention, len(cells), key, func(miss []int) ([]Metrics, error) {
+		return runContentionCells(pick(cells, miss), opts.workers())
+	})
+	return mets, err
 }
 
 // contentionColName renders one sweep point.

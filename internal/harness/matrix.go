@@ -20,8 +20,8 @@ type Matrix struct {
 	Stats CellStats
 	// Captures is how many workload captures serve the matrix's cells
 	// under the replay pipeline (one per workload column); CapturesRun is
-	// how many of them actually executed this run rather than being
-	// restored from the cell cache. Both zero under -directmatrix.
+	// how many of them actually executed this run — only columns with a
+	// cell the cache could not serve capture. Both zero under DirectMatrix.
 	Captures    int
 	CapturesRun int
 }
@@ -37,21 +37,15 @@ func RunMatrix(opts Options) (*Matrix, error) {
 }
 
 // RunMatrixOn measures the given workloads on the given schemes, executing
-// the independent cells on opts.Workers workers. By default each workload
-// column executes once — on the first scheme, recorded into a binary
-// trace — and the remaining schemes replay the capture (see replay.go);
-// opts.DirectMatrix restores per-cell direct execution. Results are
-// bit-identical either way, and bit-identical at every worker count.
+// the independent cells on opts.Workers workers. Each cell is looked up
+// in the cell cache first (opts.CacheDir). Among the misses, each
+// workload column executes once — its first missing cell runs with a
+// recorder subscribed — and the column's other missing cells replay that
+// in-memory capture (see replay.go). opts.DirectMatrix runs every missing
+// cell by direct execution instead. Direct, capture, and replay cells
+// share one cache key because they are bit-identical, at every worker
+// count.
 func RunMatrixOn(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
-	if opts.DirectMatrix || len(workloads) == 0 || len(schemes) == 0 {
-		return runMatrixDirect(opts, workloads, schemes)
-	}
-	return runMatrixReplay(opts, workloads, schemes)
-}
-
-// runMatrixDirect measures every (workload, scheme) cell by direct
-// workload execution — the pre-replay pipeline.
-func runMatrixDirect(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
 	var cells []Cell
 	for _, w := range workloads {
 		for _, s := range schemes {
@@ -59,165 +53,91 @@ func runMatrixDirect(opts Options, workloads []workload.Workload, schemes []stri
 		}
 	}
 	opts.attachTrace("matrix", cells)
-	mets, stats, err := runCellsCached(cells, opts)
-	if err != nil {
-		return nil, err
-	}
-	return assembleMatrix(cells, mets, stats, schemes), nil
-}
-
-// runMatrixReplay is the record-once/replay-many pipeline: stage 1 runs
-// one capture cell per workload column (the first scheme, recorded);
-// stage 2 replays every capture against the remaining schemes. Both
-// stages go through the same RunCells worker pool, and the optional cell
-// cache (opts.CacheDir) short-circuits any cell whose inputs are already
-// memoized. Cache I/O and column finalization happen on this goroutine,
-// between batches, so workers share columns read-only.
-func runMatrixReplay(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
-	cache, err := opts.ensureCache()
-	if err != nil {
-		return nil, err
-	}
-	ns := len(schemes)
-	cells := make([]Cell, 0, len(workloads)*ns)
-	for _, w := range workloads {
-		for _, s := range schemes {
-			cells = append(cells, Cell{Scheme: s, Workload: w, Txs: opts.txPerCell(), Seed: opts.Seed + 1})
-		}
-	}
-	// Attach trace sinks in the same workload-major order as the direct
-	// pipeline, so -trace output stays byte-identical.
-	opts.attachTrace("matrix", cells)
-
-	mets := make([]Metrics, len(cells))
-	cols := make([]*matrixColumn, len(workloads))
-	cached := 0
-
-	// Stage 1: one capture cell per column. A cached capture taken at a
-	// larger transaction count still serves this matrix — the first
-	// scheme's cell then joins stage 2 and replays a committed-tx prefix
-	// instead of reusing the longer window's metrics.
-	var batch []Cell
-	var batchIdx []int
-	for i := range workloads {
-		ci := i * ns
-		col := &matrixColumn{workload: workloads[i].Name, capturedTxs: cells[ci].Txs}
-		cols[i] = col
-		if cache != nil {
-			if key, ok := cache.captureKey(cells[ci]); ok {
-				col.capKey = key
-				if ent, hit := cache.loadCapture(key, workloads[i].Name, cells[ci].Txs); hit {
-					col.threads, col.setupOps, col.hash = ent.Threads, ent.SetupOps, ent.TraceHash
-					col.tracePath = cache.tracePath(key)
-					col.capturedTxs = ent.Txs
-					if ent.Txs == cells[ci].Txs {
-						mets[ci] = ent.Metrics
-						cached++
-					} else {
-						col.replayFirst = true
-					}
-					continue
-				}
-			}
-		}
-		c := cells[ci]
-		c.Exec = func(cell Cell) (Metrics, error) {
-			met, cap, _, err := captureCellRun(cell)
-			if err != nil {
-				return Metrics{}, err
-			}
-			col.cap = cap
-			return met, nil
-		}
-		batch = append(batch, c)
-		batchIdx = append(batchIdx, ci)
-	}
-	res, stats, err := RunCells(batch, opts.workers())
-	if err != nil {
-		return nil, err
-	}
-	capturesRun := len(batch)
-	for k, ci := range batchIdx {
-		mets[ci] = res[k]
-	}
-	for i, col := range cols {
-		if col.cap == nil {
-			continue // restored from cache
-		}
-		wire, err := col.finalizeFromCapture(cache != nil && col.capKey != "")
+	if opts.DirectMatrix || len(cells) == 0 {
+		mets, stats, err := runCellsCached(cells, opts)
 		if err != nil {
 			return nil, err
 		}
-		if wire != nil {
-			if err := cache.storeCapture(col.capKey, col, wire, mets[i*ns]); err != nil {
-				return nil, err
-			}
-		}
+		return assembleMatrix(cells, mets, stats, schemes), nil
 	}
-
-	// Stage 2: replay every capture against the remaining schemes (and
-	// against the first scheme too when the capture came from the cache
-	// at a larger transaction count).
-	batch, batchIdx = batch[:0], batchIdx[:0]
-	var batchKey []string
-	for i := range workloads {
-		col := cols[i]
-		first := 1
-		if col.replayFirst {
-			first = 0
-		}
-		for j := first; j < ns; j++ {
-			ci := i*ns + j
-			key := ""
-			if cache != nil {
-				if k, ok := cache.replayKey(cells[ci], col); ok {
-					key = k
-					if met, hit := cache.loadMetrics(k, kindReplay); hit {
-						mets[ci] = met
-						cached++
-						continue
-					}
-				}
-			}
-			if col.measured == nil {
-				// Cached column whose replays are not all cached yet:
-				// restore the op stream from the cached trace file.
-				if err := col.loadFromFile(); err != nil {
-					return nil, err
-				}
-			}
-			c := cells[ci]
-			c.Exec = func(cell Cell) (Metrics, error) {
-				met, _, err := replayCellRun(cell, col)
-				return met, err
-			}
-			batch = append(batch, c)
-			batchIdx = append(batchIdx, ci)
-			batchKey = append(batchKey, key)
-		}
-	}
-	res, stats2, err := RunCells(batch, opts.workers())
+	capturesRun := 0
+	mets, stats, err := runCellsMemo(cells, opts, func(miss []int) ([]Metrics, CellStats, error) {
+		res, stats, n, err := captureAndReplay(cells, miss, len(schemes), opts.workers())
+		capturesRun = n
+		return res, stats, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	for k, ci := range batchIdx {
-		mets[ci] = res[k]
-		if cache != nil && batchKey[k] != "" {
-			if err := cache.storeMetrics(batchKey[k], kindReplay, cells[ci].Scheme, res[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	stats = stats.merge(stats2)
-	stats.Cells = len(cells)
-	stats.Cached = cached
-	if stats.Workers == 0 {
-		stats.Workers = opts.workers()
 	}
 	m := assembleMatrix(cells, mets, stats, schemes)
 	m.Captures, m.CapturesRun = len(workloads), capturesRun
 	return m, nil
+}
+
+// captureAndReplay runs the matrix cells at the indices in miss
+// (workload-major, ns schemes per column) as the record-once/replay-many
+// pipeline: stage 1 runs each column's first missing cell as a capture;
+// stage 2 replays the column's capture for its remaining missing cells.
+// Both stages go through the RunCells worker pool; columns are finalized
+// on this goroutine between the stages, so workers share them read-only.
+// Returns the results in miss order, the merged pool stats, and the
+// number of captures run.
+func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, CellStats, int, error) {
+	res := make([]Metrics, len(miss))
+	caps := make([]*workload.Captured, len(cells)/ns)
+	cols := make([]*matrixColumn, len(caps))
+	capturing := make([]bool, len(caps))
+	var capBatch []Cell
+	var capIdx, repIdx []int
+	for k, i := range miss {
+		col := i / ns
+		if capturing[col] {
+			repIdx = append(repIdx, k)
+			continue
+		}
+		capturing[col] = true
+		c := cells[i]
+		c.Exec = func(cell Cell) (Metrics, error) {
+			met, cap, _, err := captureCellRun(cell)
+			caps[col] = cap
+			return met, err
+		}
+		capBatch = append(capBatch, c)
+		capIdx = append(capIdx, k)
+	}
+	capRes, stats, err := RunCells(capBatch, workers)
+	if err != nil {
+		return nil, stats, 0, err
+	}
+	for j, k := range capIdx {
+		res[k] = capRes[j]
+	}
+	for col, cap := range caps {
+		if cap == nil {
+			continue
+		}
+		if cols[col], err = columnFromCapture(cap); err != nil {
+			return nil, stats, 0, err
+		}
+	}
+	repBatch := make([]Cell, len(repIdx))
+	for j, k := range repIdx {
+		col := cols[miss[k]/ns]
+		c := cells[miss[k]]
+		c.Exec = func(cell Cell) (Metrics, error) {
+			met, _, err := replayCellRun(cell, col)
+			return met, err
+		}
+		repBatch[j] = c
+	}
+	repRes, stats2, err := RunCells(repBatch, workers)
+	if err != nil {
+		return nil, stats, 0, err
+	}
+	for j, k := range repIdx {
+		res[k] = repRes[j]
+	}
+	return res, stats.merge(stats2), len(capBatch), nil
 }
 
 // assembleMatrix indexes per-cell metrics into the workload × scheme map.

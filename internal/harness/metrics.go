@@ -38,15 +38,16 @@ type Options struct {
 	// Trace, when non-nil, collects a JSONL telemetry trace from every
 	// cell (hoopbench -trace). Output is identical for every worker count.
 	Trace *TraceCollector
-	// CacheDir, when non-empty, memoizes matrix cells on disk (hoopbench
-	// -cachedir): a rerun only executes cells whose inputs — trace
-	// content, scheme, engine config, workload tuning — changed. Tracing
-	// disables the cache, since a cached cell emits no events.
+	// CacheDir, when non-empty, memoizes cells on disk (hoopbench
+	// -cachedir): a rerun only executes cells whose inputs — workload and
+	// its options, seed, transaction count, scheme, engine config —
+	// changed. Tracing disables the cache, since a cached cell emits no
+	// events.
 	CacheDir string
-	// DirectMatrix bypasses the record-once/replay-many matrix pipeline
-	// and runs every (workload, scheme) cell by direct workload execution
-	// (hoopbench -directmatrix). Results are bit-identical either way;
-	// this exists as an escape hatch and for equivalence testing.
+	// DirectMatrix runs every matrix cell by direct workload execution
+	// instead of record-once/replay-many. Results are bit-identical
+	// either way; it exists only as the oracle that tests and the
+	// benchmark compare the replay pipeline against.
 	DirectMatrix bool
 	// WL is the base workload.Options overlaid on every workload the
 	// experiments build (zero fields keep each workload's defaults). Tests

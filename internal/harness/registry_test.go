@@ -35,8 +35,8 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			col := &matrixColumn{workload: wl.Name, cap: cap}
-			if _, err := col.finalizeFromCapture(false); err != nil {
+			col, err := columnFromCapture(cap)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, scheme := range engine.AllSchemes {

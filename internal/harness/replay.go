@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
 	"sync"
 
 	"hoop/internal/engine"
@@ -16,7 +12,7 @@ import (
 
 // The record-once/replay-many matrix pipeline. Each (workload, seed)
 // column of the Figure 7–9 matrix executes its workload logic exactly
-// once — on the first scheme, with a trace.Recorder subscribed — and every
+// once — on one scheme, with a trace.Recorder subscribed — and every
 // other scheme's cell replays the captured op stream instead of re-running
 // B-tree rebalances, Zipfian draws, or TPC-C logic. Replay is faithful
 // because the engine's functional view is scheme-independent and the
@@ -27,87 +23,26 @@ import (
 // The golden grid and trace tests lock this bit for bit.
 
 // matrixColumn is one (workload, seed) capture shared by that workload's
-// replay cells. The capture stage fills it (or the cell cache restores
-// it); the replay stage only reads it, so no locking is needed even with
-// replay cells running on parallel workers.
+// replay cells. It is built once from the in-memory capture; the replay
+// stage only reads it, so no locking is needed even with replay cells
+// running on parallel workers.
 type matrixColumn struct {
 	workload string
 	threads  int
-	setupOps int
-	// hash is the sha256 of the trace wire bytes — the content half of
-	// the replay cache key.
-	hash string
 	// setup is the pre-window op stream, replayed in recorded global
 	// order; measured[t][i] is thread t's i-th measured-window transaction
 	// (including padding), fed through the scheme's own scheduling.
 	setup    []trace.Op
 	measured [][][]trace.Op
-	// cap holds the in-memory capture when this column executed in this
-	// run; tracePath points at the cached trace file when it did not.
-	cap       *workload.Captured
-	capKey    string
-	tracePath string
-	// capturedTxs is the transaction count the capture was measured at.
-	// A cached capture may cover more transactions than this matrix
-	// needs; replayFirst marks the first scheme's cell for prefix replay
-	// in that case (its stored metrics describe the longer window).
-	capturedTxs int
-	replayFirst bool
 }
 
-// finalizeFromCapture derives the replay inputs from a fresh capture.
-// When needWire is set (the cell cache is active) it also serializes the
-// wire bytes and hashes them for the replay cache key, returning the
-// bytes for storeCapture; cache-off runs skip that encoding pass. Either
-// way the Captured reference is dropped so only the op slices stay live.
-func (col *matrixColumn) finalizeFromCapture(needWire bool) ([]byte, error) {
-	cap := col.cap
-	col.threads = cap.Threads
-	col.setupOps = cap.SetupOps
-	col.setup = cap.Ops[:cap.SetupOps]
+// columnFromCapture derives the replay inputs from a capture.
+func columnFromCapture(cap *workload.Captured) (*matrixColumn, error) {
 	measured, err := trace.SplitTxs(cap.Ops[cap.SetupOps:], cap.Threads)
 	if err != nil {
-		return nil, fmt.Errorf("harness: splitting %s capture: %w", col.workload, err)
+		return nil, fmt.Errorf("harness: splitting %s capture: %w", cap.Workload, err)
 	}
-	col.measured = measured
-	var wire []byte
-	if needWire {
-		wire, err = cap.WireBytes()
-		if err != nil {
-			return nil, err
-		}
-		sum := sha256.Sum256(wire)
-		col.hash = hex.EncodeToString(sum[:])
-	}
-	col.cap = nil
-	return wire, nil
-}
-
-// loadFromFile restores the replay inputs from a cached trace file,
-// verifying the content hash so a corrupt or swapped file cannot silently
-// feed wrong ops into a measurement.
-func (col *matrixColumn) loadFromFile() error {
-	raw, err := os.ReadFile(col.tracePath)
-	if err != nil {
-		return fmt.Errorf("harness: reading cached capture for %s: %w", col.workload, err)
-	}
-	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != col.hash {
-		return fmt.Errorf("harness: cached capture %s fails its content hash; delete the cache dir and rerun", col.tracePath)
-	}
-	ops, err := trace.NewReader(bytes.NewReader(raw)).ReadAll()
-	if err != nil {
-		return fmt.Errorf("harness: decoding cached capture for %s: %w", col.workload, err)
-	}
-	if col.setupOps > len(ops) {
-		return fmt.Errorf("harness: cached capture for %s has %d ops but claims %d setup ops", col.workload, len(ops), col.setupOps)
-	}
-	col.setup = ops[:col.setupOps]
-	measured, err := trace.SplitTxs(ops[col.setupOps:], col.threads)
-	if err != nil {
-		return fmt.Errorf("harness: splitting cached %s capture: %w", col.workload, err)
-	}
-	col.measured = measured
-	return nil
+	return &matrixColumn{workload: cap.Workload, threads: cap.Threads, setup: cap.Ops[:cap.SetupOps], measured: measured}, nil
 }
 
 // gatedSink forwards events only while open. The capture cell needs it

@@ -104,8 +104,8 @@ func TestReplayMatchesDirect(t *testing.T) {
 				t.Fatalf("abort-mix capture carries no abort ops")
 			}
 		}
-		col := &matrixColumn{workload: wl.Name, cap: cap}
-		if _, err := col.finalizeFromCapture(false); err != nil {
+		col, err := columnFromCapture(cap)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, scheme := range engine.AllSchemes {
@@ -133,49 +133,6 @@ func TestReplayMatchesDirect(t *testing.T) {
 				if !reflect.DeepEqual(directMet, capMet) {
 					t.Errorf("%s: capture metrics diverge from direct\ndirect: %+v\ncapture: %+v", wl.Name, directMet, capMet)
 				}
-			}
-		}
-	}
-}
-
-// TestPrefixReplayMatchesDirect is the prefix-sharing property behind the
-// txs-free capture key: a capture taken at T transactions, replayed for
-// only T' < T, reproduces exactly the Metrics window and durable image of
-// a direct T'-transaction run — on every scheme, including under aborts.
-// (Each thread's op stream is a function of its seed alone and
-// measureWindow closes the window by commit count, so the first T'
-// committed transactions of the long capture are the T' transactions a
-// short run would have issued.)
-func TestPrefixReplayMatchesDirect(t *testing.T) {
-	const txsFull = 150
-	const txsPrefix = 90
-	hot := workload.MustBuild("hashmap", workload.Options{ValBytes: 64, Keys: 512})
-	for _, wl := range []workload.Workload{hot, abortMixWL()} {
-		capCell := Cell{Scheme: engine.AllSchemes[0], Workload: wl, Txs: txsFull, Seed: 7, Mut: smallMut}
-		_, cap, _, err := captureCellRun(capCell)
-		if err != nil {
-			t.Fatalf("%s: capture: %v", wl.Name, err)
-		}
-		col := &matrixColumn{workload: wl.Name, cap: cap, capturedTxs: txsFull}
-		if _, err := col.finalizeFromCapture(false); err != nil {
-			t.Fatal(err)
-		}
-		for _, scheme := range engine.AllSchemes {
-			cell := Cell{Scheme: scheme, Workload: wl, Txs: txsPrefix, Seed: 7, Mut: smallMut}
-			directSys, err := buildSystem(scheme, smallMut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txsPrefix, nil, 0)
-			repMet, repSys, err := replayCellRun(cell, col)
-			if err != nil {
-				t.Fatalf("%s on %s: prefix replay: %v", wl.Name, scheme, err)
-			}
-			if !reflect.DeepEqual(directMet, repMet) {
-				t.Errorf("%s on %s: prefix replay metrics diverge\ndirect: %+v\nreplay: %+v", wl.Name, scheme, directMet, repMet)
-			}
-			if !storesEqual(directSys.Durable(), repSys.Durable()) {
-				t.Errorf("%s on %s: prefix replay durable image diverges from a direct %d-tx run", wl.Name, scheme, txsPrefix)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"hoop/internal/engine"
@@ -131,7 +132,7 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 			fmt.Fprintf(w, "Matrix captures: %d captures for %d cells (executed %d)\n",
 				m.Captures, m.Stats.Cells, m.CapturesRun)
 		}
-		if opts.CacheDir != "" && !opts.DirectMatrix && opts.Trace == nil {
+		if cache != nil {
 			fmt.Fprintf(w, "Matrix cache: %d/%d cells cached (executed %d) in %s\n",
 				m.Stats.Cached, m.Stats.Cells, m.Stats.Cells-m.Stats.Cached, opts.CacheDir)
 		}
@@ -271,6 +272,43 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 		fmt.Fprintf(w, "\n%s", s)
 	}
 	return rep, nil
+}
+
+// statsReport renders the per-section accounting block for the end-of-run
+// report; empty when the cache saw no traffic.
+func (cc *cellCache) statsReport() string {
+	if cc == nil || len(cc.order) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Cell cache (%s):\n", cc.dir)
+	var tot cacheStats
+	for _, name := range cc.order {
+		s := cc.stats[name]
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
+			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten), s.Evictions)
+		tot.Hits += s.Hits
+		tot.Misses += s.Misses
+		tot.Evictions += s.Evictions
+		tot.BytesRead += s.BytesRead
+		tot.BytesWritten += s.BytesWritten
+	}
+	if len(cc.order) > 1 {
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
+			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten), tot.Evictions)
+	}
+	return b.String()
+}
+
+func fmtBytes(n int64) string {
+	switch {
+	case n >= 10<<20:
+		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
+	case n >= 10<<10:
+		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
 }
 
 // SaveGridJSON writes a grid's JSON artifact to dir/<slug>.json, creating

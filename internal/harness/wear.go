@@ -57,15 +57,22 @@ func WearOn(opts Options, scheme string) (WearReport, error) {
 	if err != nil {
 		return WearReport{}, err
 	}
-	var key string
-	if cache != nil {
-		if k, ok := cache.wearKey(scheme, mut, txs, opts); ok {
-			key = k
-			if rep, hit := cache.loadWear(k); hit {
-				return rep, nil
-			}
-		}
+	key := func(int) string {
+		return cacheKey(kindWear, scheme, mut, fmt.Sprintf("workload=hashmap\nseed=%d\ntxs=%d\nopts=%+v", opts.Seed, txs, opts.WL))
 	}
+	reps, _, err := cachedBatch(cache, kindWear, 1, key, func([]int) ([]WearReport, error) {
+		rep, err := runWear(scheme, mut, txs, opts)
+		return []WearReport{rep}, err
+	})
+	if err != nil {
+		return WearReport{}, err
+	}
+	return reps[0], nil
+}
+
+// runWear executes the wear experiment and summarizes the device's wear
+// counters over the OOP region.
+func runWear(scheme string, mut func(*engine.Config), txs int, opts Options) (WearReport, error) {
 	sys, err := buildSystem(scheme, mut)
 	if err != nil {
 		return WearReport{}, err
@@ -110,11 +117,6 @@ func WearOn(opts Options, scheme string) (WearReport, error) {
 	_, _, _, homeTotal := dev.WearInRegion(layout.Home)
 	if total > 0 {
 		rep.HomeOOPRatio = float64(homeTotal) / float64(total)
-	}
-	if key != "" {
-		if err := cache.storeWear(key, scheme, rep); err != nil {
-			return WearReport{}, err
-		}
 	}
 	return rep, nil
 }

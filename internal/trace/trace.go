@@ -6,13 +6,11 @@
 // simulator. This mirrors how the paper's platform consumed Pin-captured
 // application traces.
 //
-// Format v2 added transaction aborts (OpTxAbort) and widened the thread
-// field to uint16. Format v3 is the compact format: ops are grouped into
-// chunks whose header stream is varint/delta-encoded and deflated, while
-// bulk store payloads live in a separate uncompressed data arena (see
-// wire3.go). The Reader still accepts older versions, except streams that
-// claim to carry ops their version predates (an abort in v1, a scan in
-// v1/v2): those can only be corruption and are rejected.
+// The wire format is v3, the compact format: ops are grouped into chunks
+// whose header stream is varint/delta-encoded and deflated, while bulk
+// store payloads live in a separate uncompressed data arena (see
+// wire3.go). Traces in the fixed-header v1/v2 formats are rejected with a
+// request to re-record them.
 package trace
 
 import (
@@ -64,22 +62,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("t%d ?%d", o.Thread, o.Kind)
 }
 
-// Magic and versions of the binary format. The file header is 8 bytes:
-// magic u32le, version u32le. In v1/v2 each op follows as a fixed header
-// plus, for stores, Size bytes of inline data: the v1 op header is
-// 14 bytes (kind u8, thread u8, addr u64le, size u32le), v2's is 15 bytes
-// (kind u8, thread u16le, addr u64le, size u32le). v3 is the compact
-// chunked format defined in wire3.go. Scan ops reuse the header fields for
-// accounting: Size carries the item count and Addr the total value bytes
-// the scan read.
+// Magic and version of the binary format. The file header is 8 bytes:
+// magic u32le, version u32le; the v3 chunks defined in wire3.go follow.
+// Scan ops reuse the op fields for accounting: Size carries the item count
+// and Addr the total value bytes the scan read.
 const (
-	magic      = 0x484F5452 // "HOTR"
-	version1   = 1
-	version2   = 2
-	version3   = 3
-	version    = version3
-	opHeaderV1 = 14
-	opHeaderV2 = 15
+	magic   = 0x484F5452 // "HOTR"
+	version = 3
 )
 
 // maxStoreSize bounds a single store's payload; anything larger in a
@@ -158,11 +147,10 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
-// Reader streams ops from an io.Reader. It reads v1, v2, and v3 traces.
+// Reader streams ops from an io.Reader in the current (v3) format.
 type Reader struct {
 	r       *bufio.Reader
 	started bool
-	ver     uint32
 	dec     wire3Dec
 }
 
@@ -180,12 +168,13 @@ func (t *Reader) header() error {
 		return fmt.Errorf("trace: bad magic")
 	}
 	switch v := binary.LittleEndian.Uint32(h[4:]); v {
-	case version1, version2, version3:
-		t.ver = v
+	case version:
+		return nil
+	case 1, 2:
+		return fmt.Errorf("trace: version %d trace predates the compact v3 format; re-record it with the current writer", v)
 	default:
 		return fmt.Errorf("trace: unsupported version %d", v)
 	}
-	return nil
 }
 
 // Read returns the next op, or io.EOF at the end of the trace.
@@ -196,61 +185,7 @@ func (t *Reader) Read() (Op, error) {
 		}
 		t.started = true
 	}
-	if t.ver == version3 {
-		return t.dec.read(t.r)
-	}
-	return t.readFixed()
-}
-
-// readFixed decodes one op of the fixed-header v1/v2 formats.
-func (t *Reader) readFixed() (Op, error) {
-	var h [opHeaderV2]byte
-	n := opHeaderV2
-	if t.ver == version1 {
-		n = opHeaderV1
-	}
-	if _, err := io.ReadFull(t.r, h[:n]); err != nil {
-		if err == io.EOF {
-			return Op{}, io.EOF
-		}
-		return Op{}, fmt.Errorf("trace: reading op: %w", err)
-	}
-	var op Op
-	if t.ver == version1 {
-		op = Op{
-			Kind:   h[0],
-			Thread: uint16(h[1]),
-			Addr:   mem.PAddr(binary.LittleEndian.Uint64(h[2:])),
-			Size:   binary.LittleEndian.Uint32(h[10:]),
-		}
-	} else {
-		op = Op{
-			Kind:   h[0],
-			Thread: binary.LittleEndian.Uint16(h[1:]),
-			Addr:   mem.PAddr(binary.LittleEndian.Uint64(h[3:])),
-			Size:   binary.LittleEndian.Uint32(h[11:]),
-		}
-	}
-	switch op.Kind {
-	case OpTxBegin, OpTxEnd, OpLoad:
-	case OpTxAbort:
-		if t.ver == version1 {
-			return Op{}, fmt.Errorf("trace: v1 trace carries a tx-abort op; the v1 format predates aborts, so the trace is corrupt — re-record it with the current writer")
-		}
-	case OpScan:
-		return Op{}, fmt.Errorf("trace: v%d trace carries a scan op; the v%d format predates scans, so the trace is corrupt — re-record it with the current writer", t.ver, t.ver)
-	case OpStore:
-		if op.Size > maxStoreSize {
-			return Op{}, fmt.Errorf("trace: unreasonable store size %d", op.Size)
-		}
-		op.Data = make([]byte, op.Size)
-		if _, err := io.ReadFull(t.r, op.Data); err != nil {
-			return Op{}, fmt.Errorf("trace: reading store data: %w", err)
-		}
-	default:
-		return Op{}, fmt.Errorf("trace: unknown op kind %d", op.Kind)
-	}
-	return op, nil
+	return t.dec.read(t.r)
 }
 
 // ReadAll drains the trace.

@@ -189,48 +189,6 @@ func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
 	}
 }
 
-// encodeV1 hand-builds a v1 trace (14-byte op headers, uint8 thread).
-func encodeV1(ops []Op) []byte {
-	var buf bytes.Buffer
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint32(h[4:], version1)
-	buf.Write(h[:])
-	for _, op := range ops {
-		var oh [opHeaderV1]byte
-		oh[0] = op.Kind
-		oh[1] = uint8(op.Thread)
-		binary.LittleEndian.PutUint64(oh[2:], uint64(op.Addr))
-		binary.LittleEndian.PutUint32(oh[10:], op.Size)
-		buf.Write(oh[:])
-		buf.Write(op.Data)
-	}
-	return buf.Bytes()
-}
-
-func TestReaderAcceptsV1(t *testing.T) {
-	ops := []Op{
-		{Kind: OpTxBegin, Thread: 1},
-		{Kind: OpStore, Thread: 1, Addr: 0x80, Size: 2, Data: []byte{0xAA, 0xBB}},
-		{Kind: OpTxEnd, Thread: 1},
-	}
-	got, err := NewReader(bytes.NewReader(encodeV1(ops))).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[1].Thread != 1 || got[1].Addr != 0x80 || !bytes.Equal(got[1].Data, []byte{0xAA, 0xBB}) {
-		t.Fatalf("v1 decode mismatch: %+v", got)
-	}
-}
-
-func TestReaderRejectsV1Abort(t *testing.T) {
-	raw := encodeV1([]Op{{Kind: OpTxBegin, Thread: 0}, {Kind: OpTxAbort, Thread: 0}})
-	_, err := NewReader(bytes.NewReader(raw)).ReadAll()
-	if err == nil || !strings.Contains(err.Error(), "abort") {
-		t.Fatalf("v1 trace with abort op must be rejected, got %v", err)
-	}
-}
-
 // failAfter errors once more than n bytes have been written.
 type failAfter struct{ n int }
 

@@ -42,7 +42,7 @@
 // with sz: 0 → 8 B, 1 → 64 B, 2 → explicit uvarint. The encoder picks the
 // cheaper of raw/delta by exact byte count and prefers a dictionary hit
 // outright; every choice is deterministic, so identical op streams encode
-// to identical bytes (the cache layer hashes these).
+// to identical bytes (the golden fixture pins them).
 package trace
 
 import (
@@ -83,6 +83,13 @@ const (
 
 	chunkHeaderLen = 13
 	flagDeflate    = 1
+
+	// maxChunkBytes bounds every length in a chunk: stored op stream,
+	// inflated op stream, and data arena. The Writer emits a chunk once
+	// it holds chunkTarget bytes, so the last op can push either section
+	// past that by at most one maximal store plus its varint framing; the
+	// slack also covers deflate's stored-block overhead.
+	maxChunkBytes = chunkTarget + maxStoreSize + 1<<10
 )
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
@@ -298,6 +305,8 @@ type wire3Dec struct {
 	queue []Op
 	qpos  int
 	out   byteArena // materialized delta/tail payloads
+	// inflated is the reusable inflate buffer; decoded ops never alias it.
+	inflated []byte
 }
 
 // read returns the next op, decoding the next chunk when the current one
@@ -325,8 +334,8 @@ func (d *wire3Dec) readChunk(r *bufio.Reader) error {
 	dataLen := binary.LittleEndian.Uint32(h[4:])
 	opCount := binary.LittleEndian.Uint32(h[8:])
 	flags := h[12]
-	if opLen > 1<<30 || dataLen > 1<<30 || opCount > 1<<28 {
-		return fmt.Errorf("trace: unreasonable chunk header (%d op bytes, %d data bytes, %d ops)", opLen, dataLen, opCount)
+	if opLen > maxChunkBytes || dataLen > maxChunkBytes {
+		return fmt.Errorf("trace: unreasonable chunk header (%d op bytes, %d data bytes)", opLen, dataLen)
 	}
 	opBytes := make([]byte, opLen)
 	if _, err := io.ReadFull(r, opBytes); err != nil {
@@ -337,13 +346,46 @@ func (d *wire3Dec) readChunk(r *bufio.Reader) error {
 		return fmt.Errorf("trace: reading data arena: %w", err)
 	}
 	if flags&flagDeflate != 0 {
-		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(opBytes)))
+		raw, err := d.inflate(opBytes)
 		if err != nil {
-			return fmt.Errorf("trace: inflating op stream: %w", err)
+			return err
 		}
 		opBytes = raw
 	}
+	// Every op starts with a lead byte, so a chunk cannot hold more ops
+	// than op-stream bytes; checking first bounds the queue allocation.
+	if int64(opCount) > int64(len(opBytes)) {
+		return fmt.Errorf("trace: chunk claims %d ops in %d op-stream bytes", opCount, len(opBytes))
+	}
 	return d.decodeChunk(opBytes, arena, int(opCount))
+}
+
+// inflate decompresses a chunk's op stream into the decoder's reusable
+// buffer, failing once the output passes maxChunkBytes so a deflate bomb
+// cannot balloon memory.
+func (d *wire3Dec) inflate(src []byte) ([]byte, error) {
+	fr := flate.NewReader(bytes.NewReader(src))
+	buf := d.inflated[:0]
+	if buf == nil {
+		buf = make([]byte, 0, 512)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := fr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxChunkBytes {
+			return nil, fmt.Errorf("trace: op stream inflates past %d bytes", maxChunkBytes)
+		}
+		if err == io.EOF {
+			d.inflated = buf
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: inflating op stream: %w", err)
+		}
+	}
 }
 
 // decodeChunk rebuilds opCount ops. Raw store payloads alias the arena;

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,8 +16,17 @@ import (
 
 var updateWire = flag.Bool("update", false, "rewrite the wire-format golden fixtures from this run")
 
-// goldenOpsV1 fits the v1 format: no aborts, no scans, thread <= 255.
-func goldenOpsV1() []Op {
+// goldenOps walks every op kind and every store encoding mode: raw
+// (first sight of a payload), dictionary (exact repeat), and per-word
+// delta (a near-miss of a cached line), plus aborts, uint16 threads,
+// forward and backward address deltas, and both load sizes.
+func goldenOps() []Op {
+	line := make([]byte, 64)
+	for i := range line {
+		line[i] = byte(i * 11)
+	}
+	near := append([]byte(nil), line...)
+	near[8] ^= 0x5A // one word differs: delta mode
 	return []Op{
 		{Kind: OpTxBegin, Thread: 0},
 		{Kind: OpLoad, Thread: 0, Addr: 0x1000, Size: 8},
@@ -25,59 +35,18 @@ func goldenOpsV1() []Op {
 		{Kind: OpTxBegin, Thread: 7},
 		{Kind: OpStore, Thread: 7, Addr: 0x2040, Size: 3, Data: []byte{0xAA, 0xBB, 0xCC}},
 		{Kind: OpTxEnd, Thread: 7},
+		{Kind: OpTxBegin, Thread: 65535},
+		{Kind: OpStore, Thread: 65535, Addr: 0x3000, Size: 8, Data: []byte{8, 7, 6, 5, 4, 3, 2, 1}},
+		{Kind: OpTxAbort, Thread: 65535},
+		{Kind: OpTxBegin, Thread: 2},
+		{Kind: OpLoad, Thread: 2, Addr: 0x8000, Size: 64},
+		{Kind: OpStore, Thread: 2, Addr: 0x8000, Size: 64, Data: line},
+		{Kind: OpStore, Thread: 2, Addr: 0x9000, Size: 64, Data: append([]byte(nil), line...)},
+		{Kind: OpStore, Thread: 2, Addr: 0x8000, Size: 64, Data: near},
+		{Kind: OpLoad, Thread: 2, Addr: 0x7F00, Size: 16},
+		{Kind: OpScan, Thread: 2, Addr: 0x4000, Size: 5}, // 5 items, 0x4000 value bytes
+		{Kind: OpTxEnd, Thread: 2},
 	}
-}
-
-// goldenOpsV2 adds what v2 introduced: aborts and uint16 threads.
-func goldenOpsV2() []Op {
-	return append(goldenOpsV1(),
-		Op{Kind: OpTxBegin, Thread: 65535},
-		Op{Kind: OpStore, Thread: 65535, Addr: 0x3000, Size: 8, Data: []byte{8, 7, 6, 5, 4, 3, 2, 1}},
-		Op{Kind: OpTxAbort, Thread: 65535},
-	)
-}
-
-// goldenOpsV3 adds what v3 introduced (scans) and walks every store
-// encoding mode: raw (first sight of a payload), dictionary (exact repeat),
-// and per-word delta (a near-miss of a cached line), plus forward and
-// backward address deltas and both load sizes.
-func goldenOpsV3() []Op {
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(i * 11)
-	}
-	near := append([]byte(nil), line...)
-	near[8] ^= 0x5A // one word differs: delta mode
-	return append(goldenOpsV2(),
-		Op{Kind: OpTxBegin, Thread: 2},
-		Op{Kind: OpLoad, Thread: 2, Addr: 0x8000, Size: 64},
-		Op{Kind: OpStore, Thread: 2, Addr: 0x8000, Size: 64, Data: line},
-		Op{Kind: OpStore, Thread: 2, Addr: 0x9000, Size: 64, Data: append([]byte(nil), line...)},
-		Op{Kind: OpStore, Thread: 2, Addr: 0x8000, Size: 64, Data: near},
-		Op{Kind: OpLoad, Thread: 2, Addr: 0x7F00, Size: 16},
-		Op{Kind: OpScan, Thread: 2, Addr: 0x4000, Size: 5}, // 5 items, 0x4000 value bytes
-		Op{Kind: OpTxEnd, Thread: 2},
-	)
-}
-
-// encodeV2 hand-builds a v2 trace (15-byte op headers, uint16 thread),
-// mirroring what the pre-v3 Writer emitted.
-func encodeV2(ops []Op) []byte {
-	var buf bytes.Buffer
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint32(h[4:], version2)
-	buf.Write(h[:])
-	for _, op := range ops {
-		var oh [opHeaderV2]byte
-		oh[0] = op.Kind
-		binary.LittleEndian.PutUint16(oh[1:], op.Thread)
-		binary.LittleEndian.PutUint64(oh[3:], uint64(op.Addr))
-		binary.LittleEndian.PutUint32(oh[11:], op.Size)
-		buf.Write(oh[:])
-		buf.Write(op.Data)
-	}
-	return buf.Bytes()
 }
 
 // opsEquivalent compares decoded ops field for field against the source.
@@ -98,49 +67,46 @@ func opsEquivalent(t *testing.T, got, want []Op) {
 	}
 }
 
-// TestWireGoldenFixtures pins all three wire versions to byte fixtures in
-// testdata: every fixture must keep decoding to the same ops forever
-// (cache compatibility), and the current writer must keep producing the
-// v3 fixture byte for byte — the cell cache's capture keys hash trace
-// bytes, so an encoder change that reorders output silently invalidates
-// every cached replay. Regenerate with -update only for a deliberate
-// format bump (and bump cacheSchema with it).
+// TestWireGoldenFixtures pins the v3 wire to a byte fixture in testdata:
+// the fixture must keep decoding to the same ops, and the writer must
+// keep producing it byte for byte. Regenerate with -update only for a
+// deliberate format change.
 func TestWireGoldenFixtures(t *testing.T) {
-	v3, err := WriteOps(goldenOpsV3())
+	raw, err := WriteOps(goldenOps())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures := []struct {
-		name string
-		raw  []byte
-		ops  []Op
-	}{
-		{"golden_v1.trc", encodeV1(goldenOpsV1()), goldenOpsV1()},
-		{"golden_v2.trc", encodeV2(goldenOpsV2()), goldenOpsV2()},
-		{"golden_v3.trc", v3, goldenOpsV3()},
+	path := filepath.Join("testdata", "golden_v3.trc")
+	if *updateWire {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, f := range fixtures {
-		path := filepath.Join("testdata", f.name)
-		if *updateWire {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, f.raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read fixture (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Errorf("encoded bytes diverge from fixture (%d vs %d bytes); a deliberate format change needs -update", len(raw), len(want))
+	}
+	got, err := NewReader(bytes.NewReader(want)).ReadAll()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	opsEquivalent(t, got, goldenOps())
+}
+
+// TestReaderRejectsPreV3: the fixed-header v1/v2 formats are no longer
+// read; their headers fail with a request to re-record.
+func TestReaderRejectsPreV3(t *testing.T) {
+	for _, v := range []uint32{1, 2} {
+		var h [8 + 15]byte // header plus one op's worth of old-format bytes
+		binary.LittleEndian.PutUint32(h[0:], magic)
+		binary.LittleEndian.PutUint32(h[4:], v)
+		_, err := NewReader(bytes.NewReader(h[:])).ReadAll()
+		if err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("v%d header: got %v, want a re-record error", v, err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read fixture (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(f.raw, want) {
-			t.Errorf("%s: encoded bytes diverge from fixture (%d vs %d bytes); a deliberate format change needs -update AND a cacheSchema bump", f.name, len(f.raw), len(want))
-		}
-		got, err := NewReader(bytes.NewReader(want)).ReadAll()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", f.name, err)
-		}
-		opsEquivalent(t, got, f.ops)
 	}
 }
 
@@ -227,7 +193,7 @@ func TestWireV3RoundtripProperty(t *testing.T) {
 // a trace written across many flushes decodes identically to one written
 // in a single burst (the dict/delta model persists across chunks).
 func TestWireV3MidStreamFlush(t *testing.T) {
-	ops := goldenOpsV3()
+	ops := goldenOps()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for i, op := range ops {

@@ -26,18 +26,6 @@ type Captured struct {
 	Ops []trace.Op
 }
 
-// WireBytes serializes the capture in the binary trace format — the
-// cache/hash key material and on-disk representation. It is a method
-// rather than a field so runs that never touch the cell cache skip the
-// encoding pass entirely.
-func (c *Captured) WireBytes() ([]byte, error) {
-	b, err := trace.WriteOps(c.Ops)
-	if err != nil {
-		return nil, fmt.Errorf("workload: encoding %s capture: %w", c.Workload, err)
-	}
-	return b, nil
-}
-
 // padHeadroom sizes the per-thread padding: every thread's measured
 // stream is extended to maxConsumed + maxConsumed/4 + padFloor committed
 // transactions, where maxConsumed is the largest per-thread draw the

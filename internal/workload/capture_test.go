@@ -32,7 +32,7 @@ func TestCaptureShape(t *testing.T) {
 		t.Fatalf("setup boundary %d of %d ops", cap.SetupOps, len(cap.Ops))
 	}
 	// The wire bytes decode back to exactly Ops.
-	wire, err := cap.WireBytes()
+	wire, err := trace.WriteOps(cap.Ops)
 	if err != nil {
 		t.Fatal(err)
 	}
