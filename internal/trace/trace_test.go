@@ -189,6 +189,25 @@ func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsV1Abort: a v1 trace holding an abort op (which v1 never
+// could encode) still fails to load, now at the version check.
+func TestReaderRejectsV1Abort(t *testing.T) {
+	var buf bytes.Buffer
+	var h [8]byte
+	binary.LittleEndian.PutUint32(h[0:], magic)
+	binary.LittleEndian.PutUint32(h[4:], 1)
+	buf.Write(h[:])
+	for _, kind := range []uint8{OpTxBegin, OpTxAbort} {
+		var oh [14]byte // v1 op header: kind, uint8 thread, addr, size
+		oh[0] = kind
+		buf.Write(oh[:])
+	}
+	_, err := NewReader(&buf).ReadAll()
+	if err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("v1 trace with abort op must be rejected, got %v", err)
+	}
+}
+
 // failAfter errors once more than n bytes have been written.
 type failAfter struct{ n int }
 
