@@ -179,12 +179,14 @@ func benchmarks() map[string]func(b *testing.B) {
 			}
 		},
 		// One committed 4-word read-modify-write transaction through the
-		// concurrency-control layer's step scheduler: the op-granularity
+		// concurrency-control layer on a single thread: the op-granularity
 		// yield protocol plus OCC's buffer/validate/install bookkeeping.
-		// The alloc gate holds the budget at zero steady-state allocations
-		// (validation reuses its scratch buffer).
+		// A lone thread always picks itself at each step boundary, so the
+		// grant never leaves its goroutine; cc_2pl_tx4_t4 measures the
+		// thread-to-thread handoff. The alloc gate holds the budget at zero
+		// steady-state allocations (validation reuses its scratch buffer).
 		"cc_occ_tx4": func(b *testing.B) {
-			r, srcs := ccRunnerForBench(b, cc.PolicyOCC)
+			r, srcs := ccRunnerForBench(b, cc.PolicyOCC, 1)
 			r.Run(srcs, 200) // steady state
 			b.ResetTimer()
 			r.Run(srcs, b.N)
@@ -193,7 +195,17 @@ func benchmarks() map[string]func(b *testing.B) {
 		// release against the never-deleted lock table. Steady-state budget
 		// is likewise zero allocations.
 		"cc_2pl_tx4": func(b *testing.B) {
-			r, srcs := ccRunnerForBench(b, cc.Policy2PL)
+			r, srcs := ccRunnerForBench(b, cc.Policy2PL, 1)
+			r.Run(srcs, 200)
+			b.ResetTimer()
+			r.Run(srcs, b.N)
+		},
+		// cc_2pl_tx4 over 4 threads on disjoint lines: no conflicts, but
+		// the smallest-clock grant passes from one thread goroutine to the
+		// next at nearly every step, so this is the handoff's cost per
+		// committed transaction. Zero steady-state allocations.
+		"cc_2pl_tx4_t4": func(b *testing.B) {
+			r, srcs := ccRunnerForBench(b, cc.Policy2PL, 4)
 			r.Run(srcs, 200)
 			b.ResetTimer()
 			r.Run(srcs, b.N)
@@ -331,12 +343,13 @@ func benchmarks() map[string]func(b *testing.B) {
 
 var sinkU64 uint64
 
-// ccRunnerForBench builds a single-thread abortable Ideal system with a
-// fixed 4-word read-modify-write source whose Next allocates nothing, so
-// the measurement sees only the cc layer's own cost.
-func ccRunnerForBench(b *testing.B, policy cc.Policy) (*cc.Runner, []cc.TxSource) {
+// ccRunnerForBench builds an abortable Ideal system with the given thread
+// count, each thread running a fixed 4-word read-modify-write source on
+// its own cache line whose Next allocates nothing, so the measurement sees
+// only the cc layer's own cost.
+func ccRunnerForBench(b *testing.B, policy cc.Policy, threads int) (*cc.Runner, []cc.TxSource) {
 	cfg := engine.DefaultConfig(engine.SchemeNative)
-	cfg.Cores, cfg.Threads, cfg.Cache.Cores = 1, 1, 1
+	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
 	cfg.Ctrl.Agents = 3
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
@@ -349,14 +362,19 @@ func ccRunnerForBench(b *testing.B, policy cc.Policy) (*cc.Runner, []cc.TxSource
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := func(tx cc.Tx) {
-		for w := 0; w < 4; w++ {
-			a := mem.PAddr(w * mem.WordSize)
-			v := tx.ReadWord(a)
-			tx.WriteWord(a, v+1)
+	srcs := make([]cc.TxSource, threads)
+	for i := range srcs {
+		base := mem.PAddr(i * mem.LineSize)
+		body := func(tx cc.Tx) {
+			for w := 0; w < 4; w++ {
+				a := base + mem.PAddr(w*mem.WordSize)
+				v := tx.ReadWord(a)
+				tx.WriteWord(a, v+1)
+			}
 		}
+		srcs[i] = cc.TxSourceFunc(func() cc.TxFunc { return body })
 	}
-	return r, []cc.TxSource{cc.TxSourceFunc(func() cc.TxFunc { return body })}
+	return r, srcs
 }
 
 func engineForBench(b *testing.B) *engine.System {

@@ -7,13 +7,12 @@ import (
 	"hoop/internal/mem"
 )
 
-// benchRunner builds a single-thread abortable system and a fixed 4-word
-// read-modify-write source whose Next allocates nothing, so steady-state
-// measurements see only the policy's own cost.
-func benchRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
+// newTestRunner builds an abortable Native system with the given thread
+// count and a Runner over it.
+func newTestRunner(tb testing.TB, policy Policy, threads int) *Runner {
 	tb.Helper()
 	cfg := engine.DefaultConfig(engine.SchemeNative)
-	cfg.Cores, cfg.Threads, cfg.Cache.Cores = 1, 1, 1
+	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
 	cfg.Ctrl.Agents = 3
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
@@ -26,24 +25,41 @@ func benchRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	body := func(tx Tx) {
-		for w := 0; w < 4; w++ {
-			a := mem.PAddr(w * mem.WordSize)
-			v := tx.ReadWord(a)
-			tx.WriteWord(a, v+1)
+	return r
+}
+
+// benchRunner builds a Runner with the given thread count, each thread
+// running a fixed 4-word read-modify-write source on its own cache line
+// (so threads never conflict) whose Next allocates nothing: steady-state
+// measurements see only the policy's and the step handoff's own cost.
+func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource) {
+	tb.Helper()
+	r := newTestRunner(tb, policy, threads)
+	srcs := make([]TxSource, threads)
+	for i := range srcs {
+		base := mem.PAddr(i * mem.LineSize)
+		body := func(tx Tx) {
+			for w := 0; w < 4; w++ {
+				a := base + mem.PAddr(w*mem.WordSize)
+				v := tx.ReadWord(a)
+				tx.WriteWord(a, v+1)
+			}
 		}
+		srcs[i] = TxSourceFunc(func() TxFunc { return body })
 	}
-	srcs := []TxSource{TxSourceFunc(func() TxFunc { return body })}
 	return r, srcs
 }
 
-// perTxAllocs measures steady-state allocations per committed transaction:
-// a warmup run grows every reused structure (write buffer, read set,
-// validation scratch, lock table, held-lock set) to its steady size, then
-// a long measured run amortizes the per-Run overhead (quota slice, one
-// goroutine spawn) below 0.05 allocs/tx.
+// perTxAllocs measures steady-state allocations per committed transaction
+// on one thread: a warmup run grows every reused structure (write buffer,
+// read set, validation scratch, lock table, held-lock set) to its steady
+// size, then a long measured run amortizes the per-Run overhead (quota
+// slice, one goroutine spawn) below 0.05 allocs/tx. A lone thread grants
+// every step to itself, so after Run's first grant no channel operation
+// happens; grants between threads go over the preallocated resume
+// channels and allocate nothing either (BenchmarkCCTx4Threads4).
 func perTxAllocs(tb testing.TB, policy Policy) float64 {
-	r, srcs := benchRunner(tb, policy)
+	r, srcs := benchRunner(tb, policy, 1)
 	r.Run(srcs, 200)
 	const txs = 1000
 	return testing.AllocsPerRun(1, func() { r.Run(srcs, txs) }) / txs
@@ -70,12 +86,25 @@ func TestLockTableAllocBudget(t *testing.T) {
 }
 
 // BenchmarkCCTx4 measures one committed 4-word read-modify-write
-// transaction through the cc layer's step scheduler under each policy —
-// the op-granularity yield protocol plus the policy's bookkeeping.
+// transaction through the cc layer under each policy — the op-granularity
+// yield protocol plus the policy's bookkeeping. One thread always picks
+// itself and never switches goroutines; BenchmarkCCTx4Threads4 measures
+// the thread-to-thread handoff.
 func BenchmarkCCTx4(b *testing.B) {
+	benchTx4(b, 1)
+}
+
+// BenchmarkCCTx4Threads4 is BenchmarkCCTx4 over 4 threads on disjoint
+// lines: no conflicts, but the smallest-clock grant moves between thread
+// goroutines at nearly every step.
+func BenchmarkCCTx4Threads4(b *testing.B) {
+	benchTx4(b, 4)
+}
+
+func benchTx4(b *testing.B, threads int) {
 	for _, policy := range Policies {
 		b.Run(string(policy), func(b *testing.B) {
-			r, srcs := benchRunner(b, policy)
+			r, srcs := benchRunner(b, policy, threads)
 			r.Run(srcs, 200) // steady state
 			b.ReportAllocs()
 			b.ResetTimer()

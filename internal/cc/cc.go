@@ -11,14 +11,17 @@
 //
 // Execution model: engine.System.Run interleaves whole transactions, which
 // can never conflict. The cc.Runner instead interleaves at *operation*
-// granularity: each thread's transaction body runs in its own goroutine
-// that parks before every operation, and a central scheduler grants one
-// step at a time to the runnable thread with the smallest simulated clock
-// (ties to the lowest thread id). Exactly one goroutine is ever running, so
-// the interleaving is deterministic, race-free, and reproducible bit-for-
-// bit — yet transactions are genuinely concurrent in simulated time, so a
-// lock request can find its line held by a parked transaction and wound-
-// wait has someone to wound.
+// granularity: each thread's transaction body runs in its own goroutine,
+// and before every operation the running thread picks the next step's
+// owner itself — the runnable thread with the smallest simulated clock
+// (ties to the lowest thread id). If that is the thread itself it carries
+// on without a goroutine switch; otherwise it hands the grant straight to
+// the chosen thread and parks until a later grant comes back to it. There
+// is no scheduler goroutine: exactly one thread goroutine holds the grant
+// at any time, so the interleaving is deterministic, race-free, and
+// reproducible bit-for-bit — yet transactions are genuinely concurrent in
+// simulated time, so a lock request can find its line held by a parked
+// transaction and wound-wait has someone to wound.
 package cc
 
 import (
@@ -99,7 +102,9 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	stepDone chan *thread
+	// done tells Run that a thread found no runnable thread: every thread
+	// has finished, or the schedule is stuck.
+	done chan struct{}
 	// lockEpoch increments whenever any lock is released (or a holder is
 	// wounded); blocked threads only become runnable again when the epoch
 	// has moved past the one they blocked under, so a failed re-check
@@ -123,6 +128,8 @@ type thread struct {
 	id  int
 	env *engine.Env
 
+	// resume delivers grants (buffer 1, so the granting thread never
+	// waits for the granted one to wake).
 	resume chan struct{}
 	status int
 	// blockEpoch is the lockEpoch observed when the thread blocked.
@@ -164,9 +171,9 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 		cfg.MaxRetries = 10000
 	}
 	r := &Runner{
-		sys:      sys,
-		cfg:      cfg,
-		stepDone: make(chan *thread),
+		sys:  sys,
+		cfg:  cfg,
+		done: make(chan struct{}),
 	}
 	switch cfg.Policy {
 	case PolicyOCC:
@@ -184,7 +191,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 			r:      r,
 			id:     i,
 			env:    sys.NewEnv(i),
-			resume: make(chan struct{}),
+			resume: make(chan struct{}, 1),
 		}
 	}
 	return r, nil
@@ -217,7 +224,9 @@ type policy interface {
 // Run executes totalTxs committed transactions spread round-robin over the
 // sources (one per thread, like engine.System.Run). It returns when every
 // thread has committed its share; aborted attempts retry until they
-// commit, so the committed-transaction count is exact.
+// commit, so the committed-transaction count is exact. If the threads ever
+// find no runnable thread before all have finished (a lock-scheduling bug),
+// Run panics on the caller's goroutine; the stuck threads stay parked.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
@@ -227,7 +236,6 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	for i := 0; i < totalTxs; i++ {
 		quota[i%n]++
 	}
-	live := 0
 	for i, t := range r.threads {
 		t.status = statusReady
 		t.wounded = false
@@ -237,24 +245,20 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 			t.status = statusFinished
 			continue
 		}
-		live++
 		go t.loop(sources[i], quota[i])
 	}
-	// Collect the initial yield of every launched goroutine, then grant
-	// steps until all threads finish their quota.
-	for i := 0; i < live; i++ {
-		<-r.stepDone
+	// The goroutines start parked: hand out the first grant, after which
+	// the threads pass it among themselves until none can run.
+	first := r.pick()
+	if first == nil {
+		return
 	}
-	for {
-		t := r.pick()
-		if t == nil {
-			if r.liveCount() == 0 {
-				return
-			}
+	first.resume <- struct{}{}
+	<-r.done
+	for _, t := range r.threads {
+		if t.status != statusFinished {
 			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
 		}
-		t.resume <- struct{}{}
-		<-r.stepDone
 	}
 }
 
@@ -262,6 +266,7 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 // ready, or blocked-but-wakeable (the lock epoch moved, or it was wounded).
 func (r *Runner) pick() *thread {
 	var best *thread
+	var bestClock sim.Time
 	for _, t := range r.threads {
 		switch t.status {
 		case statusReady:
@@ -272,33 +277,39 @@ func (r *Runner) pick() *thread {
 		default:
 			continue
 		}
-		if best == nil || r.sys.Clock(t.id) < r.sys.Clock(best.id) {
-			best = t
+		if c := r.sys.Clock(t.id); best == nil || c < bestClock {
+			best, bestClock = t, c
 		}
 	}
 	return best
 }
 
-func (r *Runner) liveCount() int {
-	n := 0
-	for _, t := range r.threads {
-		if t.status != statusFinished {
-			n++
-		}
+// pass hands the grant from t (which has just set its status) to the next
+// thread, or back to Run when no thread can run, and reports whether t gave
+// it away and must park. Once the grant is gone, t must not touch Runner
+// state again.
+func (r *Runner) pass(t *thread) bool {
+	switch next := r.pick(); next {
+	case t:
+		return false
+	case nil:
+		r.done <- struct{}{}
+	default:
+		next.resume <- struct{}{}
 	}
-	return n
+	return true
 }
 
 // loop is one thread's goroutine: commit `quota` transactions, retrying
 // aborted attempts with the same body.
 func (t *thread) loop(src TxSource, quota int) {
-	t.yield(statusReady) // initial park; Run collects it before granting
+	<-t.resume // wait for the first grant
 	for done := 0; done < quota; done++ {
 		body := src.Next()
 		t.runToCommit(body)
 	}
 	t.status = statusFinished
-	t.r.stepDone <- t
+	t.r.pass(t) // hand on the grant and exit
 }
 
 // runToCommit executes body until one attempt commits.
@@ -362,12 +373,14 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 	return true
 }
 
-// yield parks the thread until the scheduler grants it a step. A pending
-// wound is consumed here: the grant lands as an abort.
+// yield is a step boundary: the thread passes the grant on and continues
+// once it is granted a step again (immediately, if it picks itself). A
+// pending wound is consumed here: the grant lands as an abort.
 func (t *thread) yield(status int) {
 	t.status = status
-	t.r.stepDone <- t
-	<-t.resume
+	if t.r.pass(t) {
+		<-t.resume
+	}
 	t.status = statusReady
 	if t.wounded {
 		t.wounded = false
