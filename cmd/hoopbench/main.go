@@ -20,6 +20,7 @@ import (
 
 	"hoop/internal/clihelp"
 	"hoop/internal/harness"
+	"hoop/internal/telemetry"
 	"hoop/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func main() {
 		Workers: common.Workers, CacheDir: *cachedir, CacheMax: *cachemax,
 		Suite: suite}
 	if common.Trace != "" {
-		opts.Trace = &harness.TraceCollector{}
+		opts.Trace = &telemetry.CellTrace{}
 	}
 	var secs []string
 	for _, s := range strings.Split(*sections, ",") {
@@ -108,7 +109,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hoopbench: -trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("telemetry trace: %d cells written to %s\n", opts.Trace.Cells(), common.Trace)
+		fmt.Printf("telemetry trace: %d cells written to %s\n", opts.Trace.Len(), common.Trace)
 	}
 	fmt.Printf("\ntotal wall-clock: %.1fs\n", time.Since(start).Seconds())
 }

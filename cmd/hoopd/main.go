@@ -36,6 +36,7 @@ import (
 	"hoop/internal/loadgen"
 	"hoop/internal/service"
 	"hoop/internal/sim"
+	"hoop/internal/telemetry"
 	"hoop/internal/workload"
 )
 
@@ -256,9 +257,9 @@ func runSoak(cfg soakConfig, tracePath string) (*soakResult, error) {
 	ec := engine.DefaultConfig(cfg.common.Scheme)
 	ec.Threads = 1
 
-	var tc *service.TraceCollector
+	var tc *telemetry.CellTrace
 	if tracePath != "" {
-		tc = &service.TraceCollector{}
+		tc = &telemetry.CellTrace{}
 	}
 	ring := service.NewRing(cfg.shards)
 	handlers := make([]*service.KVHandler, cfg.shards)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hoop/internal/sim"
+	"hoop/internal/telemetry"
 )
 
 // tiny returns fast CLI arguments: 2 shards, 2ms simulated, small tables.
@@ -53,14 +54,28 @@ func TestSoakTraceFile(t *testing.T) {
 	if err := run(tiny("-trace", path), &b); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `{"cell":"shard-000"}`) {
-		t.Errorf("trace file missing shard cell marker (len %d)", len(data))
+	defer f.Close()
+	var shard0 bool
+	var enqueues int
+	if err := telemetry.ReadCells(f, func(c telemetry.Cell) error {
+		shard0 = shard0 || c.Label == "shard-000"
+		for _, e := range c.Events {
+			if e.Kind == telemetry.KindShardEnqueue {
+				enqueues++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"k":"shard_enqueue"`) {
+	if !shard0 {
+		t.Error("trace file has no shard-000 cell")
+	}
+	if enqueues == 0 {
 		t.Error("trace file missing shard_enqueue events")
 	}
 }

@@ -2,9 +2,9 @@
 // `hoopsim -trace`, `hoopbench -trace`, `hoopd -trace`, or any
 // telemetry.JSONLSink: per cell it prints the event mix (count and bytes
 // per kind), the simulated span, and an ASCII commit-density timeline. It
-// also serves as the trace validator — any line that neither decodes as
-// an event nor as a cell marker fails the run — which is how CI checks
-// that a trace parses.
+// also serves as the trace validator — telemetry.ReadCells fails the run
+// on any line that neither decodes as an event nor as a cell marker —
+// which is how CI checks that a trace parses.
 //
 // With -soak it instead renders a soak-run summary of a hoopd trace: per
 // shard, the admitted/shed request counts, saturation rate, and service
@@ -19,9 +19,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,9 +42,9 @@ type kindAgg struct {
 	bytes int64
 }
 
-// cell is the per-trace-section aggregation. Traces from single-run tools
-// (hoopsim, hooprecover) have no marker lines and collapse into one
-// unlabeled cell.
+// cell is the aggregation of one telemetry.Cell. Traces from single-run
+// tools (hoopsim) have no marker lines and collapse into one unlabeled
+// cell.
 type cell struct {
 	label      string
 	events     int64
@@ -110,8 +107,17 @@ func run(args []string, out io.Writer) error {
 	}
 	defer f.Close()
 
-	cells, total, err := parse(f)
-	if err != nil {
+	var cells []*cell
+	var total int64
+	if err := telemetry.ReadCells(f, func(tc telemetry.Cell) error {
+		c := &cell{label: tc.Label}
+		for _, e := range tc.Events {
+			c.add(e)
+		}
+		cells = append(cells, c)
+		total += c.events
+		return nil
+	}); err != nil {
 		return err
 	}
 	if *soak {
@@ -122,49 +128,6 @@ func run(args []string, out io.Writer) error {
 		render(out, c)
 	}
 	return nil
-}
-
-// parse splits the trace at {"cell":...} marker lines and aggregates each
-// section. Every other line must decode as an event.
-func parse(r io.Reader) ([]*cell, int64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var cells []*cell
-	var cur *cell
-	var total int64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if bytes.HasPrefix(line, []byte(`{"cell":`)) {
-			var marker struct {
-				Cell string `json:"cell"`
-			}
-			if err := json.Unmarshal(line, &marker); err != nil {
-				return nil, 0, fmt.Errorf("line %d: bad cell marker: %v", lineNo, err)
-			}
-			cur = &cell{label: marker.Cell}
-			cells = append(cells, cur)
-			continue
-		}
-		e, err := telemetry.DecodeJSON(line)
-		if err != nil {
-			return nil, 0, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if cur == nil {
-			cur = &cell{}
-			cells = append(cells, cur)
-		}
-		cur.add(e)
-		total++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return cells, total, nil
 }
 
 func render(out io.Writer, c *cell) {

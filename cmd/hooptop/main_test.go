@@ -7,16 +7,12 @@ import (
 	"testing"
 )
 
-const sampleTrace = `{"cell":"matrix/hashmap-64/HOOP"}
-{"k":"tx_commit","t":1000,"core":0,"tx":1}
-{"k":"slice_write","t":1500,"addr":4096,"bytes":128}
-{"k":"tx_commit","t":2000,"core":1,"tx":2}
-{"k":"gc_start","t":2500,"aux":2}
-{"k":"gc_end","t":3000,"bytes":256,"aux":2}
-{"cell":"matrix/hashmap-64/undo-log"}
-{"k":"log_write","t":900,"core":0,"tx":1,"bytes":48}
-{"k":"tx_commit","t":1100,"core":0,"tx":1}
-`
+// The fixtures live in testdata so telemetry's FuzzCellStream can seed
+// from them too.
+const (
+	sampleTrace = "testdata/cells.jsonl"
+	soakTrace   = "testdata/soak.jsonl"
+)
 
 func writeTrace(t *testing.T, content string) string {
 	t.Helper()
@@ -29,7 +25,7 @@ func writeTrace(t *testing.T, content string) string {
 
 func TestSummarizesCells(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{writeTrace(t, sampleTrace)}, &b); err != nil {
+	if err := run([]string{sampleTrace}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -59,24 +55,9 @@ func TestMarkerlessTraceIsOneCell(t *testing.T) {
 	}
 }
 
-const soakTrace = `{"cell":"router"}
-{"k":"ring_route","t":1000,"core":-1,"tx":1,"aux":0}
-{"k":"ring_route","t":2000,"core":-1,"tx":2,"aux":1}
-{"cell":"shard-000"}
-{"k":"tx_commit","t":500,"core":0,"tx":0,"aux":400}
-{"k":"shard_enqueue","t":1000,"core":0,"tx":1,"aux":0}
-{"k":"tx_commit","t":1200,"core":0,"tx":1,"aux":200}
-{"k":"shard_enqueue","t":2000,"core":0,"tx":3,"aux":100}
-{"k":"tx_commit","t":2400,"core":0,"tx":3,"aux":300}
-{"cell":"shard-001"}
-{"k":"shard_enqueue","t":2000,"core":0,"tx":2,"aux":0}
-{"k":"tx_commit","t":2500,"core":0,"tx":2,"aux":500}
-{"k":"shard_shed","t":3000,"core":0,"tx":4,"aux":900}
-`
-
 func TestSoakSummary(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-soak", writeTrace(t, soakTrace)}, &b); err != nil {
+	if err := run([]string{"-soak", soakTrace}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -100,7 +81,7 @@ func TestSoakSummary(t *testing.T) {
 
 func TestSoakRejectsNonSoakTrace(t *testing.T) {
 	var b strings.Builder
-	err := run([]string{"-soak", writeTrace(t, sampleTrace)}, &b)
+	err := run([]string{"-soak", sampleTrace}, &b)
 	if err == nil || !strings.Contains(err.Error(), "no shard-") {
 		t.Fatalf("non-soak trace accepted in -soak mode: %v", err)
 	}

@@ -2,15 +2,14 @@
 // fast the evaluation harness can replay memory traffic — store word/line
 // access (with and without a crash-test journal observer attached), cache
 // hierarchy probes, stats counting, and the engine's per-transaction
-// operation cost — plus the wall-clock of the quick-mode Figure 7a matrix,
-// and writes the results as a machine-readable BENCH_simcore.json so the
-// performance trajectory of the simulator itself is tracked alongside the
-// paper's figures.
+// operation cost — and writes the results as a machine-readable
+// BENCH_simcore.json so the performance trajectory of the simulator itself
+// is tracked alongside the paper's figures. End-to-end host time is the
+// repo benchmark's job (bench/).
 //
 // Usage:
 //
-//	simbench [-o BENCH_simcore.json] [-baseline old.json] [-skip-figure]
-//	         [-failregress 0.05]
+//	simbench [-o BENCH_simcore.json] [-baseline old.json] [-failregress 0.05]
 //
 // With -baseline, each primitive also reports its speedup over the
 // baseline file's ns/op (speedup > 1 means this tree is faster). With
@@ -27,20 +26,17 @@ import (
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"hoop/internal/cache"
 	"hoop/internal/cc"
 	"hoop/internal/clihelp"
 	"hoop/internal/engine"
-	"hoop/internal/harness"
 	"hoop/internal/mem"
 	"hoop/internal/nstore"
 	"hoop/internal/persist"
 	"hoop/internal/pmem"
 	"hoop/internal/sim"
 	"hoop/internal/trace"
-	"hoop/internal/workload"
 )
 
 // PrimitiveResult is one measured primitive.
@@ -58,10 +54,6 @@ type File struct {
 	GoVersion  string                     `json:"go_version"`
 	GOMAXPROCS int                        `json:"gomaxprocs"`
 	Primitives map[string]PrimitiveResult `json:"primitives"`
-	// Figure7aQuickWallSeconds is the wall-clock of the quick-mode
-	// two-workload Figure 7a matrix on one worker (the end-to-end number
-	// the primitive costs roll up into). Negative when skipped.
-	Figure7aQuickWallSeconds float64 `json:"figure7a_quick_wall_seconds"`
 	// BaselineFile names the file speedups were computed against, if any.
 	BaselineFile string `json:"baseline_file,omitempty"`
 }
@@ -394,7 +386,6 @@ func engineForBench(b *testing.B) *engine.System {
 func main() {
 	out := flag.String("o", "BENCH_simcore.json", "output JSON path (- for stdout)")
 	baselinePath := flag.String("baseline", "", "previous BENCH_simcore.json to compute speedups against")
-	skipFigure := flag.Bool("skip-figure", false, "skip the quick Figure-7a matrix wall-time measurement")
 	failRegress := flag.Float64("failregress", 0,
 		"fail when any primitive regresses more than this fraction vs -baseline (0 disables; e.g. 0.05 = 5%)")
 	var common clihelp.Common
@@ -412,11 +403,10 @@ func main() {
 	defer stopProfiles()
 
 	f := &File{
-		Schema:                   "hoop-simcore-bench/v1",
-		GoVersion:                runtime.Version(),
-		GOMAXPROCS:               runtime.GOMAXPROCS(0),
-		Primitives:               map[string]PrimitiveResult{},
-		Figure7aQuickWallSeconds: -1,
+		Schema:     "hoop-simcore-bench/v1",
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Primitives: map[string]PrimitiveResult{},
 	}
 
 	var baseline *File
@@ -453,23 +443,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-28s %10.1f ns/op  %4d allocs/op", name, pr.NsPerOp, pr.AllocsPerOp)
 		if pr.SpeedupVsBaseline > 0 {
 			fmt.Fprintf(os.Stderr, "  %5.2fx vs baseline", pr.SpeedupVsBaseline)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-
-	if !*skipFigure {
-		start := time.Now()
-		_, err := harness.RunMatrixOn(harness.Options{Quick: true, Seed: 1, Workers: 1},
-			[]workload.Workload{workload.HashMapWL(64), workload.RBTreeWL(64)},
-			engine.AllSchemes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: figure7a matrix: %v\n", err)
-			os.Exit(1)
-		}
-		f.Figure7aQuickWallSeconds = time.Since(start).Seconds()
-		fmt.Fprintf(os.Stderr, "%-28s %10.1f s wall", "figure7a_quick(2 workloads)", f.Figure7aQuickWallSeconds)
-		if baseline != nil && baseline.Figure7aQuickWallSeconds > 0 {
-			fmt.Fprintf(os.Stderr, "  %5.2fx vs baseline", baseline.Figure7aQuickWallSeconds/f.Figure7aQuickWallSeconds)
 		}
 		fmt.Fprintln(os.Stderr)
 	}

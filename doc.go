@@ -17,8 +17,9 @@
 //     YCSB, TPC-C new-order)
 //   - internal/harness    — regenerates every table and figure of §IV
 //
-// Entry points: cmd/hoopbench (full evaluation), cmd/hoopsim (single
-// configuration), cmd/hooprecover (recovery demo), and the runnable
-// programs under examples/. The benchmarks in bench_test.go regenerate
-// each paper artifact via `go test -bench`.
+// Entry points: cmd/hoopbench (full evaluation, Figure 11's recovery
+// experiment included), cmd/hoopsim (single configuration), and the
+// runnable programs under examples/; DESIGN.md (S18) names the one job of
+// every cmd/ and examples/ program. The benchmarks in bench_test.go
+// regenerate each paper artifact via `go test -bench`.
 package hoopnvm

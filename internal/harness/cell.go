@@ -26,12 +26,11 @@ type Cell struct {
 	// Mut, when non-nil, adjusts the paper-default configuration before
 	// the system is built (GC period sweeps, NVM latency sweeps, ...).
 	Mut func(*engine.Config)
-	// Sink, when non-nil, is subscribed to the cell's telemetry hub with
-	// SinkMask at the start of the measurement window. Each cell owns its
-	// sink exclusively (one worker runs one cell), so sinks need no
-	// locking even under parallel RunCells.
-	Sink     telemetry.Sink
-	SinkMask telemetry.Mask
+	// Sink, when non-nil, is subscribed to the cell's telemetry hub for
+	// telemetry.MaskTrace at the start of the measurement window. Each
+	// cell owns its sink exclusively (one worker runs one cell), so sinks
+	// need no locking even under parallel RunCells.
+	Sink telemetry.Sink
 	// Exec, when non-nil, replaces the default direct execution (build a
 	// system, run the workload, measure). The matrix pipeline uses it to
 	// run capture and replay cells through the same worker pool.
@@ -232,7 +231,7 @@ func runCell(c Cell) (Metrics, error) {
 		return Metrics{}, err
 	}
 	runners := c.Workload.Runners(sys, c.Seed)
-	return measureWindow(sys, runners, c.Txs, c.Sink, c.SinkMask), nil
+	return measureWindow(sys, runners, c.Txs, c.Sink), nil
 }
 
 // quiesceTicks bounds the Tick catch-up loop that lets epoch-driven
@@ -260,14 +259,14 @@ func quiesce(sys *engine.System) {
 // scheme for its still-cached dirty data and deferred migration traffic.
 // Telemetry subscriptions happen after setup quiesces, so the phase
 // breakdown and any trace cover exactly the measured window.
-func measureWindow(sys *engine.System, runners []engine.TxRunner, txs int, sink telemetry.Sink, mask telemetry.Mask) Metrics {
+func measureWindow(sys *engine.System, runners []engine.TxRunner, txs int, sink telemetry.Sink) Metrics {
 	quiesce(sys)
 	sys.ResetMemoryQueues()
 	sys.SyncClocks()
 	counts := &telemetry.CountingSink{}
 	sys.Subscribe(counts, phaseMask)
 	if sink != nil {
-		sys.Subscribe(sink, mask)
+		sys.Subscribe(sink, telemetry.MaskTrace)
 	}
 	before := takeSnapshot(sys)
 	histBefore := sys.LatencyHistogram()

@@ -7,6 +7,7 @@ import (
 
 	"hoop/internal/cc"
 	"hoop/internal/engine"
+	"hoop/internal/telemetry"
 	"hoop/internal/workload"
 )
 
@@ -46,6 +47,9 @@ type contentionCell struct {
 	threads int
 	txs     int
 	seed    uint64
+	// sink, when non-nil, records the measurement window's telemetry
+	// (Options.Trace); like Cell.Sink it belongs to this cell alone.
+	sink telemetry.Sink
 }
 
 // mut sizes the paper-default config for the cell's thread count and
@@ -76,6 +80,9 @@ func runContentionCell(c contentionCell) (Metrics, error) {
 	quiesce(sys)
 	sys.ResetMemoryQueues()
 	sys.SyncClocks()
+	if c.sink != nil {
+		sys.Subscribe(c.sink, telemetry.MaskTrace)
+	}
 	before := takeSnapshot(sys)
 	r.Run(srcs, c.txs)
 	quiesce(sys)
@@ -158,14 +165,18 @@ func ContentionFigure(opts Options) (*Grid, *Grid, error) {
 			rows = append(rows, scheme+"/"+string(pol))
 			for _, theta := range contentionThetas {
 				for _, n := range contentionThreads {
-					cells = append(cells, contentionCell{
+					c := contentionCell{
 						scheme:  scheme,
 						policy:  pol,
 						theta:   theta,
 						threads: n,
 						txs:     txs,
 						seed:    opts.Seed,
-					})
+					}
+					if opts.Trace != nil {
+						c.sink = opts.Trace.Add(fmt.Sprintf("contention/%s/%s/%s", scheme, pol, contentionColName(theta, n)))
+					}
+					cells = append(cells, c)
 				}
 			}
 		}

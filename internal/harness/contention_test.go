@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,25 +58,36 @@ func TestContentionFigureQuickGolden(t *testing.T) {
 	}
 }
 
-// TestContentionFigureWorkerDeterminism asserts the contention figure is
-// bit-identical serial vs parallel: each cell owns its system and PRNGs,
-// so only wall-clock may change with -workers.
+// TestContentionFigureWorkerDeterminism asserts the contention figure and
+// its trace are bit-identical serial vs parallel: each cell owns its
+// system, PRNGs and trace sink, so only wall-clock may change with
+// -workers. Every contention cell is traced under its own label.
 func TestContentionFigureWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep twice")
 	}
-	render := func(workers int) string {
-		tput, aborts, err := ContentionFigure(contentionQuickOpts(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tput.String() + "\n" + aborts.String()
+	render := func(workers int) (string, []byte) {
+		var grids string
+		trace := runTraced(t, contentionQuickOpts(workers), 0, func(o Options) error {
+			tput, aborts, err := ContentionFigure(o)
+			if err == nil {
+				grids = tput.String() + "\n" + aborts.String()
+			}
+			return err
+		})
+		return grids, trace
 	}
-	serial := render(1)
-	parallel := render(4)
+	serial, serialTrace := render(1)
+	parallel, parallelTrace := render(4)
 	if serial != parallel {
 		t.Errorf("contention figure differs between workers=1 and workers=4:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
+	if !bytes.Equal(serialTrace, parallelTrace) {
+		t.Errorf("contention trace differs between workers=1 and workers=4: %d vs %d bytes", len(serialTrace), len(parallelTrace))
+	}
+	checkSectionLabels(t, serialTrace, "contention",
+		len(engine.AllSchemes)*len(cc.Policies)*len(contentionThetas)*len(contentionThreads),
+		"contention/"+engine.SchemeHOOP+"/2pl/z0.9/t4")
 }
 
 // TestContentionAbortsObserved guards against a vacuous sweep: at the

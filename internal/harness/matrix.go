@@ -46,13 +46,19 @@ func RunMatrix(opts Options) (*Matrix, error) {
 // share one cache key because they are bit-identical, at every worker
 // count.
 func RunMatrixOn(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
+	return runMatrix(opts, "matrix", workloads, schemes)
+}
+
+// runMatrix is RunMatrixOn for the named section, which labels the
+// matrix's cells in opts.Trace.
+func runMatrix(opts Options, section string, workloads []workload.Workload, schemes []string) (*Matrix, error) {
 	var cells []Cell
 	for _, w := range workloads {
 		for _, s := range schemes {
 			cells = append(cells, Cell{Scheme: s, Workload: w, Txs: opts.txPerCell(), Seed: opts.Seed + 1})
 		}
 	}
-	opts.attachTrace("matrix", cells)
+	opts.attachTrace(section, cells)
 	if opts.DirectMatrix || len(cells) == 0 {
 		mets, stats, err := runCellsCached(cells, opts)
 		if err != nil {

@@ -36,8 +36,10 @@ type Options struct {
 	// for every worker count.
 	Workers int
 	// Trace, when non-nil, collects a JSONL telemetry trace from every
-	// cell (hoopbench -trace). Output is identical for every worker count.
-	Trace *TraceCollector
+	// cell (hoopbench -trace), labelled <section>/<workload>/<scheme> —
+	// or <section>/<scheme>/<policy>/<point> for contention cells. Output
+	// is identical for every worker count.
+	Trace *telemetry.CellTrace
 	// CacheDir, when non-empty, memoizes cells on disk (hoopbench
 	// -cachedir): a rerun only executes cells whose inputs — workload and
 	// its options, seed, transaction count, scheme, engine config —

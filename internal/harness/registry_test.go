@@ -45,7 +45,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil, 0)
+				directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil)
 				repMet, repSys, err := replayCellRun(cell, col)
 				if err != nil {
 					t.Fatalf("%s: replay: %v", scheme, err)

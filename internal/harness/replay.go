@@ -80,7 +80,7 @@ func captureCellRun(c Cell) (Metrics, *workload.Captured, *engine.System, error)
 		if gate != nil {
 			gate.open = true
 		}
-		met = measureWindow(sys, runners, c.Txs, sink, c.SinkMask)
+		met = measureWindow(sys, runners, c.Txs, sink)
 		if gate != nil {
 			gate.open = false
 		}
@@ -123,7 +123,7 @@ func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, 
 		cursors[t] = cur
 		runners[t] = cur
 	}
-	met = measureWindow(sys, runners, c.Txs, c.Sink, c.SinkMask)
+	met = measureWindow(sys, runners, c.Txs, c.Sink)
 	for _, cur := range cursors {
 		cur.Reset("", 0, nil)
 		cursorPool.Put(cur)

@@ -114,7 +114,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil, 0)
+			directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil)
 			repMet, repSys, err := replayCellRun(cell, col)
 			if err != nil {
 				t.Fatalf("%s on %s: replay: %v", wl.Name, scheme, err)

@@ -259,7 +259,7 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 
 	if want["fig7-9-1k"] {
 		done := stamp("fig7-9-1k", "Figures 7-9 on the 1 KB-item data sets")
-		m, err := RunMatrixOn(opts, workload.LargeItemSuite(opts.WL), engine.AllSchemes)
+		m, err := runMatrix(opts, "fig7-9-1k", workload.LargeItemSuite(opts.WL), engine.AllSchemes)
 		if err != nil {
 			return rep, err
 		}

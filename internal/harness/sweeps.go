@@ -38,7 +38,7 @@ func sweepOpts(opts Options) Options {
 // see workload.ValSizeSweepSuite).
 func SweepValSize(opts Options) (*Grid, error) {
 	opts = sweepOpts(opts)
-	m, err := RunMatrixOn(opts, workload.ValSizeSweepSuite(opts.WL), engine.AllSchemes)
+	m, err := runMatrix(opts, "sweep-valsize", workload.ValSizeSweepSuite(opts.WL), engine.AllSchemes)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func SweepValSize(opts Options) (*Grid, error) {
 // range-scan share of the mix grows 0% → 95% (the remainder is updates).
 func SweepScanFrac(opts Options) (*Grid, error) {
 	opts = sweepOpts(opts)
-	m, err := RunMatrixOn(opts, workload.ScanSweepSuite(opts.WL), engine.AllSchemes)
+	m, err := runMatrix(opts, "sweep-scan", workload.ScanSweepSuite(opts.WL), engine.AllSchemes)
 	if err != nil {
 		return nil, err
 	}

@@ -1,81 +1,16 @@
 package harness
 
-import (
-	"bytes"
-	"fmt"
-	"io"
+import "fmt"
 
-	"hoop/internal/telemetry"
-)
-
-// TraceCollector gathers one JSONL telemetry trace per cell and writes
-// them out as a single stream. Each attached cell gets a private buffered
-// sink (cells run one-per-worker, so no locking is needed); WriteTo then
-// concatenates the buffers in attach order. Because attach order is the
-// deterministic cell-construction order and each cell's event stream is a
-// function of its seed alone, the combined output is byte-identical for
-// every RunCells worker count.
-type TraceCollector struct {
-	// Mask selects the kinds each cell's sink subscribes to; zero means
-	// telemetry.MaskTrace.
-	Mask  telemetry.Mask
-	cells []*cellTrace
-}
-
-type cellTrace struct {
-	label string
-	buf   bytes.Buffer
-	sink  *telemetry.JSONLSink
-}
-
-// attach wires one cell to a fresh trace buffer. It must be called from
-// the (serial) cell-construction phase, before RunCells.
-func (tc *TraceCollector) attach(label string, c *Cell) {
-	ct := &cellTrace{label: label}
-	ct.sink = telemetry.NewJSONLSink(&ct.buf)
-	mask := tc.Mask
-	if mask == 0 {
-		mask = telemetry.MaskTrace
-	}
-	c.Sink, c.SinkMask = ct.sink, mask
-	tc.cells = append(tc.cells, ct)
-}
-
-// Cells reports how many cells have been attached so far.
-func (tc *TraceCollector) Cells() int { return len(tc.cells) }
-
-// WriteTo implements io.WriterTo: every cell's trace in attach order, each
-// preceded by a {"cell":"<label>"} marker line. Marker lines parse as JSON
-// but carry no "k" field, so event decoders skip them. Call it only after
-// every RunCells batch has returned.
-func (tc *TraceCollector) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	for _, ct := range tc.cells {
-		if err := ct.sink.Flush(); err != nil {
-			return n, fmt.Errorf("harness: trace for %s: %w", ct.label, err)
-		}
-		m, err := fmt.Fprintf(w, "{\"cell\":%q}\n", ct.label)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		k, err := ct.buf.WriteTo(w)
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// attachTrace wires every cell in the batch to o.Trace (no-op when tracing
-// is off). The label embeds the section so hooptop can group timelines.
+// attachTrace gives every cell in the batch its own cell in o.Trace (no-op
+// when tracing is off). It must run in the serial cell-construction phase,
+// before RunCells, so the trace lists cells in construction order. The
+// label embeds the section so hooptop can group timelines.
 func (o Options) attachTrace(section string, cells []Cell) {
 	if o.Trace == nil {
 		return
 	}
-	for i := range cells {
-		label := fmt.Sprintf("%s/%s/%s", section, cells[i].Workload.Name, cells[i].Scheme)
-		o.Trace.attach(label, &cells[i])
+	for i, c := range cells {
+		cells[i].Sink = o.Trace.Add(fmt.Sprintf("%s/%s/%s", section, c.Workload.Name, c.Scheme))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hoop/internal/engine"
@@ -11,14 +12,13 @@ import (
 	"hoop/internal/workload"
 )
 
-// runTracedMatrix runs a small seeded Figure-7a matrix with a trace
-// collector attached and returns the combined JSONL output.
-func runTracedMatrix(t *testing.T, workers int, mask telemetry.Mask, schemes []string) []byte {
+// runTraced runs a section with a cell trace keeping the kinds in mask
+// attached and returns the combined JSONL output.
+func runTraced(t *testing.T, opts Options, mask telemetry.Mask, section func(Options) error) []byte {
 	t.Helper()
-	tc := &TraceCollector{Mask: mask}
-	_, err := RunMatrixOn(Options{Quick: true, Seed: 1, Workers: workers, Trace: tc},
-		[]workload.Workload{workload.HashMapWL(64)}, schemes)
-	if err != nil {
+	tc := &telemetry.CellTrace{Mask: mask}
+	opts.Trace = tc
+	if err := section(opts); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -28,7 +28,31 @@ func runTracedMatrix(t *testing.T, workers int, mask telemetry.Mask, schemes []s
 	return buf.Bytes()
 }
 
-// TestTraceIdenticalAcrossWorkerCounts locks the TraceCollector's core
+// runTracedMatrix runs a small seeded Figure-7a matrix traced and returns
+// the combined JSONL output.
+func runTracedMatrix(t *testing.T, workers int, mask telemetry.Mask, schemes []string) []byte {
+	t.Helper()
+	return runTraced(t, Options{Quick: true, Seed: 1, Workers: workers}, mask, func(o Options) error {
+		_, err := RunMatrixOn(o, []workload.Workload{workload.HashMapWL(64)}, schemes)
+		return err
+	})
+}
+
+// traceLabels splits a combined trace into cells and returns their labels
+// and the total event count.
+func traceLabels(t *testing.T, trace []byte) (labels []string, events int) {
+	t.Helper()
+	if err := telemetry.ReadCells(bytes.NewReader(trace), func(c telemetry.Cell) error {
+		labels = append(labels, c.Label)
+		events += len(c.Events)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return labels, events
+}
+
+// TestTraceIdenticalAcrossWorkerCounts locks the cell trace's core
 // guarantee: the combined JSONL trace is byte-identical for every RunCells
 // worker count, because each cell's stream depends only on its seed and
 // cells are concatenated in construction order. Runs under -race in CI.
@@ -47,19 +71,46 @@ func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 			len(serial), len(parallel))
 	}
 	// Every non-marker line must decode as an event.
-	events := 0
-	for _, line := range bytes.Split(serial, []byte("\n")) {
-		if len(line) == 0 || bytes.HasPrefix(line, []byte(`{"cell":`)) {
-			continue
-		}
-		if _, err := telemetry.DecodeJSON(line); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		events++
-	}
-	if events == 0 {
+	if _, events := traceLabels(t, serial); events == 0 {
 		t.Fatal("trace holds no events")
 	}
+}
+
+// checkSectionLabels asserts that a traced section wrote the given number
+// of cells and some events, every cell labelled under the section's own
+// name and one of them labelled has.
+func checkSectionLabels(t *testing.T, trace []byte, section string, cells int, has string) {
+	t.Helper()
+	labels, events := traceLabels(t, trace)
+	if len(labels) != cells || events == 0 {
+		t.Errorf("%s: %d cells with %d events, want %d cells with events", section, len(labels), events, cells)
+	}
+	found := false
+	for _, l := range labels {
+		if !strings.HasPrefix(l, section+"/") {
+			t.Errorf("%s: cell labelled %q", section, l)
+		}
+		found = found || l == has
+	}
+	if !found {
+		t.Errorf("%s: no cell labelled %q in %v", section, has, labels)
+	}
+}
+
+// TestTraceLabelsNameTheirSection checks that a sweep, which runs through
+// the shared matrix pipeline, labels its cells with its own section
+// rather than claiming to be a Figure 7-9 cell. The contention section's
+// labels are checked by TestContentionFigureWorkerDeterminism.
+func TestTraceLabelsNameTheirSection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick scan sweep")
+	}
+	trace := runTraced(t, Options{Quick: true, Seed: 1, Workers: 2}, 0, func(o Options) error {
+		_, err := SweepScanFrac(o)
+		return err
+	})
+	checkSectionLabels(t, trace, "sweep-scan",
+		len(workload.ScanSweepSuite(workload.Options{}))*len(engine.AllSchemes), "sweep-scan/scan00-64/Opt-Redo")
 }
 
 // TestGoldenFig7aTrace locks a seeded quick-mode Figure-7a HOOP cell's

@@ -34,8 +34,8 @@ type GCReporter interface {
 
 // RecoveryScanner is implemented by out-of-place schemes whose durable log
 // region can be synthetically filled and then scanned back — the machinery
-// behind the paper's Figure 11 recovery experiment and the hooprecover
-// demo.
+// behind the paper's Figure 11 recovery experiment (harness.Figure11,
+// hoopbench -sections fig11).
 type RecoveryScanner interface {
 	// SyntheticFill populates the scheme's durable out-of-place region
 	// with numTxs committed but un-migrated transactions of wordsPerTx

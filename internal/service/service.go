@@ -53,9 +53,13 @@ type Config struct {
 	// ShedDelay is the queueing-delay bound for PolicyShed (required > 0
 	// for that policy, ignored for PolicyBlock).
 	ShedDelay sim.Duration
-	// Trace, when non-nil, collects one deterministic JSONL trace per
-	// shard plus the router's ring_route stream (hoopd -trace).
-	Trace *TraceCollector
+	// Trace, when non-nil, receives a "router" cell of ring_route events,
+	// written only if the router routed a request, then one cell per shard
+	// ("shard-NNN") with MaskTrace plus the shard admission kinds
+	// (hoopd -trace). Shard i's cell is private to its serving goroutine,
+	// so the stream is byte-identical however the shards were scheduled;
+	// write it only after Quiesce or Close.
+	Trace *telemetry.CellTrace
 }
 
 // Service is a fleet of shards behind a consistent-hash router. The
@@ -93,7 +97,7 @@ func Open(cfg Config) (*Service, error) {
 		subs: make([]int64, cfg.Shards),
 	}
 	if cfg.Trace != nil {
-		cfg.Trace.attachRouter(s.tel)
+		s.tel.Subscribe(cfg.Trace.AddOptional("router"), telemetry.MaskOf(telemetry.KindRingRoute))
 	}
 	shed := sim.Duration(0)
 	if cfg.Policy == PolicyShed {
@@ -114,7 +118,8 @@ func Open(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		if cfg.Trace != nil {
-			cfg.Trace.attachShard(i, sh.System())
+			sh.System().Subscribe(cfg.Trace.Add(fmt.Sprintf("shard-%03d", i)),
+				telemetry.MaskTrace|telemetry.MaskOf(telemetry.KindShardEnqueue, telemetry.KindShardShed))
 		}
 		s.shards = append(s.shards, sh)
 	}

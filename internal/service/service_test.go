@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"hoop/internal/engine"
 	"hoop/internal/sim"
+	"hoop/internal/telemetry"
 )
 
 func testEngine() engine.Config {
@@ -73,8 +75,8 @@ func TestOpenErrors(t *testing.T) {
 // shard or 8. CI runs this under -race: the eight serving goroutines truly
 // run concurrently, so the comparison also proves shard isolation.
 func TestShardCountInvariance(t *testing.T) {
-	run := func(shards int) (snap []byte, trace []byte) {
-		tc := &TraceCollector{}
+	run := func(shards int) (snap []byte, trace []telemetry.Event) {
+		tc := &telemetry.CellTrace{}
 		svc, err := Open(Config{
 			Shards:  shards,
 			Seed:    1234,
@@ -96,11 +98,12 @@ func TestShardCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, err = tc.ShardTrace(0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		svc.Close()
+		for _, c := range readTrace(t, tc) {
+			if c.Label == "shard-000" {
+				trace = c.Events
+			}
+		}
 		return snap, trace
 	}
 	snap1, trace1 := run(1)
@@ -108,8 +111,8 @@ func TestShardCountInvariance(t *testing.T) {
 	if !bytes.Equal(snap1, snap8) {
 		t.Errorf("shard 0 snapshot differs between -shards 1 and -shards 8:\n%s\n%s", snap1, snap8)
 	}
-	if !bytes.Equal(trace1, trace8) {
-		t.Errorf("shard 0 trace differs between -shards 1 and -shards 8 (%d vs %d bytes)",
+	if !reflect.DeepEqual(trace1, trace8) {
+		t.Errorf("shard 0 trace differs between -shards 1 and -shards 8 (%d vs %d events)",
 			len(trace1), len(trace8))
 	}
 	if len(trace1) == 0 {
@@ -121,7 +124,7 @@ func TestShardCountInvariance(t *testing.T) {
 // path replays identically.
 func TestRingModeDeterminism(t *testing.T) {
 	run := func() ([]byte, sim.Histogram) {
-		tc := &TraceCollector{}
+		tc := &telemetry.CellTrace{}
 		svc, err := Open(Config{
 			Shards:  3,
 			Seed:    7,
@@ -327,10 +330,10 @@ func TestKVHandlerRoundtrip(t *testing.T) {
 	svc.Close()
 }
 
-// TestTraceCollectorLayout checks WriteTo's cell structure: router first
-// (when ring-routed events exist), then shards in index order.
+// TestTraceCollectorLayout checks the Config.Trace cell structure: router
+// first (when ring-routed events exist), then shards in index order.
 func TestTraceCollectorLayout(t *testing.T) {
-	tc := &TraceCollector{}
+	tc := &telemetry.CellTrace{}
 	svc, err := Open(Config{
 		Shards:  2,
 		Seed:    41,
@@ -346,23 +349,11 @@ func TestTraceCollectorLayout(t *testing.T) {
 		svc.Submit(sim.Time(i)*sim.Time(sim.Microsecond), OpPut, uint64(i), 0)
 	}
 	svc.Quiesce()
-	var buf bytes.Buffer
-	if _, err := tc.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	svc.Close()
 
 	var markers []string
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if bytes.HasPrefix(line, []byte(`{"cell":`)) {
-			var m struct {
-				Cell string `json:"cell"`
-			}
-			if err := json.Unmarshal(line, &m); err != nil {
-				t.Fatal(err)
-			}
-			markers = append(markers, m.Cell)
-		}
+	for _, c := range readTrace(t, tc) {
+		markers = append(markers, c.Label)
 	}
 	want := []string{"router", "shard-000", "shard-001"}
 	if len(markers) != len(want) {
@@ -373,4 +364,21 @@ func TestTraceCollectorLayout(t *testing.T) {
 			t.Fatalf("cells = %v, want %v", markers, want)
 		}
 	}
+}
+
+// readTrace writes tc out and splits the stream back into its cells.
+func readTrace(t *testing.T, tc *telemetry.CellTrace) []telemetry.Cell {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tc.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cells []telemetry.Cell
+	if err := telemetry.ReadCells(&buf, func(c telemetry.Cell) error {
+		cells = append(cells, c)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }

@@ -225,12 +225,6 @@ var MaskPhases = MaskOf(KindTxAbort, KindPersistDrain, KindSliceWrite,
 // commits, enough to reconstruct a run's timeline without per-op volume.
 var MaskTrace = MaskPhases | MaskOf(KindTxCommit)
 
-// MaskService selects the service-tier kinds: shard admissions, sheds, and
-// ring routing decisions. hoopd's soak traces subscribe the per-shard kinds
-// (enqueue/shed) together with MaskTrace; ring_route fires per request on
-// the router and is opt-in.
-var MaskService = MaskOf(KindShardEnqueue, KindShardShed, KindRingRoute)
-
 // Sink consumes events. Emit is called synchronously from the simulation
 // loop with events matching the sink's subscription mask; implementations
 // must not retain e.Data past the call.
