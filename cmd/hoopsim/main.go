@@ -1,6 +1,7 @@
 // Command hoopsim runs one workload on one persistence scheme and prints
 // the measured metrics plus the raw counter dump — the single-configuration
-// probe for exploring the simulator.
+// probe for exploring the simulator. The run is one harness.Cell, so every
+// number covers the same quiesced measurement window hoopbench reports.
 //
 // Usage:
 //
@@ -13,10 +14,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"hoop/internal/clihelp"
 	"hoop/internal/engine"
-	"hoop/internal/sim"
+	"hoop/internal/harness"
 )
 
 func main() {
@@ -33,7 +35,7 @@ func run(args []string, out io.Writer) error {
 	wlName := fs.String("workload", "hashmap-64", "workload name from Table III (e.g. vector-64, ycsb-1k, tpcc)")
 	txs := fs.Int("txs", 20000, "transactions to execute")
 	threads := fs.Int("threads", 8, "workload threads")
-	dumpStats := fs.Bool("stats", false, "dump every raw counter")
+	dumpStats := fs.Bool("stats", false, "dump every raw counter of the measured window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -52,41 +54,42 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown workload %q; available:%s", *wlName, names)
 	}
 
-	cfg := engine.DefaultConfig(common.Scheme)
-	cfg.Threads = *threads
-	sys, err := engine.New(cfg)
-	if err != nil {
-		return err
-	}
+	cell := harness.Cell{Scheme: common.Scheme, Workload: wl, Txs: *txs, Seed: common.Seed,
+		Mut: func(cfg *engine.Config) { cfg.Threads = *threads }}
 	tf, err := common.OpenTrace()
 	if err != nil {
 		return err
 	}
-	tf.Attach(sys)
+	if tf != nil {
+		cell.Sink = tf.Sink
+	}
 	fmt.Fprintf(out, "scheme=%s workload=%s threads=%d txs=%d\n", common.Scheme, wl.Name, *threads, *txs)
-	fmt.Fprintf(out, "device: %v\n", sys.Device())
+	mets, _, err := harness.RunCells([]harness.Cell{cell}, 1)
+	if err != nil {
+		tf.Close()
+		return err
+	}
+	m := mets[0]
 
-	runners := wl.Runners(sys, common.Seed)
-	setup := sys.Snapshot()
-	fmt.Fprintf(out, "setup: %d transactions\n", setup.Txs)
-	sys.ResetMemoryQueues()
-
-	before := sys.Snapshot()
-	sys.Run(runners, *txs)
-	win := sys.Snapshot().Delta(before)
-
-	fmt.Fprintf(out, "\nresults over %d transactions:\n", win.Txs)
-	fmt.Fprintf(out, "  simulated span     %v\n", sim.Duration(win.Span))
-	fmt.Fprintf(out, "  throughput         %.3f M tx/s\n", float64(win.Txs)/sim.Duration(win.Span).Seconds()/1e6)
-	fmt.Fprintf(out, "  avg tx latency     %v\n", win.AvgTxLatency())
-	fmt.Fprintf(out, "  latency p50/p90/p99 %v / %v / %v (all txs incl. setup)\n",
-		win.TxLatencyP50, win.TxLatencyP90, win.TxLatencyP99)
-	written := win.Counter("nvm.bytes_written")
-	fmt.Fprintf(out, "  NVM bytes written  %d (%.0f per tx)\n", written, float64(written)/float64(win.Txs))
-	fmt.Fprintf(out, "  NVM energy         %.1f uJ\n", sys.Device().TotalEnergyPJ()/1e6)
-	fmt.Fprintf(out, "  ops                %d loads, %d stores\n", win.Loads, win.Stores)
+	fmt.Fprintf(out, "\nresults over %d transactions:\n", m.Txs)
+	fmt.Fprintf(out, "  simulated span     %v\n", m.Span)
+	fmt.Fprintf(out, "  throughput         %.3f M tx/s\n", m.Throughput()/1e6)
+	fmt.Fprintf(out, "  avg tx latency     %v\n", m.AvgLatency())
+	fmt.Fprintf(out, "  latency p50/p90/p99 %v / %v / %v\n",
+		m.LatencyQuantile(0.50), m.LatencyQuantile(0.90), m.LatencyQuantile(0.99))
+	fmt.Fprintf(out, "  NVM bytes written  %d (%.0f per tx)\n", m.BytesWritten, m.WritesPerTx())
+	fmt.Fprintf(out, "  NVM energy         %.1f uJ\n", m.EnergyPJ/1e6)
+	fmt.Fprintf(out, "  ops                %d loads, %d stores\n", m.Loads, m.Stores)
 	if *dumpStats {
-		fmt.Fprintf(out, "\ncounters:\n%s", sys.Stats().String())
+		names := make([]string, 0, len(m.Counters))
+		for k := range m.Counters {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(out, "\ncounters:\n")
+		for _, k := range names {
+			fmt.Fprintf(out, "%-40s %d\n", k, m.Counters[k])
+		}
 	}
 	return tf.Close()
 }

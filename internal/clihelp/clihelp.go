@@ -123,7 +123,7 @@ type TraceFile struct {
 }
 
 // OpenTrace opens the -trace path; (nil, nil) when the flag is unset. A
-// nil *TraceFile is valid for Attach and Close, so callers need no guard.
+// nil *TraceFile is valid for Close, so callers need no guard.
 func (c *Common) OpenTrace() (*TraceFile, error) {
 	if c.Trace == "" {
 		return nil, nil
@@ -133,15 +133,6 @@ func (c *Common) OpenTrace() (*TraceFile, error) {
 		return nil, fmt.Errorf("-trace: %w", err)
 	}
 	return &TraceFile{Sink: telemetry.NewJSONLSink(f), f: f}, nil
-}
-
-// Attach subscribes the trace sink to sys with the default trace mask
-// (mechanism phases plus commits).
-func (t *TraceFile) Attach(sys *engine.System) {
-	if t == nil {
-		return
-	}
-	sys.Subscribe(t.Sink, telemetry.MaskTrace)
 }
 
 // Close flushes the sink and closes the file.

@@ -56,8 +56,7 @@ func TestOpenTraceUnsetIsNil(t *testing.T) {
 	if err != nil || tf != nil {
 		t.Fatalf("unset -trace: got (%v, %v), want (nil, nil)", tf, err)
 	}
-	// The nil TraceFile must be safe to use.
-	tf.Attach(nil)
+	// The nil TraceFile must be safe to close.
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,13 @@ func TestMetricsAbortWindowing(t *testing.T) {
 	}
 	// Pre-window abort that must not be measured.
 	runTx(true)
-	before := takeSnapshot(sys)
+	before := sys.Snapshot()
 	runTx(true)
 	runTx(false)
 	runTx(true)
 	runTx(false)
 	runTx(false)
-	m := window(before, takeSnapshot(sys))
+	m := window(before, sys.Snapshot())
 	if m.Aborts != 2 {
 		t.Errorf("Metrics.Aborts = %d, want 2", m.Aborts)
 	}

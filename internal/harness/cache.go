@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,9 +26,8 @@ const cacheSchema = "hoop-cellcache/v4"
 // Entry kinds. The kind participates in the key and is checked on load, so
 // kinds can never alias each other even with otherwise identical inputs.
 const (
-	kindCell       = "cell" // a Cell, whether run direct, captured, or replayed
-	kindContention = "contention"
-	kindWear       = "wear"
+	kindCell = "cell" // a Cell, whether run direct, captured, or replayed
+	kindWear = "wear"
 )
 
 // cacheEntry is the one on-disk layout, stored as <key>.json.
@@ -41,7 +40,7 @@ type cacheEntry struct {
 // cacheStats counts one section's cache traffic (entry bytes read and
 // written).
 type cacheStats struct {
-	Hits, Misses, Evictions int
+	Hits, Misses            int
 	BytesRead, BytesWritten int64
 }
 
@@ -51,10 +50,6 @@ type cacheStats struct {
 // the orchestrator goroutine between batches — workers never touch it.
 type cellCache struct {
 	dir string
-	max int64 // byte cap; <= 0 means unlimited
-	// used marks keys loaded or stored during this run: eviction skips
-	// them, so a tiny cap never deletes what this run already served.
-	used map[string]bool
 	// section labels hit/miss attribution; RunSections rotates it.
 	section string
 	order   []string
@@ -75,7 +70,7 @@ func openCellCache(opts Options) (*cellCache, error) {
 	if err := os.MkdirAll(opts.CacheDir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: -cachedir: %w", err)
 	}
-	cc := &cellCache{dir: opts.CacheDir, max: opts.CacheMax, used: map[string]bool{}, stats: map[string]*cacheStats{}}
+	cc := &cellCache{dir: opts.CacheDir, stats: map[string]*cacheStats{}}
 	cc.sweepTemps()
 	return cc, nil
 }
@@ -130,14 +125,14 @@ func cacheKey(kind, scheme string, mut func(*engine.Config), fields string) stri
 }
 
 // cellKey keys one Cell. Direct, capture, and replay execution of a cell
-// are bit-identical, so every matrix and non-matrix section shares this
-// key. Cells with a sink or a custom Exec are not cached.
+// are bit-identical, so every section shares this key. Cells with a sink
+// or a custom Exec are not cached.
 func cellKey(c Cell) string {
 	if c.Sink != nil || c.Exec != nil {
 		return ""
 	}
-	return cacheKey(kindCell, c.Scheme, c.mut(), fmt.Sprintf("workload=%s\nseed=%d\ntxs=%d\nopts=%+v",
-		c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts))
+	return cacheKey(kindCell, c.Scheme, c.mut(), fmt.Sprintf("workload=%s\nseed=%d\ntxs=%d\nopts=%+v\npolicy=%s",
+		c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts, c.Policy))
 }
 
 // encodeEntry renders v as the bytes cacheStore writes for it.
@@ -169,22 +164,16 @@ func cacheLoad[T any](cc *cellCache, kind, key string) (T, bool) {
 	s := cc.stat()
 	s.Hits++
 	s.BytesRead += int64(len(raw))
-	cc.markUsed(key)
 	return v, true
 }
 
-// cacheStore writes v under key and evicts down to the byte cap.
+// cacheStore writes v under key.
 func cacheStore(cc *cellCache, kind, key string, v any) error {
 	data, err := encodeEntry(kind, v)
 	if err != nil {
 		return fmt.Errorf("harness: cache: %w", err)
 	}
-	if err := cc.writeFile(key+".json", data); err != nil {
-		return err
-	}
-	cc.markUsed(key)
-	cc.enforceMax()
-	return nil
+	return cc.writeFile(key+".json", data)
 }
 
 // cachedBatch memoizes a batch of n jobs. With a cache, key(i) names job
@@ -226,59 +215,6 @@ func cachedBatch[T any](cc *cellCache, kind string, n int, key func(i int) strin
 	return vals, n - len(miss), nil
 }
 
-// markUsed pins key against eviction for the rest of the run and
-// refreshes the entry's timestamp, which is the cache's LRU clock.
-func (cc *cellCache) markUsed(key string) {
-	cc.used[key] = true
-	now := time.Now()
-	os.Chtimes(filepath.Join(cc.dir, key+".json"), now, now)
-}
-
-// enforceMax evicts least-recently-used entries until the cache fits the
-// byte cap, oldest modification time first with the name as a
-// deterministic tiebreak. Entries used during this run are pinned.
-// Eviction failures degrade to a larger cache, never to an error: the
-// cache is an optimization.
-func (cc *cellCache) enforceMax() {
-	if cc.max <= 0 {
-		return
-	}
-	ents, err := os.ReadDir(cc.dir)
-	if err != nil {
-		return
-	}
-	var total int64
-	var order []os.FileInfo
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".json" {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		total += info.Size()
-		if !cc.used[strings.TrimSuffix(name, ".json")] {
-			order = append(order, info)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if !order[i].ModTime().Equal(order[j].ModTime()) {
-			return order[i].ModTime().Before(order[j].ModTime())
-		}
-		return order[i].Name() < order[j].Name()
-	})
-	for _, info := range order {
-		if total <= cc.max {
-			break
-		}
-		os.Remove(filepath.Join(cc.dir, info.Name()))
-		total -= info.Size()
-		cc.stat().Evictions++
-	}
-}
-
 // writeFile writes via a temp file + rename so an interrupted run never
 // leaves a half-written entry a later run could load.
 func (cc *cellCache) writeFile(name string, data []byte) error {
@@ -303,13 +239,14 @@ func (cc *cellCache) writeFile(name string, data []byte) error {
 
 // ReadCacheInventory summarizes a cell cache directory without running
 // anything (hoopbench -cachestats): files by entry kind ("foreign" for
-// anything that is not a current-schema entry), orphaned temps, and total
-// bytes.
+// anything that is not a current-schema entry of a kind this build
+// writes), orphaned temps, and total bytes.
 func ReadCacheInventory(dir string) (string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return "", fmt.Errorf("harness: -cachestats: %w", err)
 	}
+	known := []string{kindCell, kindWear}
 	kinds := map[string]int{}
 	files, total := 0, int64(0)
 	for _, ent := range ents {
@@ -324,13 +261,13 @@ func ReadCacheInventory(dir string) (string, error) {
 		switch {
 		case strings.Contains(ent.Name(), ".tmp"):
 			e.Kind = "orphaned temp"
-		case err != nil || json.Unmarshal(raw, &e) != nil || e.Schema != cacheSchema:
+		case err != nil || json.Unmarshal(raw, &e) != nil || e.Schema != cacheSchema || !slices.Contains(known, e.Kind):
 			e.Kind = "foreign"
 		}
 		kinds[e.Kind]++
 	}
 	var b strings.Builder
-	for _, k := range []string{kindCell, kindContention, kindWear, "foreign", "orphaned temp"} {
+	for _, k := range append(known, "foreign", "orphaned temp") {
 		if kinds[k] > 0 {
 			fmt.Fprintf(&b, "  %-15s %d files\n", k+":", kinds[k])
 		}

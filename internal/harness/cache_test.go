@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -199,59 +200,6 @@ func FuzzCacheEntry(f *testing.F) {
 	})
 }
 
-// TestCellCacheLRUEviction: with a byte cap (-cachemax), the least
-// recently used entries are evicted whole — an evicted column re-executes
-// with bit-identical numbers, while entries touched by the capped run
-// survive and keep hitting.
-func TestCellCacheLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP}
-	wlA := []workload.Workload{quickWL("queue")}
-	wlB := []workload.Workload{quickWL("hashmap")}
-	base := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir}
-
-	coldA, err := RunMatrixOn(base, wlA, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeA := cacheDirSize(t, dir)
-	if sizeA <= 0 {
-		t.Fatal("cold run left an empty cache")
-	}
-
-	// Run column B under a cap that cannot hold both columns: A's entries
-	// (older, untouched by this run) are evicted; B's, pinned as used,
-	// survive.
-	capped := base
-	capped.CacheMax = sizeA
-	if _, err := RunMatrixOn(capped, wlB, schemes); err != nil {
-		t.Fatal(err)
-	}
-	// Only B's two entries (capture + replay) remain on disk.
-	if entries, err := filepath.Glob(filepath.Join(dir, "*.json")); err != nil || len(entries) != 2 {
-		t.Fatalf("expected A's entries evicted leaving 2, got %v (%v)", entries, err)
-	}
-
-	warmB, err := RunMatrixOn(capped, wlB, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmB.Stats.Cached != warmB.Stats.Cells {
-		t.Fatalf("surviving column cached %d/%d cells, want all", warmB.Stats.Cached, warmB.Stats.Cells)
-	}
-
-	rerunA, err := RunMatrixOn(base, wlA, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerunA.Stats.Cached != 0 {
-		t.Fatalf("evicted column still hit the cache (%d cells)", rerunA.Stats.Cached)
-	}
-	if !reflect.DeepEqual(coldA.Cells, rerunA.Cells) {
-		t.Fatal("re-executed metrics diverge from the pre-eviction run")
-	}
-}
-
 // TestCellCacheSweepsStaleTemps: opening the cache removes temp files
 // orphaned by a dead run, but leaves fresh ones (a concurrent run may
 // still be mid-rename) and real entries alone.
@@ -283,9 +231,10 @@ func TestCellCacheSweepsStaleTemps(t *testing.T) {
 	}
 }
 
-// TestContentionCacheWarmRerun: the contention sweep memoizes per-cell,
-// so a warm rerun reads every cell from cache and renders identical
-// grids — the section-generic half of the -cachedir contract.
+// TestContentionCacheWarmRerun: contention sweep points are ordinary
+// cells, memoized under the one cell kind, so a warm rerun reads every
+// cell from cache and renders identical grids — the section-generic half
+// of the -cachedir contract.
 func TestContentionCacheWarmRerun(t *testing.T) {
 	opts := Options{Quick: true, Seed: 3, Workers: 2, CacheDir: t.TempDir()}
 	cache, err := opts.ensureCache()
@@ -309,6 +258,63 @@ func TestContentionCacheWarmRerun(t *testing.T) {
 	if !reflect.DeepEqual(coldT, warmT) || !reflect.DeepEqual(coldA, warmA) {
 		t.Fatal("warm contention grids diverge from cold run")
 	}
+	if got, want := inventoryCounts(t, opts.CacheDir), map[string]int{"cell": cells, "all": cells}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache inventory %v, want every contention cell stored as a cell entry: %v", got, want)
+	}
+}
+
+// TestCacheInventoryCountsForeignKinds: -cachestats accounts for every
+// file on exactly one line — a current-schema entry of a kind this build
+// does not write (such as the retired "contention" kind) counts as
+// foreign — so the per-kind lines always sum to the all: line.
+func TestCacheInventoryCountsForeignKinds(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Quick: true, Seed: 3, Workers: 1, CacheDir: dir}
+	if _, err := RunMatrixOn(opts, []workload.Workload{quickWL("queue")}, []string{engine.SchemeHOOP}); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"c0ffee.json":       `{"schema":"` + cacheSchema + `","kind":"contention","value":{}}`,
+		"oldschema.json":    `{"schema":"hoop-cellcache/v3","kind":"cell","value":{}}`,
+		"abc.json.tmp12345": "x",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := inventoryCounts(t, dir)
+	want := map[string]int{"cell": 1, "foreign": 2, "orphaned temp": 1, "all": 4}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("inventory counts %v, want %v", got, want)
+	}
+}
+
+// inventoryCounts parses ReadCacheInventory's "<kind>: N files" lines and
+// checks that the per-kind counts sum to the all: line.
+func inventoryCounts(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	inv, err := ReadCacheInventory(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	sum := 0
+	for _, line := range strings.Split(inv, "\n") {
+		kind, rest, ok := strings.Cut(strings.TrimSpace(line), ":")
+		var n int
+		if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%d files", &n); !ok || err != nil {
+			t.Fatalf("malformed inventory line %q:\n%s", line, inv)
+		}
+		got[kind] = n
+		if kind != "all" {
+			sum += n
+		}
+	}
+	if sum != got["all"] {
+		t.Fatalf("per-kind lines sum to %d files, all: says %d:\n%s", sum, got["all"], inv)
+	}
+	return got
 }
 
 // TestWearCacheWarmRerun: the wear report caches as a blob (kindWear).
@@ -333,22 +339,4 @@ func TestWearCacheWarmRerun(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cached wear report diverges\ncold: %+v\nwarm: %+v", cold, warm)
 	}
-}
-
-// cacheDirSize sums the cache entries' bytes.
-func cacheDirSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, e := range ents {
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += info.Size()
-	}
-	return total
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hoop/internal/cc"
 	"hoop/internal/engine"
 	"hoop/internal/persist"
 	"hoop/internal/telemetry"
@@ -26,6 +27,11 @@ type Cell struct {
 	// Mut, when non-nil, adjusts the paper-default configuration before
 	// the system is built (GC period sweeps, NVM latency sweeps, ...).
 	Mut func(*engine.Config)
+	// Policy, when set, drives the cell's transactions through a
+	// cc.Runner under that concurrency-control policy instead of
+	// System.Run; the workload must then come from
+	// workload.Contention.Workload.
+	Policy cc.Policy
 	// Sink, when non-nil, is subscribed to the cell's telemetry hub for
 	// telemetry.MaskTrace at the start of the measurement window. Each
 	// cell owns its sink exclusively (one worker runs one cell), so sinks
@@ -230,8 +236,20 @@ func runCell(c Cell) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	runners := c.Workload.Runners(sys, c.Seed)
-	return measureWindow(sys, runners, c.Txs, c.Sink), nil
+	if c.Policy == "" {
+		runners := c.Workload.Runners(sys, c.Seed)
+		return measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) }), nil
+	}
+	con, ok := workload.ContentionOf(c.Workload)
+	if !ok {
+		return Metrics{}, fmt.Errorf("cc policy %s needs a contention workload", c.Policy)
+	}
+	r, err := cc.New(sys, cc.Config{Policy: c.Policy})
+	if err != nil {
+		return Metrics{}, err
+	}
+	srcs := con.Sources(sys.Config().Threads, c.Seed)
+	return measureWindow(sys, c.Txs, c.Sink, func(txs int) { r.Run(srcs, txs) }), nil
 }
 
 // quiesceTicks bounds the Tick catch-up loop that lets epoch-driven
@@ -252,14 +270,15 @@ func quiesce(sys *engine.System) {
 	}
 }
 
-// measureWindow runs txs transactions on the runners inside a fairly closed
+// measureWindow runs txs transactions through drive (System.Run over
+// workload runners, a cc.Runner, or replay cursors) inside a fairly closed
 // steady-state window: setup dirt is quiesced first (without letting the
 // quiesce burst backlog the window's first accesses), all threads enter at
 // the same simulated instant, and the window is closed by charging every
 // scheme for its still-cached dirty data and deferred migration traffic.
 // Telemetry subscriptions happen after setup quiesces, so the phase
 // breakdown and any trace cover exactly the measured window.
-func measureWindow(sys *engine.System, runners []engine.TxRunner, txs int, sink telemetry.Sink) Metrics {
+func measureWindow(sys *engine.System, txs int, sink telemetry.Sink, drive func(txs int)) Metrics {
 	quiesce(sys)
 	sys.ResetMemoryQueues()
 	sys.SyncClocks()
@@ -268,11 +287,11 @@ func measureWindow(sys *engine.System, runners []engine.TxRunner, txs int, sink 
 	if sink != nil {
 		sys.Subscribe(sink, telemetry.MaskTrace)
 	}
-	before := takeSnapshot(sys)
+	before := sys.Snapshot()
 	histBefore := sys.LatencyHistogram()
-	sys.Run(runners, txs)
+	drive(txs)
 	quiesce(sys)
-	m := window(before, takeSnapshot(sys))
+	m := window(before, sys.Snapshot())
 	m.Phases = counts.Counts()
 	hist := sys.LatencyHistogram()
 	m.Latency = hist.Since(histBefore)

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hoop/internal/cc"
 	"hoop/internal/engine"
+	"hoop/internal/telemetry"
 	"hoop/internal/workload"
 )
 
@@ -48,24 +51,42 @@ func TestRunCellsMatchesSerial(t *testing.T) {
 }
 
 // TestCellLatencyHistogram: the window's latency histogram counts exactly
-// the measured transactions (setup txs excluded) and its percentiles are
-// ordered — the distribution harness consumers merge across cells.
+// the measured transactions (setup txs excluded), its mean matches
+// LatencySum/Txs, its percentiles are ordered, and the phase breakdown
+// counts one commit per measured transaction — for direct cells and for
+// contention cells driven through the cc layer alike.
 func TestCellLatencyHistogram(t *testing.T) {
-	cells := []Cell{{Scheme: engine.SchemeHOOP, Workload: quickWL("hashmap"), Txs: 300, Seed: 3}}
+	quick := Options{Quick: true, Seed: 3}
+	cells := []Cell{
+		{Scheme: engine.SchemeHOOP, Workload: quickWL("hashmap"), Txs: 300, Seed: 3},
+		contentionPoint(engine.SchemeHOOP, cc.PolicyOCC, 0.9, 4, quick),
+		contentionPoint(engine.SchemeRedo, cc.Policy2PL, 0.9, 4, quick),
+	}
 	metrics, _, err := RunCells(cells, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := metrics[0]
-	if m.Latency.Count() != m.Txs {
-		t.Fatalf("latency histogram holds %d observations, want Txs = %d", m.Latency.Count(), m.Txs)
-	}
-	p50, p99 := m.LatencyQuantile(0.50), m.LatencyQuantile(0.99)
-	if p50 <= 0 || p99 < p50 {
-		t.Fatalf("percentiles out of order: p50=%v p99=%v", p50, p99)
-	}
-	if mean := m.Latency.Mean(); mean != m.AvgLatency() {
-		t.Fatalf("histogram mean %v disagrees with LatencySum/Txs %v", mean, m.AvgLatency())
+	for i, m := range metrics {
+		name := fmt.Sprintf("%s on %s/%s", cells[i].Workload.Name, cells[i].Scheme, cells[i].Policy)
+		if m.Txs != int64(cells[i].Txs) || m.Latency.Count() != m.Txs {
+			t.Errorf("%s: latency histogram holds %d observations for %d txs, want %d", name, m.Latency.Count(), m.Txs, cells[i].Txs)
+		}
+		p50, p99 := m.LatencyQuantile(0.50), m.LatencyQuantile(0.99)
+		if p50 <= 0 || p99 < p50 {
+			t.Errorf("%s: percentiles out of order: p50=%v p99=%v", name, p50, p99)
+		}
+		if mean := m.Latency.Mean(); mean != m.AvgLatency() {
+			t.Errorf("%s: histogram mean %v disagrees with LatencySum/Txs %v", name, mean, m.AvgLatency())
+		}
+		var commits int64
+		for _, k := range m.Phases {
+			if k.Kind == telemetry.KindTxCommit {
+				commits = k.N
+			}
+		}
+		if commits != m.Txs {
+			t.Errorf("%s: %d commit events in the phase breakdown, want Txs = %d", name, commits, m.Txs)
+		}
 	}
 }
 

@@ -97,18 +97,16 @@ func TestContentionAbortsObserved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulation cells")
 	}
+	var cells []Cell
 	for _, pol := range cc.Policies {
-		m, err := runContentionCell(contentionCell{
-			scheme:  engine.SchemeNative,
-			policy:  pol,
-			theta:   1.2,
-			threads: 8,
-			txs:     800,
-			seed:    1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cells = append(cells, contentionPoint(engine.SchemeNative, pol, 1.2, 8, contentionQuickOpts(1)))
+	}
+	metrics, _, err := RunCells(cells, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range metrics {
+		pol := cells[i].Policy
 		if m.Aborts == 0 {
 			t.Errorf("policy %s: no aborts at the hottest sweep point (theta=1.2, 8 threads)", pol)
 		}

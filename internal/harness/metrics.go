@@ -58,10 +58,6 @@ type Options struct {
 	// Suite, when non-empty, replaces the paper suite in the shared
 	// Figure 7–9 matrix (hoopbench -suite / -workloads).
 	Suite []workload.Workload
-	// CacheMax, when positive, caps the on-disk cell cache (CacheDir) at
-	// that many bytes; least-recently-used entries are evicted after each
-	// store. Zero means unlimited.
-	CacheMax int64
 	// TxsPerCell, when positive, overrides the measured transactions per
 	// matrix cell (default 24000, or 1200 in Quick mode). The sweep
 	// sections use it: a 64 KB-value transaction moves three orders of
@@ -79,7 +75,7 @@ type Options struct {
 
 // ensureCache opens the cell cache on first use (nil when caching is
 // off). Sections called standalone get their own instance; RunSections
-// pre-opens one so all sections share accounting and eviction pinning.
+// pre-opens one so all sections share its hit/miss accounting.
 func (o *Options) ensureCache() (*cellCache, error) {
 	if o.cache != nil {
 		return o.cache, nil
@@ -181,9 +177,6 @@ func (m Metrics) EnergyPerTx() float64 {
 	}
 	return m.EnergyPJ / float64(m.Txs)
 }
-
-// takeSnapshot captures a system's accumulated accounting.
-func takeSnapshot(sys *engine.System) engine.RunSnapshot { return sys.Snapshot() }
 
 // window computes the metrics between two snapshots.
 func window(before, after engine.RunSnapshot) Metrics {

@@ -80,7 +80,7 @@ func captureCellRun(c Cell) (Metrics, *workload.Captured, *engine.System, error)
 		if gate != nil {
 			gate.open = true
 		}
-		met = measureWindow(sys, runners, c.Txs, sink)
+		met = measureWindow(sys, c.Txs, sink, func(txs int) { sys.Run(runners, txs) })
 		if gate != nil {
 			gate.open = false
 		}
@@ -123,7 +123,7 @@ func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, 
 		cursors[t] = cur
 		runners[t] = cur
 	}
-	met = measureWindow(sys, runners, c.Txs, c.Sink)
+	met = measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) })
 	for _, cur := range cursors {
 		cur.Reset("", 0, nil)
 		cursorPool.Put(cur)

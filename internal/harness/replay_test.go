@@ -114,7 +114,8 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			directMet := measureWindow(directSys, wl.Runners(directSys, cell.Seed), txs, nil)
+			runners := wl.Runners(directSys, cell.Seed)
+			directMet := measureWindow(directSys, txs, nil, func(n int) { directSys.Run(runners, n) })
 			repMet, repSys, err := replayCellRun(cell, col)
 			if err != nil {
 				t.Fatalf("%s on %s: replay: %v", wl.Name, scheme, err)

@@ -285,17 +285,16 @@ func (cc *cellCache) statsReport() string {
 	var tot cacheStats
 	for _, name := range cc.order {
 		s := cc.stats[name]
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten), s.Evictions)
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written\n",
+			name+":", s.Hits, s.Misses, fmtBytes(s.BytesRead), fmtBytes(s.BytesWritten))
 		tot.Hits += s.Hits
 		tot.Misses += s.Misses
-		tot.Evictions += s.Evictions
 		tot.BytesRead += s.BytesRead
 		tot.BytesWritten += s.BytesWritten
 	}
 	if len(cc.order) > 1 {
-		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written, %d evicted\n",
-			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten), tot.Evictions)
+		fmt.Fprintf(&b, "  %-14s %d hits, %d misses, %s read, %s written\n",
+			"total:", tot.Hits, tot.Misses, fmtBytes(tot.BytesRead), fmtBytes(tot.BytesWritten))
 	}
 	return b.String()
 }

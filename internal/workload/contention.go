@@ -29,6 +29,26 @@ func (c Contention) Name() string {
 	return fmt.Sprintf("rmw-zipf(keys=%d,ops=%d,theta=%.2f)", c.Keys, c.OpsPerTx, c.Theta)
 }
 
+// Workload expresses c as a harness cell workload: its name and resolved
+// Opts identify it to the cell cache, and NeedsAbort makes the cell's
+// system abortable, which the cc layer requires. It has no Build: its
+// transactions run through a cc.Runner over Sources, never through
+// engine.TxRunners.
+func (c Contention) Workload() Workload {
+	return Workload{
+		Name:       c.Name(),
+		Opts:       Options{Keys: c.Keys, OpsPerTx: c.OpsPerTx, Theta: c.Theta},
+		NeedsAbort: true,
+	}
+}
+
+// ContentionOf recovers the Contention a Workload built by
+// Contention.Workload describes; ok is false for every other workload.
+func ContentionOf(w Workload) (c Contention, ok bool) {
+	c = Contention{Keys: w.Opts.Keys, OpsPerTx: w.Opts.OpsPerTx, Theta: w.Opts.Theta}
+	return c, w.Build == nil && w.Name == c.Name()
+}
+
 // Sources builds one cc.TxSource per thread. All randomness is drawn in
 // Next, outside the returned body, so an aborted attempt retries with the
 // same keys and deltas; deterministic given (threads, seed).
