@@ -51,22 +51,28 @@ type Scheme struct {
 	txLines []u64map.Set
 
 	// redirect points reads of not-yet-checkpointed lines at their newest
-	// log entry (WrAP's victim/redirect path).
-	redirect u64map.Map[mem.PAddr]
+	// log entry (WrAP's victim/redirect path). Its keys are exactly the
+	// lines in ckptQueue[ckptHead:], each with its multiplicity there.
+	redirect u64map.Map[redirectEntry]
 
 	// ckptQueue holds committed line images awaiting in-place apply, in
-	// commit order. ckptSeq tracks the log records made dead by completed
-	// checkpoints.
+	// commit order; items before ckptHead are already applied.
 	ckptQueue []ckptItem
+	ckptHead  int
 	ckptAgent int
 
-	// Reused scratch state so steady-state commits and checkpoint batches
-	// perform no allocation.
+	// Reused scratch state so steady-state commits perform no allocation.
 	lineScratch []uint64
-	remain      u64map.Set
-	stale       []uint64
 
 	statTxCommitted *sim.Counter
+}
+
+// redirectEntry is a line's newest log entry and the number of its images
+// still waiting in the checkpoint queue; the redirect retires when the
+// count reaches zero.
+type redirectEntry struct {
+	at      mem.PAddr
+	pending int32
 }
 
 type ckptItem struct {
@@ -158,7 +164,9 @@ func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
 				Tx: uint64(tx), Addr: at, Bytes: entryTraffic,
 			})
 		}
-		s.redirect.Put(l, at)
+		r := s.redirect.Ref(l)
+		r.at = at
+		r.pending++
 		var item ckptItem
 		item.line = l
 		item.seq = seq
@@ -198,8 +206,8 @@ func (s *Scheme) TxAbort(core int, tx persist.TxID, now sim.Time) sim.Time {
 // is still only in the log is redirected there.
 func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, bool) {
 	line := mem.LineIndex(addr)
-	if at, ok := s.redirect.Get(line); ok {
-		return s.ctx.Ctrl.Read(at, mem.LineSize, now), false
+	if r, ok := s.redirect.Get(line); ok {
+		return s.ctx.Ctrl.Read(r.at, mem.LineSize, now), false
 	}
 	return s.ctx.Ctrl.Read(mem.LineAddr(addr), mem.LineSize, now), false
 }
@@ -228,7 +236,7 @@ func (s *Scheme) Tick(now sim.Time) {
 // forceCheckpoint drains the whole checkpoint queue synchronously (log
 // ring full): truncation moves onto the critical path.
 func (s *Scheme) forceCheckpoint(now sim.Time) sim.Time {
-	return s.checkpoint(now, len(s.ckptQueue), true)
+	return s.checkpoint(now, len(s.ckptQueue)-s.ckptHead, true)
 }
 
 // checkpoint applies up to n committed line images in place and truncates
@@ -236,9 +244,7 @@ func (s *Scheme) forceCheckpoint(now sim.Time) sim.Time {
 // it brackets the work with GC start/end events; onDemand marks batches
 // forced by a full log ring (truncation on the critical path).
 func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
-	if n > len(s.ckptQueue) {
-		n = len(s.ckptQueue)
-	}
+	n = min(n, len(s.ckptQueue)-s.ckptHead)
 	if n == 0 {
 		return now
 	}
@@ -258,7 +264,7 @@ func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
 	arr := now
 	done := now
 	var maxSeq uint64
-	for i := 0; i < n; i++ {
+	for i := s.ckptHead; i < s.ckptHead+n; i++ {
 		item := &s.ckptQueue[i]
 		lineAddr := mem.PAddr(item.line << mem.LineShift)
 		s.ctx.Dev.Store().Write(lineAddr, item.data[:])
@@ -268,29 +274,16 @@ func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
 		if item.seq > maxSeq {
 			maxSeq = item.seq
 		}
+		// Once a line has no image left in the queue the home region
+		// holds its newest value and the redirect retires.
+		r := s.redirect.Ref(item.line)
+		r.pending--
+		if r.pending == 0 {
+			s.redirect.Delete(item.line)
+		}
 	}
 	now = done
-	// Remove redirects that are now satisfied by the home region: any
-	// redirect whose log record is covered by the truncation bound. The
-	// remaining-set and the stale list are reused scratch (collect first,
-	// delete after — deleting while ranging would disturb the probe chains
-	// the iteration is walking).
-	s.ckptQueue = append(s.ckptQueue[:0], s.ckptQueue[n:]...)
-	s.remain.Clear()
-	for i := range s.ckptQueue {
-		s.remain.Add(s.ckptQueue[i].line)
-	}
-	stale := s.stale[:0]
-	s.redirect.Range(func(line uint64, _ *mem.PAddr) bool {
-		if !s.remain.Contains(line) {
-			stale = append(stale, line)
-		}
-		return true
-	})
-	s.stale = stale
-	for _, line := range stale {
-		s.redirect.Delete(line)
-	}
+	s.advanceHead(n)
 	// Truncate: records up to maxSeq are checkpointed. Records of live
 	// (uncommitted) transactions never precede maxSeq because entries are
 	// only appended at commit.
@@ -307,6 +300,21 @@ func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
 	return now
 }
 
+// advanceHead retires n applied items from the front of the checkpoint
+// queue. The slots are reused once the queue empties, or compacted once the
+// head passes half the slice, so the queue never shifts per batch.
+func (s *Scheme) advanceHead(n int) {
+	s.ckptHead += n
+	switch {
+	case s.ckptHead == len(s.ckptQueue):
+		s.ckptQueue = s.ckptQueue[:0]
+		s.ckptHead = 0
+	case s.ckptHead > len(s.ckptQueue)/2:
+		s.ckptQueue = s.ckptQueue[:copy(s.ckptQueue, s.ckptQueue[s.ckptHead:])]
+		s.ckptHead = 0
+	}
+}
+
 // Crash implements persist.Scheme.
 func (s *Scheme) Crash() {
 	for i := range s.txLines {
@@ -314,6 +322,7 @@ func (s *Scheme) Crash() {
 	}
 	s.redirect.Clear()
 	s.ckptQueue = s.ckptQueue[:0]
+	s.ckptHead = 0
 	s.ctx.Ctrl.ResetPending()
 }
 

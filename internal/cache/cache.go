@@ -12,7 +12,9 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"hoop/internal/mem"
 	"hoop/internal/sim"
@@ -60,9 +62,11 @@ type line struct {
 	stamp      uint64
 }
 
-// level is one set-associative tag array.
+// level is one set-associative tag array. The set count is a power of two,
+// so a line's set is its index masked by setMask.
 type level struct {
 	sets    int
+	setMask uint64
 	ways    int
 	latency sim.Duration
 	meta    []line
@@ -74,11 +78,14 @@ func newLevel(size, ways int, lat sim.Duration) *level {
 	if sets <= 0 {
 		panic("cache: level too small")
 	}
-	return &level{sets: sets, ways: ways, latency: lat, meta: make([]line, sets*ways)}
+	if sets&(sets-1) != 0 {
+		panic("cache: set count must be a power of two")
+	}
+	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat, meta: make([]line, sets*ways)}
 }
 
 func (l *level) set(idx uint64) []line {
-	s := int(idx) % l.sets
+	s := int(idx & l.setMask)
 	return l.meta[s*l.ways : (s+1)*l.ways]
 }
 
@@ -155,8 +162,10 @@ type Hierarchy struct {
 	llcMisses *sim.Counter
 	evictions *sim.Counter
 	// present maps line index -> bitmask of cores whose private hierarchy
-	// (L1 or L2) may hold the line; used for write-invalidation without
-	// scanning all cores on every store.
+	// (L1 or L2) may hold the line. Invariant: the mask is a superset of
+	// the cores that hold it, which is what lets write-invalidation, Fill's
+	// back-invalidation, FlushLine and ClearPersistent probe only those
+	// cores instead of all of them.
 	present presenceIndex
 	// evScratch backs the slice Fill returns; the caller owns the contents
 	// only until the next Fill call.
@@ -284,9 +293,6 @@ type Result struct {
 	Latency sim.Duration
 	// HitLevel is 1, 2 or 3 for L1/L2/LLC hits, 0 for a miss.
 	HitLevel int
-	// Writebacks are dirty lines pushed out of the LLC by fills done as
-	// part of this access (empty for Lookup; produced by Fill).
-	Writebacks []Eviction
 }
 
 // Lookup probes the hierarchy for core's access to address a. On a hit the
@@ -309,25 +315,25 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	lat += h.cfg.L2Latency
 	if ln := h.l2[core].lookup(idx); ln != nil {
 		// Promote into L1.
-		wbs := h.fillL1(core, idx, write, write && persistent || ln.persistent)
+		h.fillL1(core, idx, write, write && persistent || ln.persistent)
 		if write {
 			ln.dirty = true
 			ln.persistent = ln.persistent || persistent
 			h.invalidateOthers(core, idx)
 		}
 		h.l2Hits.Inc()
-		return Result{Latency: lat, HitLevel: 2, Writebacks: wbs}
+		return Result{Latency: lat, HitLevel: 2}
 	}
 	lat += h.cfg.LLCLatency
 	if ln := h.llc.lookup(idx); ln != nil {
-		wbs := h.fillPrivate(core, idx, write, write && persistent || ln.persistent)
+		h.fillPrivate(core, idx, write, write && persistent || ln.persistent)
 		if write {
 			ln.dirty = true
 			ln.persistent = ln.persistent || persistent
 			h.invalidateOthers(core, idx)
 		}
 		h.llcHits.Inc()
-		return Result{Latency: lat, HitLevel: 3, Writebacks: wbs}
+		return Result{Latency: lat, HitLevel: 3}
 	}
 	h.llcMisses.Inc()
 	if h.tel.Enabled(telemetry.KindCacheMiss) {
@@ -392,7 +398,7 @@ func (h *Hierarchy) invalidateOthers(core int, idx uint64) {
 }
 
 // fillL1 installs a line into core's L1 only (it is already in L2/LLC).
-func (h *Hierarchy) fillL1(core int, idx uint64, dirty, persistent bool) []Eviction {
+func (h *Hierarchy) fillL1(core int, idx uint64, dirty, persistent bool) {
 	v := h.l1[core].insert(idx, dirty, persistent)
 	if v.valid && v.dirty {
 		// Victim folds into L2 (inclusive: it is there).
@@ -405,11 +411,10 @@ func (h *Hierarchy) fillL1(core int, idx uint64, dirty, persistent bool) []Evict
 			ln.persistent = ln.persistent || v.persistent
 		}
 	}
-	return nil
 }
 
 // fillPrivate installs a line into core's L2 and L1 (already in LLC).
-func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) []Eviction {
+func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) {
 	v := h.l2[core].insert(idx, dirty, persistent)
 	if v.valid {
 		if v.dirty {
@@ -430,7 +435,6 @@ func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) []
 	}
 	h.fillL1(core, idx, dirty, persistent)
 	h.addPresence(core, idx)
-	return nil
 }
 
 func (h *Hierarchy) addPresence(core int, idx uint64) {
@@ -487,7 +491,8 @@ func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Evicti
 // across the whole hierarchy (clwb/clflush semantics used by the logging
 // baselines). It reports whether the line was dirty anywhere (in which case
 // the caller must perform the NVM write) and whether it carried the
-// persistent bit.
+// persistent bit. Only the cores in the line's presence mask can hold it
+// privately, so only their levels are probed.
 func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent bool) {
 	idx := mem.LineIndex(a)
 	fold := func(l *level) {
@@ -504,7 +509,8 @@ func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent b
 			persistent = persistent || old.persistent
 		}
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
+	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros32(mask)
 		fold(h.l1[c])
 		fold(h.l2[c])
 	}
@@ -516,7 +522,8 @@ func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent b
 }
 
 // ClearPersistent clears the persistent bit on the line containing a
-// everywhere it is cached (done when a transaction's lines commit).
+// everywhere it is cached (done when a transaction's lines commit). Like
+// FlushLine, it probes only the cores in the line's presence mask.
 func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
 	idx := mem.LineIndex(a)
 	clear := func(l *level) {
@@ -524,25 +531,12 @@ func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
 			ln.persistent = false
 		}
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
+	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros32(mask)
 		clear(h.l1[c])
 		clear(h.l2[c])
 	}
 	clear(h.llc)
-}
-
-// DirtyLines returns the addresses of all dirty lines currently in the LLC
-// (the writeback set a full-system flush would produce). Mainly for tests
-// and for the native baseline's end-of-run accounting.
-func (h *Hierarchy) DirtyLines() []mem.PAddr {
-	var out []mem.PAddr
-	for i := range h.llc.meta {
-		ln := &h.llc.meta[i]
-		if ln.valid && ln.dirty {
-			out = append(out, mem.PAddr(ln.idx<<mem.LineShift))
-		}
-	}
-	return out
 }
 
 // DirtyEvictions returns the eviction records (address + persistent bit) a
@@ -563,12 +557,12 @@ func (h *Hierarchy) DirtyEvictions() []Eviction {
 }
 
 func sortEvictions(evs []Eviction) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Line < evs[j].Line })
+	slices.SortFunc(evs, func(a, b Eviction) int { return cmp.Compare(a.Line, b.Line) })
 }
 
 // Contains reports whether the line holding a is present anywhere in the
-// hierarchy. Used by HOOP's mapping-table maintenance (§III-C: a mapping
-// entry is dropped once the newest version lives in the cache hierarchy).
+// hierarchy. It probes every core, so it does not depend on the presence
+// index; tests use it to observe flush and power-loss effects.
 func (h *Hierarchy) Contains(a mem.PAddr) bool {
 	idx := mem.LineIndex(a)
 	if h.llc.lookup(idx) != nil {

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"hoop/internal/mem"
@@ -126,11 +129,11 @@ func TestDropAll(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.Fill(i%2, addr(i), true, false)
 	}
-	if len(h.DirtyLines()) == 0 {
+	if len(h.DirtyEvictions()) == 0 {
 		t.Fatal("expected dirty lines")
 	}
 	h.DropAll()
-	if len(h.DirtyLines()) != 0 || h.Contains(addr(1)) {
+	if len(h.DirtyEvictions()) != 0 || h.Contains(addr(1)) {
 		t.Fatal("DropAll must erase everything")
 	}
 }
@@ -172,4 +175,176 @@ func TestConfigGeometry(t *testing.T) {
 	if cfg.LLCSize != 2<<20 || cfg.LLCWays != 16 {
 		t.Fatal("LLC must be 2MB 16-way (Table II)")
 	}
+}
+
+// holds reports whether l has a valid way for idx without touching LRU
+// state, so invariant checks do not perturb the hierarchy they inspect.
+func holds(l *level, idx uint64) bool {
+	for _, ln := range l.set(idx) {
+		if ln.valid && ln.idx == idx {
+			return true
+		}
+	}
+	return false
+}
+
+// refFlushLine is FlushLine probing every core's private levels rather
+// than only the cores in the presence mask: the oracle the masked version
+// must match bit for bit.
+func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+	idx := mem.LineIndex(a)
+	fold := func(l *level) {
+		var old line
+		var ok bool
+		if invalidate {
+			old, ok = l.invalidate(idx)
+		} else if ln := l.lookup(idx); ln != nil {
+			old, ok = *ln, true
+			ln.dirty = false
+		}
+		if ok && old.dirty {
+			dirty = true
+			persistent = persistent || old.persistent
+		}
+	}
+	for c := 0; c < h.cfg.Cores; c++ {
+		fold(h.l1[c])
+		fold(h.l2[c])
+	}
+	fold(h.llc)
+	if invalidate {
+		h.present.set(idx, 0)
+	}
+	return dirty, persistent
+}
+
+// refClearPersistent is ClearPersistent probing every core.
+func refClearPersistent(h *Hierarchy, a mem.PAddr) {
+	idx := mem.LineIndex(a)
+	for c := 0; c < h.cfg.Cores; c++ {
+		for _, l := range []*level{h.l1[c], h.l2[c]} {
+			if ln := l.lookup(idx); ln != nil {
+				ln.persistent = false
+			}
+		}
+	}
+	if ln := h.llc.lookup(idx); ln != nil {
+		ln.persistent = false
+	}
+}
+
+// checkHierarchy asserts the structural invariants the masked flush relies
+// on: every way sits in the set its index maps to, L1 ⊆ L2 ⊆ LLC per core,
+// and the presence mask covers every core holding the line privately.
+func checkHierarchy(t *testing.T, h *Hierarchy, step int) {
+	t.Helper()
+	for _, l := range append(append([]*level{h.llc}, h.l1...), h.l2...) {
+		for i, ln := range l.meta {
+			if ln.valid && int(ln.idx%uint64(l.sets)) != i/l.ways {
+				t.Fatalf("step %d: line %d in set %d, want %d", step, ln.idx, i/l.ways, ln.idx%uint64(l.sets))
+			}
+		}
+	}
+	for c := 0; c < h.cfg.Cores; c++ {
+		for _, ln := range h.l1[c].meta {
+			if ln.valid && !holds(h.l2[c], ln.idx) {
+				t.Fatalf("step %d: core %d L1 holds line %d without L2", step, c, ln.idx)
+			}
+		}
+		for _, ln := range h.l2[c].meta {
+			if !ln.valid {
+				continue
+			}
+			if !holds(h.llc, ln.idx) {
+				t.Fatalf("step %d: core %d L2 holds line %d without LLC", step, c, ln.idx)
+			}
+			if h.present.get(ln.idx)&(1<<uint(c)) == 0 {
+				t.Fatalf("step %d: core %d holds line %d outside its presence mask %#x", step, c, ln.idx, h.present.get(ln.idx))
+			}
+		}
+	}
+}
+
+// sameState asserts two hierarchies hold identical tag state: valid,
+// dirty, persistent and stamp of every way, every level's LRU clock, and
+// every presence mask.
+func sameState(t *testing.T, got, want *Hierarchy, lines, step int) {
+	t.Helper()
+	same := func(name string, a, b *level) {
+		if a.tick != b.tick || !slices.Equal(a.meta, b.meta) {
+			t.Fatalf("step %d: %s diverged from the all-cores reference", step, name)
+		}
+	}
+	same("LLC", got.llc, want.llc)
+	for c := 0; c < got.cfg.Cores; c++ {
+		same(fmt.Sprintf("core %d L1", c), got.l1[c], want.l1[c])
+		same(fmt.Sprintf("core %d L2", c), got.l2[c], want.l2[c])
+	}
+	for i := 0; i < lines; i++ {
+		if g, w := got.present.get(uint64(i)), want.present.get(uint64(i)); g != w {
+			t.Fatalf("step %d: presence of line %d = %#x, reference %#x", step, i, g, w)
+		}
+	}
+}
+
+// TestMaskedFlushMatchesAllCores drives a seeded random access stream over
+// a small 16-core hierarchy and, after every step, checks the structural
+// invariants and that FlushLine/ClearPersistent (which probe only the cores
+// in the presence mask) leave exactly the state and return exactly the
+// result of probing every core.
+func TestMaskedFlushMatchesAllCores(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.L1Size, cfg.L1Ways = 4*mem.LineSize, 2    // 2 sets
+	cfg.L2Size, cfg.L2Ways = 8*mem.LineSize, 2    // 4 sets
+	cfg.LLCSize, cfg.LLCWays = 32*mem.LineSize, 4 // 8 sets
+	h, ref := New(cfg, sim.NewStats()), New(cfg, sim.NewStats())
+	const lines = 64
+	rng := rand.New(rand.NewPCG(1, 16))
+	var flushes, dirtyFlushes int
+	for step := 0; step < 20000; step++ {
+		core := rng.IntN(cfg.Cores)
+		a := addr(rng.IntN(lines))
+		switch op := rng.IntN(10); {
+		case op < 6:
+			write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
+			r, rr := h.Lookup(core, a, write, pers), ref.Lookup(core, a, write, pers)
+			if r != rr {
+				t.Fatalf("step %d: Lookup %+v, reference %+v", step, r, rr)
+			}
+			if r.HitLevel == 0 {
+				ev := slices.Clone(h.Fill(core, a, write, pers))
+				if rev := ref.Fill(core, a, write, pers); !slices.Equal(ev, rev) {
+					t.Fatalf("step %d: Fill evicted %v, reference %v", step, ev, rev)
+				}
+			}
+		case op < 9:
+			inv := rng.IntN(2) == 0
+			d, p := h.FlushLine(a, inv)
+			rd, rp := refFlushLine(ref, a, inv)
+			if d != rd || p != rp {
+				t.Fatalf("step %d: FlushLine(%v) = (%v,%v), reference (%v,%v)", step, inv, d, p, rd, rp)
+			}
+			flushes++
+			if d {
+				dirtyFlushes++
+			}
+		default:
+			h.ClearPersistent(a)
+			refClearPersistent(ref, a)
+		}
+		checkHierarchy(t, h, step)
+		sameState(t, h, ref, lines, step)
+	}
+	if dirtyFlushes == 0 || dirtyFlushes == flushes {
+		t.Fatalf("stream exercised %d dirty of %d flushes; want both outcomes", dirtyFlushes, flushes)
+	}
+}
+
+func TestLevelRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("3-set level must panic")
+		}
+	}()
+	newLevel(3*mem.LineSize, 1, 0)
 }
