@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -249,52 +248,15 @@ func benchmarks() map[string]func(b *testing.B) {
 				env.TxEnd()
 			}
 		},
-		// Decode one 256-transaction capture from the compact (v3) wire
-		// format back into ops — the cache-dir boundary cost the replay
-		// pipeline pays when it restores a column from disk instead of
-		// keeping it in memory. One iteration = one full capture decode
-		// (1536 ops), so ns/op tracks whole-capture latency.
-		"replay_decode": func(b *testing.B) {
-			sys := engineForBench(b)
-			var sink trace.OpSink
-			sys.Subscribe(&sink, trace.RecordMask)
-			env := sys.NewEnv(0)
-			const span = 1 << 20
-			const captured = 256
-			for i := 0; i < captured; i++ {
-				base := mem.PAddr(uint64(i) * 4 * mem.WordSize % span)
-				env.TxBegin()
-				for w := 0; w < 4; w++ {
-					env.WriteWord(base+mem.PAddr(w*mem.WordSize), uint64(i)*0x9E3779B97F4A7C15)
-				}
-				env.TxEnd()
-			}
-			if err := sink.Err(); err != nil {
-				b.Fatal(err)
-			}
-			wire, err := trace.WriteOps(sink.Ops)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := len(sink.Ops)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ops, err := trace.NewReader(bytes.NewReader(wire)).ReadAll()
-				if err != nil || len(ops) != want {
-					b.Fatalf("decode: %v (%d of %d ops)", err, len(ops), want)
-				}
-			}
-		},
 		// One recorded 4-word transaction reissued through trace.ApplyOp —
 		// the per-transaction cost of the record-once/replay-many matrix
 		// pipeline (capture outside the timer, replay inside). Steady-state
-		// budget is zero allocations: decoded ops and the load scratch
+		// budget is zero allocations: captured ops and the load scratch
 		// buffer are reused across iterations.
 		"replay_txs": func(b *testing.B) {
-			var buf bytes.Buffer
-			rec := trace.NewRecorder(&buf)
+			var sink trace.OpSink
 			src := engineForBench(b)
-			src.Subscribe(rec, trace.RecordMask)
+			src.Subscribe(&sink, trace.RecordMask)
 			env := src.NewEnv(0)
 			const span = 1 << 20
 			const captured = 256
@@ -306,14 +268,10 @@ func benchmarks() map[string]func(b *testing.B) {
 				}
 				env.TxEnd()
 			}
-			if err := rec.Flush(); err != nil {
+			if err := sink.Err(); err != nil {
 				b.Fatal(err)
 			}
-			ops, err := trace.NewReader(&buf).ReadAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			txs, err := trace.SplitTxs(ops, 1)
+			txs, err := trace.SplitTxs(sink.Ops, 1)
 			if err != nil || len(txs[0]) != captured {
 				b.Fatalf("split: %v (%d txs)", err, len(txs))
 			}

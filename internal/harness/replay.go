@@ -12,7 +12,7 @@ import (
 
 // The record-once/replay-many matrix pipeline. Each (workload, seed)
 // column of the Figure 7–9 matrix executes its workload logic exactly
-// once — on one scheme, with a trace.Recorder subscribed — and every
+// once — on one scheme, with a trace.OpSink subscribed — and every
 // other scheme's cell replays the captured op stream instead of re-running
 // B-tree rebalances, Zipfian draws, or TPC-C logic. Replay is faithful
 // because the engine's functional view is scheme-independent and the

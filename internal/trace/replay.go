@@ -1,165 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"hoop/internal/engine"
-	"hoop/internal/mem"
-	"hoop/internal/telemetry"
 )
-
-// RecordMask is the telemetry subscription a Recorder needs: the per-op
-// kinds it converts into binary trace Ops. Subscribe the recorder with
-// sys.Subscribe(rec, trace.RecordMask).
-var RecordMask = telemetry.MaskOf(telemetry.KindTxBegin, telemetry.KindTxCommit,
-	telemetry.KindTxAbort, telemetry.KindLoad, telemetry.KindStore, telemetry.KindScan)
-
-// Recorder tees a workload's operations into a trace while they execute.
-// It is a telemetry.Sink: subscribe it to a system's hub with RecordMask,
-// run the workload, then Flush. The engine executes on one goroutine and
-// emits exactly one event per operation in issue order, so the captured
-// trace is the operation stream.
-//
-// A write failure (or an event the format cannot represent) makes the
-// recorder's error sticky: further events are dropped and the error
-// surfaces from Flush and Err. Emit cannot return an error — it is a
-// telemetry.Sink — and panicking from inside the engine's emit path would
-// kill the whole worker, so sticky-and-surface is the contract.
-type Recorder struct {
-	w   *Writer
-	err error
-}
-
-// NewRecorder builds a recorder over w.
-func NewRecorder(w io.Writer) *Recorder {
-	return &Recorder{w: NewWriter(w)}
-}
-
-// Flush drains the underlying trace writer, reporting any error that
-// occurred while recording.
-func (r *Recorder) Flush() error {
-	if r.err != nil {
-		return r.err
-	}
-	return r.w.Flush()
-}
-
-// Err reports the sticky recording error, if any.
-func (r *Recorder) Err() error { return r.err }
-
-// Count reports recorded ops.
-func (r *Recorder) Count() int64 { return r.w.Count() }
-
-func (r *Recorder) record(op Op) {
-	if err := r.w.Write(op); err != nil {
-		r.err = fmt.Errorf("trace: recording failed: %w", err)
-	}
-}
-
-// opFromEvent converts one per-op telemetry event into a trace Op.
-// ok is false for kinds outside RecordMask; err is set when the event
-// cannot be represented (core outside the uint16 thread field). The
-// returned op's Data aliases e.Data, which is only valid for the duration
-// of Emit — callers that keep the op must copy (OpSink's arena) or encode
-// immediately (Recorder's writer).
-func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
-	if e.Core < 0 || int64(e.Core) > 0xFFFF {
-		// The format's thread field is uint16; wrapping would route ops
-		// to the wrong replay env, so fail the recording instead.
-		return Op{}, false, fmt.Errorf("trace: core %d does not fit the format's uint16 thread field", e.Core)
-	}
-	th := uint16(e.Core)
-	switch e.Kind {
-	case telemetry.KindTxBegin:
-		return Op{Kind: OpTxBegin, Thread: th}, true, nil
-	case telemetry.KindTxCommit:
-		return Op{Kind: OpTxEnd, Thread: th}, true, nil
-	case telemetry.KindTxAbort:
-		return Op{Kind: OpTxAbort, Thread: th}, true, nil
-	case telemetry.KindLoad:
-		return Op{Kind: OpLoad, Thread: th, Addr: e.Addr, Size: uint32(e.Bytes)}, true, nil
-	case telemetry.KindStore:
-		return Op{Kind: OpStore, Thread: th, Addr: e.Addr, Size: uint32(len(e.Data)), Data: e.Data}, true, nil
-	case telemetry.KindScan:
-		// Scan ops reuse the header fields for accounting: Size is the
-		// item count (Aux), Addr the value bytes the scan read (Bytes).
-		return Op{Kind: OpScan, Thread: th, Addr: mem.PAddr(e.Bytes), Size: uint32(e.Aux)}, true, nil
-	}
-	return Op{}, false, nil
-}
-
-// Emit implements telemetry.Sink: per-op events become trace Ops, all
-// other kinds are ignored.
-func (r *Recorder) Emit(e telemetry.Event) {
-	if r.err != nil {
-		return
-	}
-	op, ok, err := opFromEvent(e)
-	if err != nil {
-		r.err = err
-		return
-	}
-	if ok {
-		r.record(op)
-	}
-}
-
-var _ telemetry.Sink = (*Recorder)(nil)
-
-// OpSink is a telemetry.Sink that collects ops in memory, skipping the
-// wire encoding entirely — the capture stage of the matrix pipeline uses
-// it so recording costs one struct append per op instead of an encode
-// plus a later decode. Store payloads are copied into a grow-only arena
-// (events only alias the written bytes during Emit), so collection does
-// one bulk allocation per 64 KiB of payload rather than one per store.
-// Same sticky-error contract as Recorder.
-type OpSink struct {
-	Ops   []Op
-	arena byteArena
-	err   error
-}
-
-// Emit implements telemetry.Sink.
-func (s *OpSink) Emit(e telemetry.Event) {
-	if s.err != nil {
-		return
-	}
-	op, ok, err := opFromEvent(e)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if ok {
-		if len(op.Data) > 0 {
-			cp := s.arena.alloc(len(op.Data))
-			copy(cp, op.Data)
-			op.Data = cp
-		}
-		s.Ops = append(s.Ops, op)
-	}
-}
-
-// Err reports the sticky collection error, if any.
-func (s *OpSink) Err() error { return s.err }
-
-var _ telemetry.Sink = (*OpSink)(nil)
-
-// WriteOps serializes ops in the wire format.
-func WriteOps(ops []Op) ([]byte, error) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // ApplyOp issues one recorded op against env. buf is a scratch buffer for
 // load destinations, grown as needed and returned for reuse; pass nil on
@@ -187,61 +32,29 @@ func ApplyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-type replayer struct {
-	envs []*engine.Env
-	buf  []byte
-	txs  int64
-}
-
-func newReplayer(sys *engine.System) *replayer {
+// ReplayOps drives a recorded op stream against a fresh system: every
+// thread's operations execute in recorded order (interleaved exactly as
+// captured), through whatever persistence scheme sys is configured with.
+// It returns the number of committed transactions replayed. Replaying ops
+// that carry aborts requires a system built with Config.Abortable.
+func ReplayOps(sys *engine.System, ops []Op) (int64, error) {
 	envs := make([]*engine.Env, sys.Config().Threads)
 	for i := range envs {
 		envs[i] = sys.NewEnv(i)
 	}
-	return &replayer{envs: envs, buf: make([]byte, 0, 1024)}
-}
-
-func (rp *replayer) apply(op Op) error {
-	if int(op.Thread) >= len(rp.envs) {
-		return fmt.Errorf("trace: op for thread %d but system has %d threads", op.Thread, len(rp.envs))
-	}
-	var err error
-	rp.buf, err = ApplyOp(rp.envs[op.Thread], op, rp.buf)
-	if op.Kind == OpTxEnd {
-		rp.txs++
-	}
-	return err
-}
-
-// Replay drives a recorded trace against a fresh system: every thread's
-// operations execute in recorded order (interleaved exactly as captured),
-// through whatever persistence scheme sys is configured with. It returns
-// the number of committed transactions replayed. Replaying a trace that
-// carries aborts requires a system built with Config.Abortable.
-func Replay(sys *engine.System, r io.Reader) (int64, error) {
-	tr := NewReader(r)
-	rp := newReplayer(sys)
-	for {
-		op, err := tr.Read()
-		if err == io.EOF {
-			return rp.txs, nil
-		}
-		if err != nil {
-			return rp.txs, err
-		}
-		if err := rp.apply(op); err != nil {
-			return rp.txs, err
-		}
-	}
-}
-
-// ReplayOps is Replay over an already-decoded op slice.
-func ReplayOps(sys *engine.System, ops []Op) (int64, error) {
-	rp := newReplayer(sys)
+	buf := make([]byte, 0, 1024)
+	var txs int64
 	for _, op := range ops {
-		if err := rp.apply(op); err != nil {
-			return rp.txs, err
+		if int(op.Thread) >= len(envs) {
+			return txs, fmt.Errorf("trace: op for thread %d but system has %d threads", op.Thread, len(envs))
+		}
+		var err error
+		if buf, err = ApplyOp(envs[op.Thread], op, buf); err != nil {
+			return txs, err
+		}
+		if op.Kind == OpTxEnd {
+			txs++
 		}
 	}
-	return rp.txs, nil
+	return txs, nil
 }

@@ -1,25 +1,17 @@
-// Package trace records and replays memory-operation traces. A trace
-// captures the exact operation stream a workload issued — transaction
-// boundaries, loads, stores with their data — in a compact binary format,
-// so a run can be (a) inspected offline, (b) replayed bit-identically
-// against any persistence scheme, or (c) exported for analysis outside the
-// simulator. This mirrors how the paper's platform consumed Pin-captured
-// application traces.
-//
-// The wire format is v3, the compact format: ops are grouped into chunks
-// whose header stream is varint/delta-encoded and deflated, while bulk
-// store payloads live in a separate uncompressed data arena (see
-// wire3.go). Traces in the fixed-header v1/v2 formats are rejected with a
-// request to re-record them.
+// Package trace captures and replays memory-operation traces. A trace
+// holds the exact operation stream a workload issued — transaction
+// boundaries, loads, stores with their data — so the run can be replayed
+// bit-identically against any persistence scheme. This mirrors how the
+// paper's platform consumed Pin-captured application traces. Captures
+// live in memory: OpSink records them, and ReplayOps, SplitTxs and Cursor
+// reissue them.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"hoop/internal/mem"
+	"hoop/internal/telemetry"
 )
 
 // Op kinds.
@@ -28,13 +20,14 @@ const (
 	OpTxEnd
 	OpLoad
 	OpStore
-	OpTxAbort // v2 and later
-	OpScan    // v3 and later
+	OpTxAbort
+	OpScan
 )
 
 // Op is one traced operation. Thread identifies the issuing workload
-// thread; Data is present only for stores. Ops decoded from a v3 stream
-// alias the Reader's internal arenas: treat Data as read-only.
+// thread; Data is present only for stores. Scan ops reuse the fields for
+// accounting: Size carries the item count and Addr the total value bytes
+// the scan read.
 type Op struct {
 	Kind   byte
 	Thread uint16
@@ -43,162 +36,104 @@ type Op struct {
 	Data   []byte
 }
 
-// String renders the op for human inspection.
-func (o Op) String() string {
-	switch o.Kind {
-	case OpTxBegin:
-		return fmt.Sprintf("t%d TX_BEGIN", o.Thread)
-	case OpTxEnd:
-		return fmt.Sprintf("t%d TX_END", o.Thread)
-	case OpTxAbort:
-		return fmt.Sprintf("t%d TX_ABORT", o.Thread)
-	case OpLoad:
-		return fmt.Sprintf("t%d LOAD  %v +%d", o.Thread, o.Addr, o.Size)
-	case OpStore:
-		return fmt.Sprintf("t%d STORE %v +%d", o.Thread, o.Addr, o.Size)
-	case OpScan:
-		return fmt.Sprintf("t%d SCAN  %d items / %d B", o.Thread, o.Size, uint64(o.Addr))
+// RecordMask is the telemetry subscription an OpSink needs: the per-op
+// kinds it converts into Ops. Subscribe the sink with
+// sys.Subscribe(sink, trace.RecordMask).
+var RecordMask = telemetry.MaskOf(telemetry.KindTxBegin, telemetry.KindTxCommit,
+	telemetry.KindTxAbort, telemetry.KindLoad, telemetry.KindStore, telemetry.KindScan)
+
+// opFromEvent converts one per-op telemetry event into a trace Op.
+// ok is false for kinds outside RecordMask; err is set when the event
+// cannot be represented (core outside the uint16 thread field). The
+// returned op's Data aliases e.Data, which is only valid for the duration
+// of Emit — callers that keep the op must copy it.
+func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
+	if e.Core < 0 || int64(e.Core) > 0xFFFF {
+		// Wrapping would route ops to the wrong replay env, so fail the
+		// capture instead.
+		return Op{}, false, fmt.Errorf("trace: core %d does not fit Op's uint16 thread field", e.Core)
 	}
-	return fmt.Sprintf("t%d ?%d", o.Thread, o.Kind)
+	th := uint16(e.Core)
+	switch e.Kind {
+	case telemetry.KindTxBegin:
+		return Op{Kind: OpTxBegin, Thread: th}, true, nil
+	case telemetry.KindTxCommit:
+		return Op{Kind: OpTxEnd, Thread: th}, true, nil
+	case telemetry.KindTxAbort:
+		return Op{Kind: OpTxAbort, Thread: th}, true, nil
+	case telemetry.KindLoad:
+		return Op{Kind: OpLoad, Thread: th, Addr: e.Addr, Size: uint32(e.Bytes)}, true, nil
+	case telemetry.KindStore:
+		return Op{Kind: OpStore, Thread: th, Addr: e.Addr, Size: uint32(len(e.Data)), Data: e.Data}, true, nil
+	case telemetry.KindScan:
+		// Size is the item count (Aux), Addr the value bytes the scan
+		// read (Bytes).
+		return Op{Kind: OpScan, Thread: th, Addr: mem.PAddr(e.Bytes), Size: uint32(e.Aux)}, true, nil
+	}
+	return Op{}, false, nil
 }
 
-// Magic and version of the binary format. The file header is 8 bytes:
-// magic u32le, version u32le; the v3 chunks defined in wire3.go follow.
-// Scan ops reuse the op fields for accounting: Size carries the item count
-// and Addr the total value bytes the scan read.
-const (
-	magic   = 0x484F5452 // "HOTR"
-	version = 3
-)
-
-// maxStoreSize bounds a single store's payload; anything larger in a
-// stream is treated as corruption.
-const maxStoreSize = 1 << 20
-
-// Writer streams ops into an io.Writer, always in the current (v3) format.
-// Ops accumulate into an in-memory chunk that is emitted when it reaches
-// the chunk target or on Flush, so memory stays bounded for arbitrarily
-// long recordings. Write copies what it needs from op.Data before
-// returning, so callers may reuse their buffers.
-type Writer struct {
-	w       *bufio.Writer
-	started bool
-	count   int64
-	enc     wire3Enc
+// OpSink is a telemetry.Sink that collects a workload's operations in
+// memory while they execute: subscribe it to a system's hub with
+// RecordMask and run the workload. The engine executes on one goroutine
+// and emits exactly one event per operation in issue order, so Ops is the
+// operation stream. Store payloads are copied into a grow-only arena
+// (events only alias the written bytes during Emit), so collection does
+// one bulk allocation per 64 KiB of payload rather than one per store.
+//
+// An event Op cannot represent makes the sink's error sticky: further
+// events are dropped and the error surfaces from Err. Emit cannot return
+// an error — it is a telemetry.Sink — and panicking from inside the
+// engine's emit path would kill the whole worker, so sticky-and-surface
+// is the contract.
+type OpSink struct {
+	Ops   []Op
+	arena byteArena
+	err   error
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-func (t *Writer) header() error {
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint32(h[4:], version)
-	_, err := t.w.Write(h[:])
-	return err
-}
-
-// Write appends one op.
-func (t *Writer) Write(op Op) error {
-	if !t.started {
-		if err := t.header(); err != nil {
-			return err
+// Emit implements telemetry.Sink.
+func (s *OpSink) Emit(e telemetry.Event) {
+	if s.err != nil {
+		return
+	}
+	op, ok, err := opFromEvent(e)
+	if err != nil {
+		s.err = err
+		return
+	}
+	if ok {
+		if len(op.Data) > 0 {
+			cp := s.arena.alloc(len(op.Data))
+			copy(cp, op.Data)
+			op.Data = cp
 		}
-		t.started = true
-	}
-	switch op.Kind {
-	case OpTxBegin, OpTxEnd, OpTxAbort, OpLoad, OpScan:
-	case OpStore:
-		if uint32(len(op.Data)) != op.Size {
-			return fmt.Errorf("trace: store op with %d data bytes but size %d", len(op.Data), op.Size)
-		}
-		if op.Size > maxStoreSize {
-			return fmt.Errorf("trace: unreasonable store size %d", op.Size)
-		}
-	default:
-		return fmt.Errorf("trace: unknown op kind %d", op.Kind)
-	}
-	t.enc.encode(op)
-	t.count++
-	if t.enc.pendingBytes() >= chunkTarget {
-		return t.enc.emitChunk(t.w)
-	}
-	return nil
-}
-
-// Count reports ops written.
-func (t *Writer) Count() int64 { return t.count }
-
-// Flush emits the pending chunk and drains the buffer; call before closing
-// the underlying writer. Flushing mid-stream is fine: the Writer keeps
-// appending afterwards (each flush just closes a chunk).
-func (t *Writer) Flush() error {
-	if !t.started {
-		if err := t.header(); err != nil {
-			return err
-		}
-		t.started = true
-	}
-	if err := t.enc.emitChunk(t.w); err != nil {
-		return err
-	}
-	return t.w.Flush()
-}
-
-// Reader streams ops from an io.Reader in the current (v3) format.
-type Reader struct {
-	r       *bufio.Reader
-	started bool
-	dec     wire3Dec
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-func (t *Reader) header() error {
-	var h [8]byte
-	if _, err := io.ReadFull(t.r, h[:]); err != nil {
-		return fmt.Errorf("trace: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(h[0:]) != magic {
-		return fmt.Errorf("trace: bad magic")
-	}
-	switch v := binary.LittleEndian.Uint32(h[4:]); v {
-	case version:
-		return nil
-	case 1, 2:
-		return fmt.Errorf("trace: version %d trace predates the compact v3 format; re-record it with the current writer", v)
-	default:
-		return fmt.Errorf("trace: unsupported version %d", v)
+		s.Ops = append(s.Ops, op)
 	}
 }
 
-// Read returns the next op, or io.EOF at the end of the trace.
-func (t *Reader) Read() (Op, error) {
-	if !t.started {
-		if err := t.header(); err != nil {
-			return Op{}, err
-		}
-		t.started = true
-	}
-	return t.dec.read(t.r)
+// Err reports the sticky collection error, if any.
+func (s *OpSink) Err() error { return s.err }
+
+var _ telemetry.Sink = (*OpSink)(nil)
+
+// byteArena hands out chunks of a grow-only backing store. Previously
+// returned slices stay valid forever (blocks are never reused), which is
+// what lets captured ops alias it.
+type byteArena struct {
+	cur []byte
 }
 
-// ReadAll drains the trace.
-func (t *Reader) ReadAll() ([]Op, error) {
-	var ops []Op
-	for {
-		op, err := t.Read()
-		if err == io.EOF {
-			return ops, nil
-		}
-		if err != nil {
-			return ops, err
-		}
-		ops = append(ops, op)
+const arenaBlock = 64 << 10
+
+func (a *byteArena) alloc(n int) []byte {
+	if n > arenaBlock/2 {
+		return make([]byte, n)
 	}
+	if len(a.cur)+n > cap(a.cur) {
+		a.cur = make([]byte, 0, arenaBlock)
+	}
+	b := a.cur[len(a.cur) : len(a.cur)+n : len(a.cur)+n]
+	a.cur = a.cur[:len(a.cur)+n]
+	return b
 }

@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,62 +10,6 @@ import (
 	"hoop/internal/sim"
 	"hoop/internal/telemetry"
 )
-
-func TestRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	ops := []Op{
-		{Kind: OpTxBegin, Thread: 0},
-		{Kind: OpStore, Thread: 0, Addr: 0x100, Size: 8, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		{Kind: OpLoad, Thread: 1, Addr: 0x200, Size: 64},
-		{Kind: OpTxEnd, Thread: 0},
-	}
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != int64(len(ops)) {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	got, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("read %d ops", len(got))
-	}
-	for i := range ops {
-		if got[i].Kind != ops[i].Kind || got[i].Thread != ops[i].Thread ||
-			got[i].Addr != ops[i].Addr || got[i].Size != ops[i].Size {
-			t.Fatalf("op %d mismatch: %v vs %v", i, got[i], ops[i])
-		}
-		if !bytes.Equal(got[i].Data, ops[i].Data) {
-			t.Fatalf("op %d data mismatch", i)
-		}
-		if got[i].String() == "" {
-			t.Fatal("String")
-		}
-	}
-}
-
-func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("nonsense"))).Read(); err == nil {
-		t.Fatal("bad magic must fail")
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Flush() // header only
-	if _, err := NewReader(&buf).Read(); err != io.EOF {
-		t.Fatalf("empty trace must EOF, got %v", err)
-	}
-	if err := NewWriter(io.Discard).Write(Op{Kind: OpStore, Size: 8, Data: []byte{1}}); err == nil {
-		t.Fatal("mismatched store size must fail")
-	}
-}
 
 func traceSystem(t *testing.T, scheme string) *engine.System {
 	t.Helper()
@@ -90,10 +31,9 @@ func traceSystem(t *testing.T, scheme string) *engine.System {
 // trace on a fresh system with a different scheme, and checks the durable
 // outcome matches after crash+recovery.
 func TestRecordReplayEquivalence(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
+	var sink OpSink
 	src := traceSystem(t, engine.SchemeHOOP)
-	src.Subscribe(rec, RecordMask)
+	src.Subscribe(&sink, RecordMask)
 	envs := []*engine.Env{src.NewEnv(0), src.NewEnv(1)}
 	r := sim.NewRand(13)
 	for i := 0; i < 100; i++ {
@@ -105,17 +45,17 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		env.ReadWord(mem.PAddr(r.Intn(512)) * 8)
 		env.TxEnd()
 	}
-	if err := rec.Flush(); err != nil {
+	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count() == 0 {
+	if len(sink.Ops) == 0 {
 		t.Fatal("nothing recorded")
 	}
 
 	// Replay onto Opt-Undo and verify its recovered state matches the
 	// original system's committed oracle.
 	dst := traceSystem(t, engine.SchemeUndo)
-	txs, err := Replay(dst, bytes.NewReader(buf.Bytes()))
+	txs, err := ReplayOps(dst, sink.Ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,115 +84,29 @@ func TestRecordReplayEquivalence(t *testing.T) {
 }
 
 func TestReplayThreadBoundsChecked(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Write(Op{Kind: OpTxBegin, Thread: 9})
-	w.Flush()
 	sys := traceSystem(t, engine.SchemeNative)
-	if _, err := Replay(sys, &buf); err == nil {
+	if _, err := ReplayOps(sys, []Op{{Kind: OpTxBegin, Thread: 9}}); err == nil {
 		t.Fatal("out-of-range thread must fail")
 	}
 }
 
-func TestV2AbortAndWideThreadRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	ops := []Op{
-		{Kind: OpTxBegin, Thread: 300},
-		{Kind: OpStore, Thread: 300, Addr: 0x40, Size: 8, Data: []byte{8, 7, 6, 5, 4, 3, 2, 1}},
-		{Kind: OpTxAbort, Thread: 300},
-		{Kind: OpTxBegin, Thread: 65535},
-		{Kind: OpTxEnd, Thread: 65535},
-	}
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
+// TestOpSinkRejectsUnrepresentableCore: a core outside Op's uint16 thread
+// field fails the capture instead of wrapping, and the error is sticky —
+// later events are dropped rather than recorded. telemetry.Event.Core is
+// an int16, so negative cores are the unrepresentable ones and the
+// largest core carries through unchanged.
+func TestOpSinkRejectsUnrepresentableCore(t *testing.T) {
+	for _, core := range []int16{-1, math.MinInt16} {
+		var sink OpSink
+		sink.Emit(telemetry.Event{Kind: telemetry.KindTxBegin, Core: math.MaxInt16})
+		sink.Emit(telemetry.Event{Kind: telemetry.KindTxBegin, Core: core})
+		if err := sink.Err(); err == nil || !strings.Contains(err.Error(), "thread field") {
+			t.Fatalf("core %d must fail the capture, got %v", core, err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("read %d ops", len(got))
-	}
-	for i := range ops {
-		if got[i].Kind != ops[i].Kind || got[i].Thread != ops[i].Thread {
-			t.Fatalf("op %d: got %v want %v", i, got[i], ops[i])
+		sink.Emit(telemetry.Event{Kind: telemetry.KindTxCommit, Core: 0})
+		if len(sink.Ops) != 1 || sink.Ops[0].Thread != math.MaxInt16 {
+			t.Fatalf("core %d: recorded %+v, want only the op before the error", core, sink.Ops)
 		}
-	}
-	if got[2].String() != "t300 TX_ABORT" {
-		t.Fatalf("abort String = %q", got[2].String())
-	}
-}
-
-// TestReaderRejectsV1Abort: a v1 trace holding an abort op (which v1 never
-// could encode) still fails to load, now at the version check.
-func TestReaderRejectsV1Abort(t *testing.T) {
-	var buf bytes.Buffer
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:], magic)
-	binary.LittleEndian.PutUint32(h[4:], 1)
-	buf.Write(h[:])
-	for _, kind := range []uint8{OpTxBegin, OpTxAbort} {
-		var oh [14]byte // v1 op header: kind, uint8 thread, addr, size
-		oh[0] = kind
-		buf.Write(oh[:])
-	}
-	_, err := NewReader(&buf).ReadAll()
-	if err == nil || !strings.Contains(err.Error(), "re-record") {
-		t.Fatalf("v1 trace with abort op must be rejected, got %v", err)
-	}
-}
-
-// failAfter errors once more than n bytes have been written.
-type failAfter struct{ n int }
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, errors.New("disk full")
-	}
-	if len(p) > f.n {
-		n := f.n
-		f.n = 0
-		return n, errors.New("disk full")
-	}
-	f.n -= len(p)
-	return len(p), nil
-}
-
-func TestRecorderErrorIsSticky(t *testing.T) {
-	rec := NewRecorder(&failAfter{n: 16})
-	// Varied payloads defeat the v3 compactor (dict/delta), so encoded
-	// bytes accumulate and force a chunk emit well before 8192 events.
-	for i := 0; i < 8192; i++ {
-		data := make([]byte, 64)
-		for w := 0; w < 8; w++ {
-			binary.LittleEndian.PutUint64(data[w*8:], (uint64(i)*8+uint64(w)+1)*0x9E3779B97F4A7C15)
-		}
-		rec.Emit(telemetry.Event{Kind: telemetry.KindStore, Core: 0, Addr: 8, Data: data})
-	}
-	if rec.Err() == nil {
-		t.Fatal("writer failure must surface from Err")
-	}
-	if err := rec.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Flush must report the sticky error, got %v", err)
-	}
-	n := rec.Count()
-	rec.Emit(telemetry.Event{Kind: telemetry.KindTxCommit, Core: 0})
-	if rec.Count() != n {
-		t.Fatal("events after a sticky error must be dropped, not recorded")
-	}
-}
-
-func TestRecorderRejectsNegativeCore(t *testing.T) {
-	rec := NewRecorder(io.Discard)
-	rec.Emit(telemetry.Event{Kind: telemetry.KindTxBegin, Core: -1})
-	if err := rec.Flush(); err == nil || !strings.Contains(err.Error(), "thread field") {
-		t.Fatalf("negative core must fail recording, got %v", err)
 	}
 }
 
@@ -274,10 +128,9 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 		}
 		return sys
 	}
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
+	var sink OpSink
 	src := abortSys(engine.SchemeHOOP)
-	src.Subscribe(rec, RecordMask)
+	src.Subscribe(&sink, RecordMask)
 	envs := []*engine.Env{src.NewEnv(0), src.NewEnv(1)}
 	r := sim.NewRand(29)
 	commits, aborts := 0, 0
@@ -295,12 +148,12 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 			commits++
 		}
 	}
-	if err := rec.Flush(); err != nil {
+	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := abortSys(engine.SchemeUndo)
-	txs, err := Replay(dst, bytes.NewReader(buf.Bytes()))
+	txs, err := ReplayOps(dst, sink.Ops)
 	if err != nil {
 		t.Fatal(err)
 	}
