@@ -12,7 +12,6 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"hoop/internal/cache"
 	"hoop/internal/mem"
@@ -72,9 +71,8 @@ type Scheme struct {
 	committed u64map.Set        // tx committed since last GC
 	liveTx    u64map.Map[int32] // live tx -> record count
 
-	// GC coalescing scratch, epoch-cleared and reused across passes.
-	gcWords u64map.Map[[mem.WordSize]byte]
-	gcAddrs []uint64
+	// GC coalescing table, cleared and reused across passes.
+	gcLines persist.Coalescer
 
 	nextGC  sim.Time
 	gcBusy  sim.Time
@@ -380,10 +378,10 @@ func (s *Scheme) runGC(start sim.Time) {
 	}
 	scannedBefore := s.statGCScanned.Value()
 	migratedBefore := s.statGCMigrated.Value()
-	// newest is the pass-scoped coalescing table, epoch-cleared and reused
-	// so a steady GC cadence performs no allocation (same structure as
-	// HOOP's GC coalescing table).
-	newest := &s.gcWords
+	// newest is the pass-scoped coalescing table, cleared and reused so a
+	// steady GC cadence performs no allocation (the same table HOOP's GC
+	// coalesces through).
+	newest := &s.gcLines
 	newest.Clear()
 	st := s.ctx.Dev.Store()
 	for i := len(s.records) - 1; i >= 0; i-- {
@@ -394,30 +392,15 @@ func (s *Scheme) runGC(start sim.Time) {
 		t = sim.MaxTime(t, s.ctx.Ctrl.Read(r.at, recHdrSize+r.n, arr))
 		s.statGCScanned.Add(int64(recHdrSize + r.n))
 		for off := 0; off < r.n; off += mem.WordSize {
-			w := r.addr + mem.PAddr(off)
-			before := newest.Len()
-			p := newest.Ref(uint64(w))
-			if newest.Len() != before {
+			if p, fresh := newest.Ref(r.addr + mem.PAddr(off)); fresh {
 				st.Read(r.at+recHdrSize+mem.PAddr(off), p[:])
 			}
 		}
 	}
-	words := newest.Keys(s.gcAddrs[:0])
-	s.gcAddrs = words
-	slices.Sort(words)
-	for i := 0; i < len(words); {
-		lineAddr := mem.LineAddr(mem.PAddr(words[i]))
-		j := i
-		for j < len(words) && mem.LineAddr(mem.PAddr(words[j])) == lineAddr {
-			wv, _ := newest.Get(words[j])
-			st.Write(mem.PAddr(words[j]), wv[:])
-			j++
-		}
-		n := (j - i) * mem.WordSize
+	newest.Migrate(st, func(lineAddr mem.PAddr, n int) {
 		t = sim.MaxTime(t, s.ctx.Ctrl.Write(lineAddr, n, arr))
 		s.statGCMigrated.Add(int64(n))
-		i = j
-	}
+	})
 	// Reset the log under a fresh epoch.
 	s.epoch++
 	s.writeEpoch()

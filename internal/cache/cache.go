@@ -12,7 +12,6 @@
 package cache
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -170,6 +169,8 @@ type Hierarchy struct {
 	// evScratch backs the slice Fill returns; the caller owns the contents
 	// only until the next Fill call.
 	evScratch []Eviction
+	// drainKeys is DirtyEvictions' reused sort scratch.
+	drainKeys []uint64
 
 	tel *telemetry.Hub
 }
@@ -545,19 +546,26 @@ func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
 // including the native baseline — accounts the traffic its still-cached
 // dirty data will eventually cost.
 func (h *Hierarchy) DirtyEvictions() []Eviction {
-	var out []Eviction
+	// A line address has its low LineShift bits free, so the persistent
+	// bit rides in bit 0 and a plain integer sort orders by address.
+	keys := h.drainKeys[:0]
 	for i := range h.llc.meta {
 		ln := &h.llc.meta[i]
 		if ln.valid && ln.dirty {
-			out = append(out, Eviction{Line: mem.PAddr(ln.idx << mem.LineShift), Persistent: ln.persistent})
+			k := ln.idx << mem.LineShift
+			if ln.persistent {
+				k |= 1
+			}
+			keys = append(keys, k)
 		}
 	}
-	sortEvictions(out)
+	slices.Sort(keys)
+	h.drainKeys = keys
+	out := make([]Eviction, len(keys))
+	for i, k := range keys {
+		out[i] = Eviction{Line: mem.PAddr(k &^ 1), Persistent: k&1 != 0}
+	}
 	return out
-}
-
-func sortEvictions(evs []Eviction) {
-	slices.SortFunc(evs, func(a, b Eviction) int { return cmp.Compare(a.Line, b.Line) })
 }
 
 // Contains reports whether the line holding a is present anywhere in the

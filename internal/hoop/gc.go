@@ -10,7 +10,7 @@ import (
 
 // runGC executes one garbage-collection pass (Algorithm 1): scan the
 // committed transactions in reverse commit order, coalesce updates to the
-// same words in a hash map so each home location is written at most once,
+// same words by home line so each home location is written at most once,
 // migrate the newest versions to the home region, advance the durable
 // watermark, drop now-stale mapping-table entries, and recycle fully
 // migrated OOP blocks.
@@ -57,10 +57,10 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 		t = sim.MaxTime(t, s.ctx.Ctrl.Read(s.logs[0].base, len(s.pending)*commitRecSize, arr))
 
 		// Lines 5–19: reverse-time-order scan with coalescing. The first
-		// value seen for a word during the reverse scan is the newest.
-		// s.gcWords is the pass-scoped coalescing table, epoch-cleared and
-		// reused so a steady GC cadence performs no allocation.
-		h := &s.gcWords
+		// value offered for a word during the reverse scan is the newest.
+		// s.gcLines is the pass-scoped coalescing table, cleared and reused
+		// so a steady GC cadence performs no allocation.
+		h := &s.gcLines
 		h.Clear()
 		var modified, uncoalesced int64
 		store := s.ctx.Dev.Store()
@@ -79,9 +79,7 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 				// reverse order keeps the newest value.
 				for j := ds.Count - 1; j >= 0; j-- {
 					modified += mem.WordSize
-					before := h.Len()
-					wv := h.Ref(uint64(ds.Addrs[j]))
-					if h.Len() != before {
+					if wv, fresh := h.Ref(ds.Addrs[j]); fresh {
 						*wv = ds.Words[j]
 					} else if s.cfg.DisableCoalescing {
 						// Ablation: write the stale version home too (the
@@ -97,20 +95,8 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 
 		// Lines 20–27: migrate the coalesced set home, one write per home
 		// line, smallest-address first for deterministic device timing.
-		words := h.Keys(s.gcAddrs[:0])
-		s.gcAddrs = words
-		slices.Sort(words)
-
 		var migrated int64
-		for i := 0; i < len(words); {
-			lineAddr := mem.LineAddr(mem.PAddr(words[i]))
-			j := i
-			for j < len(words) && mem.LineAddr(mem.PAddr(words[j])) == lineAddr {
-				wv, _ := h.Get(words[j])
-				store.Write(mem.PAddr(words[j]), wv[:])
-				j++
-			}
-			n := (j - i) * mem.WordSize
+		h.Migrate(store, func(lineAddr mem.PAddr, n int) {
 			t = sim.MaxTime(t, s.ctx.Ctrl.Write(lineAddr, n, arr))
 			migrated += int64(n)
 			line := mem.LineIndex(lineAddr)
@@ -122,8 +108,7 @@ func (s *Scheme) runGC(start sim.Time, onDemand bool) sim.Time {
 					s.lines.Delete(line)
 				}
 			}
-			i = j
-		}
+		})
 		migrated += uncoalesced
 		s.gcModifiedBytes += modified
 		s.gcMigratedBytes += migrated

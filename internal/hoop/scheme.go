@@ -107,11 +107,10 @@ type Scheme struct {
 	gcBusyUntil sim.Time
 	gcAgent     int
 
-	// GC working state, reused across passes (epoch-cleared, never freed):
-	// the coalescing table (newest value per word seen in the reverse scan)
-	// and the key scratch slices.
-	gcWords u64map.Map[[mem.WordSize]byte]
-	gcAddrs []uint64
+	// GC working state, reused across passes (cleared, never freed): the
+	// coalescing table (newest value per word seen in the reverse scan)
+	// and the stale mapping-entry scratch.
+	gcLines persist.Coalescer
 	gcStale []uint64
 
 	// abortScratch collects line keys to drop during TxAbort (reused).

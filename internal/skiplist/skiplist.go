@@ -11,6 +11,9 @@ package skiplist
 
 const maxLevel = 24
 
+// chunkNodes is the number of nodes in one slab chunk.
+const chunkNodes = 256
+
 // node is one skip-list tower.
 type node struct {
 	key  uint64
@@ -20,11 +23,18 @@ type node struct {
 
 // List is a skip list mapping uint64 keys to uint64 values. Not safe for
 // concurrent use.
+//
+// Nodes come from slab chunks the list owns. Delete leaves a node's slot
+// unused until the next Clear, and Clear rewinds the slab so the next fill
+// reuses every chunk: a list cleared every GC epoch stops allocating once
+// its chunks cover the largest epoch.
 type List struct {
 	head     *node
 	level    int
 	length   int
 	rngState uint64
+	chunks   [][]node
+	used     int // slab slots handed out since the last Clear
 }
 
 // New returns an empty list. The level generator is seeded deterministically
@@ -95,13 +105,28 @@ func (l *List) Set(key, val uint64) (hops int) {
 		}
 		l.level = lvl
 	}
-	n := &node{key: key, val: val}
+	n := l.newNode(key, val)
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
 	}
 	l.length++
 	return hops
+}
+
+// newNode takes the next slab slot, adding a chunk when the slab is full.
+// A reused slot keeps its old tower above the new node's level: searches
+// follow next[i] only from nodes taller than i, and Set overwrites
+// next[:level], so those stale pointers are never read.
+func (l *List) newNode(key, val uint64) *node {
+	c, i := l.used/chunkNodes, l.used%chunkNodes
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]node, chunkNodes))
+	}
+	l.used++
+	n := &l.chunks[c][i]
+	n.key, n.val = key, val
+	return n
 }
 
 // Delete removes key if present, returning whether it was found and the
@@ -149,9 +174,11 @@ func (l *List) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	}
 }
 
-// Clear drops every entry.
+// Clear drops every entry and rewinds the node slab for reuse. The level
+// generator is not reseeded, so the level sequence continues across Clears.
 func (l *List) Clear() {
-	l.head = &node{}
+	l.head.next = [maxLevel]*node{}
 	l.level = 1
 	l.length = 0
+	l.used = 0
 }

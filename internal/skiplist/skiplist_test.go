@@ -1,6 +1,8 @@
 package skiplist
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -139,5 +141,111 @@ func TestClear(t *testing.T) {
 	}
 	if _, ok, _ := l.Get(5); ok {
 		t.Fatal("key survived Clear")
+	}
+}
+
+// TestClearRefillAgainstModel runs Set/Delete/Clear/refill cycles against
+// a sorted-map model. Clear rewinds the node slab, so a refill reuses nodes
+// whose towers still point at nodes linked before: no key from before a
+// Clear may be reachable through Get, Range or Len.
+func TestClearRefillAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := New(11)
+	for cycle := 0; cycle < 40; cycle++ {
+		model := map[uint64]uint64{}
+		// Key ranges shift between cycles so stale keys are distinguishable.
+		lo := uint64(cycle%4) * 1000
+		n := rng.Intn(3 * chunkNodes)
+		for i := 0; i < n; i++ {
+			k := lo + uint64(rng.Intn(800))
+			if rng.Intn(4) == 0 {
+				l.Delete(k)
+				delete(model, k)
+				continue
+			}
+			v := rng.Uint64()
+			l.Set(k, v)
+			model[k] = v
+		}
+		if l.Len() != len(model) {
+			t.Fatalf("cycle %d: Len = %d, model %d", cycle, l.Len(), len(model))
+		}
+		for k := uint64(0); k < 4000; k++ {
+			got, ok, _ := l.Get(k)
+			want, in := model[k]
+			if ok != in || got != want {
+				t.Fatalf("cycle %d: Get(%d) = %d,%v, model %d,%v", cycle, k, got, ok, want, in)
+			}
+		}
+		keys := make([]uint64, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		var seen []uint64
+		l.Range(0, 1<<62, func(k, v uint64) bool {
+			if v != model[k] {
+				t.Fatalf("cycle %d: Range value %d at key %d, model %d", cycle, v, k, model[k])
+			}
+			seen = append(seen, k)
+			return true
+		})
+		if !slices.Equal(seen, keys) {
+			t.Fatalf("cycle %d: Range keys %v, model %v", cycle, seen, keys)
+		}
+		l.Clear()
+		if l.Len() != 0 {
+			t.Fatalf("cycle %d: Len after Clear = %d", cycle, l.Len())
+		}
+		l.Range(0, 1<<62, func(k, _ uint64) bool {
+			t.Fatalf("cycle %d: key %d visible after Clear", cycle, k)
+			return false
+		})
+	}
+}
+
+// TestHopSequenceStable locks the level generator and every hop count for a
+// fixed mixed history with Clears. Hops are simulated index latency for the
+// LSM baseline, so node storage must never change them.
+func TestHopSequenceStable(t *testing.T) {
+	l := New(0xBEEF)
+	var sum uint64
+	mix := func(h int) { sum = sum*1099511628211 + uint64(h) }
+	x := uint64(1)
+	for cycle := 0; cycle < 6; cycle++ {
+		for i := 0; i < 3000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			k := (x >> 33) % 5000
+			switch x >> 62 {
+			case 0:
+				_, h := l.Delete(k)
+				mix(h)
+			case 1:
+				_, _, h := l.Get(k)
+				mix(h)
+			default:
+				mix(l.Set(k, x))
+			}
+		}
+		l.Clear()
+	}
+	if sum != 0x4962ad36d407075f {
+		t.Fatalf("hop sequence checksum = %#x", sum)
+	}
+}
+
+// TestSetAfterClearZeroAlloc locks slab reuse: once the chunks cover an
+// epoch, refilling the list after Clear allocates nothing.
+func TestSetAfterClearZeroAlloc(t *testing.T) {
+	l := New(3)
+	fill := func() {
+		l.Clear()
+		for k := uint64(0); k < 2*chunkNodes; k++ {
+			l.Set(k*7919%4096, k)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(50, fill); allocs != 0 {
+		t.Fatalf("Set after Clear allocates %v/run, want 0", allocs)
 	}
 }
