@@ -281,7 +281,7 @@ func benchmarks() map[string]func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, op := range txs[0][i%captured] {
-					scratch, err = trace.ApplyOp(denv, op, scratch)
+					scratch, err = trace.ApplyOp(denv, op, sink.Payload, scratch)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -72,7 +72,9 @@ type level struct {
 	tick    uint64
 }
 
-func newLevel(size, ways int, lat sim.Duration) *level {
+// levelSets returns the set count of a size-byte, ways-way level,
+// panicking unless it is a positive power of two.
+func levelSets(size, ways int) int {
 	sets := size / mem.LineSize / ways
 	if sets <= 0 {
 		panic("cache: level too small")
@@ -80,6 +82,11 @@ func newLevel(size, ways int, lat sim.Duration) *level {
 	if sets&(sets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
+	return sets
+}
+
+func newLevel(size, ways int, lat sim.Duration) *level {
+	sets := levelSets(size, ways)
 	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat, meta: make([]line, sets*ways)}
 }
 
@@ -150,6 +157,11 @@ type Eviction struct {
 // Hierarchy is the full multi-core cache system.
 type Hierarchy struct {
 	cfg Config
+	// l1[c] and l2[c] are core c's private levels, nil until the core's
+	// first Lookup or Fill: a system sized for more cores than it runs
+	// threads never pays for the idle cores' tag arrays. Only a core with
+	// levels can set its presence bit, so the masked probes below never
+	// meet a nil level.
 	l1  []*level
 	l2  []*level
 	llc *level
@@ -271,11 +283,18 @@ func New(cfg Config, stats *sim.Stats) *Hierarchy {
 		evictions: stats.Counter(sim.StatEvictions),
 	}
 	h.present.reset()
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1Size, cfg.L1Ways, cfg.L1Latency))
-		h.l2 = append(h.l2, newLevel(cfg.L2Size, cfg.L2Ways, cfg.L2Latency))
-	}
+	// Reject a bad private geometry now, not at some core's first touch.
+	levelSets(cfg.L1Size, cfg.L1Ways)
+	levelSets(cfg.L2Size, cfg.L2Ways)
+	h.l1 = make([]*level, cfg.Cores)
+	h.l2 = make([]*level, cfg.Cores)
 	return h
+}
+
+// allocPrivate gives core its private levels on its first access.
+func (h *Hierarchy) allocPrivate(core int) {
+	h.l1[core] = newLevel(h.cfg.L1Size, h.cfg.L1Ways, h.cfg.L1Latency)
+	h.l2[core] = newLevel(h.cfg.L2Size, h.cfg.L2Ways, h.cfg.L2Latency)
 }
 
 // Config reports the hierarchy configuration.
@@ -301,6 +320,9 @@ type Result struct {
 // caller must obtain the data from the persistence scheme / NVM and then
 // call Fill. Write hits invalidate other cores' private copies.
 func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result {
+	if h.l1[core] == nil {
+		h.allocPrivate(core)
+	}
 	idx := mem.LineIndex(a)
 	lat := h.cfg.L1Latency
 	if ln := h.l1[core].lookup(idx); ln != nil {
@@ -452,6 +474,9 @@ func (h *Hierarchy) dropPresence(core int, idx uint64) {
 // private levels after a miss has been serviced by memory. Dirty LLC
 // victims are returned so the persistence scheme can write them to NVM.
 func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Eviction {
+	if h.l1[core] == nil {
+		h.allocPrivate(core)
+	}
 	idx := mem.LineIndex(a)
 	out := h.evScratch[:0]
 	v := h.llc.insert(idx, write, persistent)
@@ -577,6 +602,9 @@ func (h *Hierarchy) Contains(a mem.PAddr) bool {
 		return true
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
+		if h.l1[c] == nil {
+			continue
+		}
 		if h.l1[c].lookup(idx) != nil || h.l2[c].lookup(idx) != nil {
 			return true
 		}
@@ -584,12 +612,14 @@ func (h *Hierarchy) Contains(a mem.PAddr) bool {
 	return false
 }
 
-// DropAll models power loss: every cached line vanishes.
+// DropAll models power loss: every cached line vanishes and the hierarchy
+// is back in its freshly built state. The private levels go back to
+// untouched, so a core allocates them again only if it runs after the
+// crash.
 func (h *Hierarchy) DropAll() {
-	for c := 0; c < h.cfg.Cores; c++ {
-		h.l1[c].meta = make([]line, h.l1[c].sets*h.l1[c].ways)
-		h.l2[c].meta = make([]line, h.l2[c].sets*h.l2[c].ways)
-	}
-	h.llc.meta = make([]line, h.llc.sets*h.llc.ways)
+	clear(h.l1)
+	clear(h.l2)
+	clear(h.llc.meta)
+	h.llc.tick = 0
 	h.present.reset()
 }

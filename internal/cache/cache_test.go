@@ -188,6 +188,15 @@ func holds(l *level, idx uint64) bool {
 	return false
 }
 
+// privateLevels returns core c's L1 and L2, or empty levels of the same
+// geometry when c was never touched: an untouched core holds no lines.
+func privateLevels(h *Hierarchy, c int) (l1, l2 *level) {
+	if h.l1[c] == nil {
+		return newLevel(h.cfg.L1Size, h.cfg.L1Ways, h.cfg.L1Latency), newLevel(h.cfg.L2Size, h.cfg.L2Ways, h.cfg.L2Latency)
+	}
+	return h.l1[c], h.l2[c]
+}
+
 // refFlushLine is FlushLine probing every core's private levels rather
 // than only the cores in the presence mask: the oracle the masked version
 // must match bit for bit.
@@ -208,8 +217,9 @@ func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent
 		}
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
-		fold(h.l1[c])
-		fold(h.l2[c])
+		l1, l2 := privateLevels(h, c)
+		fold(l1)
+		fold(l2)
 	}
 	fold(h.llc)
 	if invalidate {
@@ -222,7 +232,8 @@ func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent
 func refClearPersistent(h *Hierarchy, a mem.PAddr) {
 	idx := mem.LineIndex(a)
 	for c := 0; c < h.cfg.Cores; c++ {
-		for _, l := range []*level{h.l1[c], h.l2[c]} {
+		l1, l2 := privateLevels(h, c)
+		for _, l := range []*level{l1, l2} {
 			if ln := l.lookup(idx); ln != nil {
 				ln.persistent = false
 			}
@@ -238,7 +249,12 @@ func refClearPersistent(h *Hierarchy, a mem.PAddr) {
 // and the presence mask covers every core holding the line privately.
 func checkHierarchy(t *testing.T, h *Hierarchy, step int) {
 	t.Helper()
-	for _, l := range append(append([]*level{h.llc}, h.l1...), h.l2...) {
+	levels := []*level{h.llc}
+	for c := 0; c < h.cfg.Cores; c++ {
+		l1, l2 := privateLevels(h, c)
+		levels = append(levels, l1, l2)
+	}
+	for _, l := range levels {
 		for i, ln := range l.meta {
 			if ln.valid && int(ln.idx%uint64(l.sets)) != i/l.ways {
 				t.Fatalf("step %d: line %d in set %d, want %d", step, ln.idx, i/l.ways, ln.idx%uint64(l.sets))
@@ -246,12 +262,13 @@ func checkHierarchy(t *testing.T, h *Hierarchy, step int) {
 		}
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
-		for _, ln := range h.l1[c].meta {
-			if ln.valid && !holds(h.l2[c], ln.idx) {
+		l1, l2 := privateLevels(h, c)
+		for _, ln := range l1.meta {
+			if ln.valid && !holds(l2, ln.idx) {
 				t.Fatalf("step %d: core %d L1 holds line %d without L2", step, c, ln.idx)
 			}
 		}
-		for _, ln := range h.l2[c].meta {
+		for _, ln := range l2.meta {
 			if !ln.valid {
 				continue
 			}
@@ -277,14 +294,83 @@ func sameState(t *testing.T, got, want *Hierarchy, lines, step int) {
 	}
 	same("LLC", got.llc, want.llc)
 	for c := 0; c < got.cfg.Cores; c++ {
-		same(fmt.Sprintf("core %d L1", c), got.l1[c], want.l1[c])
-		same(fmt.Sprintf("core %d L2", c), got.l2[c], want.l2[c])
+		g1, g2 := privateLevels(got, c)
+		w1, w2 := privateLevels(want, c)
+		same(fmt.Sprintf("core %d L1", c), g1, w1)
+		same(fmt.Sprintf("core %d L2", c), g2, w2)
 	}
 	for i := 0; i < lines; i++ {
 		if g, w := got.present.get(uint64(i)), want.present.get(uint64(i)); g != w {
 			t.Fatalf("step %d: presence of line %d = %#x, reference %#x", step, i, g, w)
 		}
 	}
+}
+
+// driveSeeded runs a seeded Lookup/Fill/FlushLine/ClearPersistent stream
+// over the given cores and 64 lines, returning a transcript of every
+// result so two runs can be compared.
+func driveSeeded(h *Hierarchy, cores []int, seed uint64) []string {
+	rng := rand.New(rand.NewPCG(seed, 19))
+	var out []string
+	for step := 0; step < 4000; step++ {
+		core := cores[rng.IntN(len(cores))]
+		a := addr(rng.IntN(64))
+		switch op := rng.IntN(10); {
+		case op < 7:
+			write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
+			r := h.Lookup(core, a, write, pers)
+			out = append(out, fmt.Sprint(r))
+			if r.HitLevel == 0 {
+				out = append(out, fmt.Sprint(h.Fill(core, a, write, pers)))
+			}
+		case op < 9:
+			d, p := h.FlushLine(a, rng.IntN(2) == 0)
+			out = append(out, fmt.Sprint(d, p))
+		default:
+			h.ClearPersistent(a)
+		}
+	}
+	return append(out, fmt.Sprint(h.DirtyEvictions()))
+}
+
+// TestPrivateLevelsOnFirstTouch: a 16-core hierarchy driven only by cores
+// 0 and 3 allocates exactly those cores' private levels, and after
+// DropAll the same seeded stream reproduces a fresh hierarchy's results
+// and state.
+func TestPrivateLevelsOnFirstTouch(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.L1Size, cfg.L1Ways = 4*mem.LineSize, 2
+	cfg.L2Size, cfg.L2Ways = 8*mem.LineSize, 2
+	cfg.LLCSize, cfg.LLCWays = 32*mem.LineSize, 4
+	h := New(cfg, sim.NewStats())
+	for c := 0; c < cfg.Cores; c++ {
+		if h.l1[c] != nil || h.l2[c] != nil {
+			t.Fatalf("core %d has private levels before any access", c)
+		}
+	}
+	cores := []int{0, 3}
+	first := driveSeeded(h, cores, 7)
+	for c := 0; c < cfg.Cores; c++ {
+		touched := c == 0 || c == 3
+		if (h.l1[c] != nil) != touched || (h.l2[c] != nil) != touched {
+			t.Fatalf("core %d: L1 allocated %v, L2 allocated %v, touched %v", c, h.l1[c] != nil, h.l2[c] != nil, touched)
+		}
+	}
+	checkHierarchy(t, h, -1)
+
+	h.DropAll()
+	for c := 0; c < cfg.Cores; c++ {
+		if h.l1[c] != nil || h.l2[c] != nil {
+			t.Fatalf("core %d keeps private levels after DropAll", c)
+		}
+	}
+	sameState(t, h, New(cfg, sim.NewStats()), 64, -1)
+	if again := driveSeeded(h, cores, 7); !slices.Equal(again, first) {
+		t.Fatal("the stream after DropAll diverged from the fresh hierarchy's run")
+	}
+	fresh := New(cfg, sim.NewStats())
+	driveSeeded(fresh, cores, 7)
+	sameState(t, h, fresh, 64, -1)
 }
 
 // TestMaskedFlushMatchesAllCores drives a seeded random access stream over

@@ -34,6 +34,8 @@ type matrixColumn struct {
 	// (including padding), fed through the scheme's own scheduling.
 	setup    []trace.Op
 	measured [][][]trace.Op
+	// payload is the capture's store-data buffer both streams index.
+	payload []byte
 }
 
 // columnFromCapture derives the replay inputs from a capture.
@@ -42,7 +44,7 @@ func columnFromCapture(cap *workload.Captured) (*matrixColumn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: splitting %s capture: %w", cap.Workload, err)
 	}
-	return &matrixColumn{workload: cap.Workload, threads: cap.Threads, setup: cap.Ops[:cap.SetupOps], measured: measured}, nil
+	return &matrixColumn{workload: cap.Workload, threads: cap.Threads, setup: cap.Ops[:cap.SetupOps], measured: measured, payload: cap.Payload}, nil
 }
 
 // gatedSink forwards events only while open. The capture cell needs it
@@ -111,7 +113,7 @@ func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, 
 			err = fmt.Errorf("harness: replaying %s on %s: %v", col.workload, c.Scheme, p)
 		}
 	}()
-	if _, err := trace.ReplayOps(sys, col.setup); err != nil {
+	if _, err := trace.ReplayOps(sys, col.setup, col.payload); err != nil {
 		return Metrics{}, nil, err
 	}
 	sys.SyncClocks()
@@ -119,13 +121,13 @@ func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, 
 	cursors := make([]*trace.Cursor, col.threads)
 	for t := range runners {
 		cur := cursorPool.Get().(*trace.Cursor)
-		cur.Reset(col.workload, t, col.measured[t])
+		cur.Reset(col.workload, t, col.measured[t], col.payload)
 		cursors[t] = cur
 		runners[t] = cur
 	}
 	met = measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) })
 	for _, cur := range cursors {
-		cur.Reset("", 0, nil)
+		cur.Reset("", 0, nil, nil)
 		cursorPool.Put(cur)
 	}
 	return met, sys, nil

@@ -11,30 +11,41 @@ package skiplist
 
 const maxLevel = 24
 
-// chunkNodes is the number of nodes in one slab chunk.
+// inlineLevels is the number of tower links a node stores inline. A node
+// reaches level k+1 with probability 2^-k, so 15 of 16 nodes fit inline
+// and only the rest take links from the overflow arena.
+const inlineLevels = 4
+
+// chunkNodes is the node array's initial capacity.
 const chunkNodes = 256
 
-// node is one skip-list tower.
+// node is one skip-list tower. Links are indexes into List.nodes. Index 0
+// is the head, which no link ever targets, so 0 also means nil. Links at
+// level inlineLevels and above live in List.tower, from List.more[n] on.
+//
+// A node is 32 bytes, so two share a cache line and none straddles one;
+// keeping the tower offset inline would make it 40 and slow every search.
 type node struct {
 	key  uint64
 	val  uint64
-	next [maxLevel]*node
+	next [inlineLevels]uint32
 }
 
 // List is a skip list mapping uint64 keys to uint64 values. Not safe for
 // concurrent use.
 //
-// Nodes come from slab chunks the list owns. Delete leaves a node's slot
-// unused until the next Clear, and Clear rewinds the slab so the next fill
-// reuses every chunk: a list cleared every GC epoch stops allocating once
-// its chunks cover the largest epoch.
+// Nodes live in one array and hold no pointers, so the garbage collector
+// never scans them. Delete leaves a node's slot unused until the next
+// Clear, and Clear rewinds the arrays so the next fill reuses them: a
+// list cleared every GC epoch stops allocating once the arrays cover the
+// largest epoch.
 type List struct {
-	head     *node
+	nodes    []node   // nodes[0] is the head
+	more     []uint32 // more[n]: where node n's links above inlineLevels start in tower
+	tower    []uint32 // links above inlineLevels; the head's come first
 	level    int
 	length   int
 	rngState uint64
-	chunks   [][]node
-	used     int // slab slots handed out since the last Clear
 }
 
 // New returns an empty list. The level generator is seeded deterministically
@@ -43,7 +54,13 @@ func New(seed uint64) *List {
 	if seed == 0 {
 		seed = 0x5DEECE66D
 	}
-	return &List{head: &node{}, level: 1, rngState: seed}
+	return &List{
+		nodes:    make([]node, 1, chunkNodes),
+		more:     make([]uint32, 1, chunkNodes),
+		tower:    make([]uint32, maxLevel-inlineLevels),
+		level:    1,
+		rngState: seed,
+	}
 }
 
 func (l *List) randLevel() int {
@@ -61,97 +78,127 @@ func (l *List) randLevel() int {
 	return lvl
 }
 
+// link returns node x's successor at level i. Callers only ask a node
+// for levels below its height, so a short node's more entry is never read.
+func (l *List) link(x uint32, i int) uint32 {
+	if i < inlineLevels {
+		return l.nodes[x].next[i]
+	}
+	return l.tower[l.more[x]+uint32(i-inlineLevels)]
+}
+
+func (l *List) setLink(x uint32, i int, to uint32) {
+	if i < inlineLevels {
+		l.nodes[x].next[i] = to
+		return
+	}
+	l.tower[l.more[x]+uint32(i-inlineLevels)] = to
+}
+
 // Len reports the number of keys stored.
 func (l *List) Len() int { return l.length }
+
+// descend walks from the head toward key, recording in update[i] the last
+// node at level i whose key is below key. It returns the level-0 one and
+// the node hops taken: one per link followed plus one per level.
+func (l *List) descend(key uint64, update *[maxLevel]uint32) (x uint32, hops int) {
+	nodes, more, tower := l.nodes, l.more, l.tower
+	i := l.level - 1
+	for ; i >= inlineLevels; i-- {
+		for {
+			nx := tower[more[x]+uint32(i-inlineLevels)]
+			if nx == 0 || nodes[nx].key >= key {
+				break
+			}
+			x = nx
+			hops++
+		}
+		hops++
+		update[i] = x
+	}
+	for ; i >= 0; i-- {
+		for {
+			nx := nodes[x].next[i]
+			if nx == 0 || nodes[nx].key >= key {
+				break
+			}
+			x = nx
+			hops++
+		}
+		hops++
+		update[i] = x
+	}
+	return x, hops
+}
 
 // Get returns the value for key and the number of node hops the search
 // performed.
 func (l *List) Get(key uint64) (val uint64, ok bool, hops int) {
-	x := l.head
-	for i := l.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-			hops++
-		}
-		hops++
-	}
-	x = x.next[0]
-	if x != nil && x.key == key {
-		return x.val, true, hops
+	var update [maxLevel]uint32
+	x, hops := l.descend(key, &update)
+	if nx := l.nodes[x].next[0]; nx != 0 && l.nodes[nx].key == key {
+		return l.nodes[nx].val, true, hops
 	}
 	return 0, false, hops
 }
 
 // Set inserts or updates key, returning the hop count.
 func (l *List) Set(key, val uint64) (hops int) {
-	var update [maxLevel]*node
-	x := l.head
-	for i := l.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-			hops++
-		}
-		hops++
-		update[i] = x
-	}
-	if nx := x.next[0]; nx != nil && nx.key == key {
-		nx.val = val
+	var update [maxLevel]uint32
+	x, hops := l.descend(key, &update)
+	if nx := l.nodes[x].next[0]; nx != 0 && l.nodes[nx].key == key {
+		l.nodes[nx].val = val
 		return hops
 	}
 	lvl := l.randLevel()
 	if lvl > l.level {
-		for i := l.level; i < lvl; i++ {
-			update[i] = l.head
-		}
+		// update[l.level:lvl] is already 0, the head.
 		l.level = lvl
 	}
-	n := l.newNode(key, val)
+	n := l.newNode(key, val, lvl)
 	for i := 0; i < lvl; i++ {
-		n.next[i] = update[i].next[i]
-		update[i].next[i] = n
+		l.setLink(n, i, l.link(update[i], i))
+		l.setLink(update[i], i, n)
 	}
 	l.length++
 	return hops
 }
 
-// newNode takes the next slab slot, adding a chunk when the slab is full.
-// A reused slot keeps its old tower above the new node's level: searches
-// follow next[i] only from nodes taller than i, and Set overwrites
-// next[:level], so those stale pointers are never read.
-func (l *List) newNode(key, val uint64) *node {
-	c, i := l.used/chunkNodes, l.used%chunkNodes
-	if c == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]node, chunkNodes))
+// newNode appends a node of height lvl, taking its links above
+// inlineLevels from the tower arena. Both arrays only grow between
+// Clears, so every new node starts with nil links.
+func (l *List) newNode(key, val uint64, lvl int) uint32 {
+	n := len(l.nodes)
+	if uint64(n) >= 1<<32 || uint64(len(l.tower)) >= 1<<32-maxLevel {
+		panic("skiplist: node index overflows uint32")
 	}
-	l.used++
-	n := &l.chunks[c][i]
-	n.key, n.val = key, val
-	return n
+	var more uint32
+	if lvl > inlineLevels {
+		more = uint32(len(l.tower))
+		for i := inlineLevels; i < lvl; i++ {
+			l.tower = append(l.tower, 0)
+		}
+	}
+	l.nodes = append(l.nodes, node{key: key, val: val})
+	l.more = append(l.more, more)
+	return uint32(n)
 }
 
 // Delete removes key if present, returning whether it was found and the
 // hop count.
 func (l *List) Delete(key uint64) (found bool, hops int) {
-	var update [maxLevel]*node
-	x := l.head
-	for i := l.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-			hops++
-		}
-		hops++
-		update[i] = x
-	}
-	target := x.next[0]
-	if target == nil || target.key != key {
+	var update [maxLevel]uint32
+	x, hops := l.descend(key, &update)
+	target := l.nodes[x].next[0]
+	if target == 0 || l.nodes[target].key != key {
 		return false, hops
 	}
 	for i := 0; i < l.level; i++ {
-		if update[i].next[i] == target {
-			update[i].next[i] = target.next[i]
+		if l.link(update[i], i) == target {
+			l.setLink(update[i], i, l.link(target, i))
 		}
 	}
-	for l.level > 1 && l.head.next[l.level-1] == nil {
+	for l.level > 1 && l.link(0, l.level-1) == 0 {
 		l.level--
 	}
 	l.length--
@@ -161,24 +208,24 @@ func (l *List) Delete(key uint64) (found bool, hops int) {
 // Range calls fn for every key in [lo, hi) in ascending order until fn
 // returns false.
 func (l *List) Range(lo, hi uint64, fn func(key, val uint64) bool) {
-	x := l.head
-	for i := l.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < lo {
-			x = x.next[i]
-		}
-	}
-	for x = x.next[0]; x != nil && x.key < hi; x = x.next[0] {
-		if !fn(x.key, x.val) {
+	var update [maxLevel]uint32
+	x, _ := l.descend(lo, &update)
+	for x = l.nodes[x].next[0]; x != 0 && l.nodes[x].key < hi; x = l.nodes[x].next[0] {
+		if !fn(l.nodes[x].key, l.nodes[x].val) {
 			return
 		}
 	}
 }
 
-// Clear drops every entry and rewinds the node slab for reuse. The level
-// generator is not reseeded, so the level sequence continues across Clears.
+// Clear drops every entry and rewinds the node and tower arrays for reuse.
+// The level generator is not reseeded, so the level sequence continues
+// across Clears.
 func (l *List) Clear() {
-	l.head.next = [maxLevel]*node{}
+	l.nodes = l.nodes[:1]
+	l.more = l.more[:1]
+	l.nodes[0] = node{}
+	l.tower = l.tower[:maxLevel-inlineLevels]
+	clear(l.tower)
 	l.level = 1
 	l.length = 0
-	l.used = 0
 }

@@ -145,9 +145,9 @@ func TestClear(t *testing.T) {
 }
 
 // TestClearRefillAgainstModel runs Set/Delete/Clear/refill cycles against
-// a sorted-map model. Clear rewinds the node slab, so a refill reuses nodes
-// whose towers still point at nodes linked before: no key from before a
-// Clear may be reachable through Get, Range or Len.
+// a sorted-map model. Clear rewinds the node and tower arrays, so a refill
+// reuses slots that were linked before: no key from before a Clear may be
+// reachable through Get, Range or Len.
 func TestClearRefillAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := New(11)
@@ -247,5 +247,26 @@ func TestSetAfterClearZeroAlloc(t *testing.T) {
 	fill()
 	if allocs := testing.AllocsPerRun(50, fill); allocs != 0 {
 		t.Fatalf("Set after Clear allocates %v/run, want 0", allocs)
+	}
+}
+
+// BenchmarkEpoch times one LSM index epoch: Clear, then 60k mixed Set/Get
+// calls over 200k word-aligned keys, as the LSM baseline's mapping index
+// sees between GC passes.
+func BenchmarkEpoch(b *testing.B) {
+	const ops, keys = 60000, 200000
+	l := New(0xBEEF)
+	x := uint64(1)
+	for i := 0; i < b.N; i++ {
+		l.Clear()
+		for j := 0; j < ops; j++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			k := (x >> 33) % keys * 8
+			if x>>63 == 0 {
+				l.Set(k, x)
+			} else {
+				l.Get(k)
+			}
+		}
 	}
 }

@@ -13,19 +13,22 @@ import (
 // its load scratch buffer, so a pool of warm cursors replays cell after
 // cell with zero per-op and zero steady-state per-cell allocation.
 type Cursor struct {
-	label  string
-	thread int
-	txs    [][]Op
-	next   int
-	buf    []byte
+	label   string
+	thread  int
+	txs     [][]Op
+	payload []byte
+	next    int
+	buf     []byte
 }
 
-// Reset points the cursor at a thread's transaction segments. label names
-// the capture (for the ran-dry panic); the scratch buffer is retained.
-func (c *Cursor) Reset(label string, thread int, txs [][]Op) {
+// Reset points the cursor at a thread's transaction segments and the
+// capture's store-data buffer. label names the capture (for the ran-dry
+// panic); the scratch buffer is retained.
+func (c *Cursor) Reset(label string, thread int, txs [][]Op, payload []byte) {
 	c.label = label
 	c.thread = thread
 	c.txs = txs
+	c.payload = payload
 	c.next = 0
 }
 
@@ -42,7 +45,7 @@ func (c *Cursor) RunTx(env *engine.Env) {
 	}
 	for _, op := range c.txs[c.next] {
 		var err error
-		c.buf, err = ApplyOp(env, op, c.buf)
+		c.buf, err = ApplyOp(env, op, c.payload, c.buf)
 		if err != nil {
 			panic(err)
 		}

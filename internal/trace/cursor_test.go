@@ -53,13 +53,13 @@ func TestCursorReplayZeroAllocs(t *testing.T) {
 	dst := cursorBenchSystem(t)
 	denv := dst.NewEnv(0)
 	var cur Cursor
-	cur.Reset("alloc-test", 0, txs[0])
+	cur.Reset("alloc-test", 0, txs[0], sink.Payload)
 	for cur.Done() < txCount { // warm pass: grows the scratch buffer
 		cur.RunTx(denv)
 	}
 	allocs := testing.AllocsPerRun(2*txCount, func() {
 		if cur.Done() == txCount {
-			cur.Reset("alloc-test", 0, txs[0])
+			cur.Reset("alloc-test", 0, txs[0], sink.Payload)
 		}
 		cur.RunTx(denv)
 	})

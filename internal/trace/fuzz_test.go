@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hoop/internal/engine"
@@ -14,15 +15,19 @@ import (
 // thread (3 is out of range for the three-thread fuzz system) and the
 // remaining bits, mod fzActions, the action. A word-range byte holds a
 // word index in its low six bits and the word count minus one in its high
-// two. A truncated final record is dropped.
+// two. A back-offset byte counts words back from the current end of the
+// payload buffer; counting back past its start wraps the offset to the top
+// of the uint64 range, where no payload reaches and the end overflows. A
+// truncated final record is dropped.
 const (
 	fzLoad   = 0 << 2 // + word-range byte
 	fzStore  = 1 << 2 // + word-range byte, value byte
 	fzScan   = 2 << 2 // + item-count byte
 	fzCommit = 3 << 2
 	fzAbort  = 4 << 2
+	fzReuse  = 5 << 2 // + word-range byte, back-offset byte: a store replaying payload bytes, in range or not
 
-	fzActions    = 5
+	fzActions    = 6
 	fuzzThreads  = 3
 	fuzzRegion   = 1 << 12 // bytes per thread; threads never share a word
 	fuzzRegionWd = fuzzRegion / mem.WordSize
@@ -37,6 +42,7 @@ const (
 var fuzzTraceFixture = []byte{
 	fzStore | 0, 0x01, 0x11, // t0 begins: word 1
 	fzStore | 0, 0x42, 0x12, // words 2-3
+	fzReuse | 0, 0x44, 0x03, // words 4-5 take the payload's first two words
 	fzLoad | 0, 0xC0, //        words 0-3
 	fzCommit | 0,
 	fzStore | 1, 0x05, 0x21,
@@ -112,17 +118,23 @@ var fuzzTraceFixture = []byte{
 	fzStore | 1, 0x02, 0x2B,
 	fzCommit | 0,
 	fzCommit | 1,
+	fzReuse | 2, 0x85, 0x03, // a window ending at the payload's current end
+	fzCommit | 2,
+	fzReuse | 1, 0x46, 0x01, // a window one word past the current end
+	fzCommit | 1,
+	fzReuse | 0, 0x07, 0x7F, // counted back past the start: the offset wraps
+	fzCommit | 0,
 	fzStore | 3, 0x00, 0x41, // thread 3 is out of range
 	fzCommit | 3,
 }
 
-// decodeFuzzOps turns fuzz bytes into an op stream that is well formed
-// per thread except for what SplitTxs and ReplayOps must catch: a thread
-// outside the system and a transaction left open at the end. Every
-// action opens its thread's transaction first if none is open, and each
-// thread addresses only its own region.
-func decodeFuzzOps(raw []byte) []Op {
-	var ops []Op
+// decodeFuzzOps turns fuzz bytes into an op stream and its payload
+// buffer, well formed per thread except for what SplitTxs and ReplayOps
+// must catch: a thread outside the system, a transaction left open at the
+// end (SplitTxs), and a store whose bytes fall outside the payload
+// (ReplayOps and Cursor). Every action opens its thread's transaction
+// first if none is open, and each thread addresses only its own region.
+func decodeFuzzOps(raw []byte) (ops []Op, payload []byte) {
 	var open [4]bool
 	wordRange := func(th uint16, b byte) (mem.PAddr, uint32) {
 		word := uint64(th)*fuzzRegionWd + uint64(b&0x3F)
@@ -136,23 +148,29 @@ func decodeFuzzOps(raw []byte) []Op {
 		switch (h >> 2) % fzActions {
 		case fzLoad >> 2:
 			if n = 2; len(raw) < n {
-				return ops
+				return ops, payload
 			}
 			addr, size := wordRange(th, raw[1])
 			op = Op{Kind: OpLoad, Addr: addr, Size: size}
 		case fzStore >> 2:
 			if n = 3; len(raw) < n {
-				return ops
+				return ops, payload
 			}
 			addr, size := wordRange(th, raw[1])
-			data := make([]byte, size)
-			for w := 0; w < len(data); w += mem.WordSize {
-				binary.LittleEndian.PutUint64(data[w:], uint64(raw[2])<<8|uint64(w))
+			op = Op{Kind: OpStore, Addr: addr, Size: size, Off: uint64(len(payload))}
+			for w := uint32(0); w < size; w += mem.WordSize {
+				payload = binary.LittleEndian.AppendUint64(payload, uint64(raw[2])<<8|uint64(w))
 			}
-			op = Op{Kind: OpStore, Addr: addr, Size: size, Data: data}
+		case fzReuse >> 2:
+			if n = 3; len(raw) < n {
+				return ops, payload
+			}
+			addr, size := wordRange(th, raw[1])
+			off := uint64(len(payload)) - uint64(raw[2]&0x7F)*mem.WordSize
+			op = Op{Kind: OpStore, Addr: addr, Size: size, Off: off}
 		case fzScan >> 2:
 			if n = 2; len(raw) < n {
-				return ops
+				return ops, payload
 			}
 			op = Op{Kind: OpScan, Addr: mem.PAddr(raw[1]) * 16, Size: uint32(raw[1])}
 		case fzCommit >> 2:
@@ -171,7 +189,7 @@ func decodeFuzzOps(raw []byte) []Op {
 		}
 		raw = raw[n:]
 	}
-	return ops
+	return ops, payload
 }
 
 func fuzzSystem(t *testing.T, scheme string) *engine.System {
@@ -193,24 +211,39 @@ func fuzzSystem(t *testing.T, scheme string) *engine.System {
 
 func isClose(op Op) bool { return op.Kind == OpTxEnd || op.Kind == OpTxAbort }
 
+// runCursor replays segs through cur on env and returns what it panicked
+// with, if anything.
+func runCursor(cur *Cursor, env *engine.Env, segs [][]Op) (panicked any) {
+	defer func() { panicked = recover() }()
+	for cur.Done() < len(segs) {
+		cur.RunTx(env)
+	}
+	return nil
+}
+
 // FuzzTraceReader drives the in-memory trace readers with arbitrary op
 // streams. ReplayOps must reject exactly the streams naming a thread
-// outside the system, and SplitTxs those plus streams that leave a
+// outside the system or a store outside the payload, and SplitTxs, which
+// never reads the payload, the first plus streams that leave a
 // transaction open. A stream SplitTxs accepts must come back as each
-// thread's ops in order, cut after every TxEnd/TxAbort and nowhere else,
-// and replaying those segments through Cursors on Opt-Undo must commit
-// the same transactions, abort the same ones and recover the same
-// durable words as ReplayOps of the captured interleaving on HOOP.
+// thread's ops in order, cut after every TxEnd/TxAbort and nowhere else.
+// Replaying those segments through Cursors on Opt-Undo must panic with
+// the payload error exactly when a store falls outside the payload, and
+// otherwise commit the same transactions, abort the same ones and recover
+// the same durable words as ReplayOps of the captured interleaving on
+// HOOP.
 func FuzzTraceReader(f *testing.F) {
 	for n := 0; n <= len(fuzzTraceFixture); n++ {
 		f.Add(fuzzTraceFixture[:n])
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		ops := decodeFuzzOps(raw)
-		var outOfRange, openTail bool
+		ops, payload := decodeFuzzOps(raw)
+		var outOfRange, openTail, badStore bool
 		var last [4]Op
 		for _, op := range ops {
 			outOfRange = outOfRange || op.Thread >= fuzzThreads
+			n := uint64(len(payload))
+			badStore = badStore || (op.Kind == OpStore && (op.Off > n || uint64(op.Size) > n-op.Off))
 			last[op.Thread] = op
 		}
 		for _, op := range last {
@@ -218,9 +251,9 @@ func FuzzTraceReader(f *testing.F) {
 		}
 
 		direct := fuzzSystem(t, engine.SchemeHOOP)
-		commits, replayErr := ReplayOps(direct, ops)
-		if (replayErr != nil) != outOfRange {
-			t.Fatalf("ReplayOps error %v, out-of-range thread %v", replayErr, outOfRange)
+		commits, replayErr := ReplayOps(direct, ops, payload)
+		if (replayErr != nil) != (outOfRange || badStore) {
+			t.Fatalf("ReplayOps error %v, out-of-range thread %v, store outside the payload %v", replayErr, outOfRange, badStore)
 		}
 		txs, splitErr := SplitTxs(ops, fuzzThreads)
 		if (splitErr != nil) != (outOfRange || openTail) {
@@ -232,6 +265,7 @@ func FuzzTraceReader(f *testing.F) {
 
 		replayed := fuzzSystem(t, engine.SchemeUndo)
 		var cur Cursor
+		var panicked any
 		for th, segs := range txs {
 			var joined []Op
 			for i, seg := range segs {
@@ -253,15 +287,23 @@ func FuzzTraceReader(f *testing.F) {
 			}
 			for i := range want {
 				g, w := joined[i], want[i]
-				if g.Kind != w.Kind || g.Thread != w.Thread || g.Addr != w.Addr || g.Size != w.Size || !bytes.Equal(g.Data, w.Data) {
+				if g != w {
 					t.Fatalf("thread %d op %d: segments hold %+v, stream has %+v", th, i, g, w)
 				}
 			}
-			env := replayed.NewEnv(th)
-			cur.Reset("fuzz", th, segs)
-			for cur.Done() < len(segs) {
-				cur.RunTx(env)
+			cur.Reset("fuzz", th, segs, payload)
+			if p := runCursor(&cur, replayed.NewEnv(th), segs); p != nil && panicked == nil {
+				panicked = p
 			}
+		}
+		if panicked != nil {
+			if !badStore || !strings.Contains(fmt.Sprint(panicked), "payload") {
+				t.Fatalf("cursor replay panicked with %v, store outside the payload %v", panicked, badStore)
+			}
+			return
+		}
+		if badStore {
+			t.Fatal("cursor replay accepted a store outside the payload")
 		}
 
 		ds, rs := direct.Snapshot(), replayed.Snapshot()

@@ -6,10 +6,11 @@ import (
 	"hoop/internal/engine"
 )
 
-// ApplyOp issues one recorded op against env. buf is a scratch buffer for
-// load destinations, grown as needed and returned for reuse; pass nil on
-// the first call.
-func ApplyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
+// ApplyOp issues one recorded op against env. payload is the capture's
+// store-data buffer (OpSink.Payload); a store whose bytes fall outside it
+// is an error. buf is a scratch buffer for load destinations, grown as
+// needed and returned for reuse; pass nil on the first call.
+func ApplyOp(env *engine.Env, op Op, payload, buf []byte) ([]byte, error) {
 	switch op.Kind {
 	case OpTxBegin:
 		env.TxBegin()
@@ -23,7 +24,10 @@ func ApplyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
 		}
 		env.Read(op.Addr, buf[:op.Size])
 	case OpStore:
-		env.Write(op.Addr, op.Data)
+		if op.Off > uint64(len(payload)) || uint64(op.Size) > uint64(len(payload))-op.Off {
+			return buf, fmt.Errorf("trace: store of %d bytes at payload offset %d overruns the %d-byte payload", op.Size, op.Off, len(payload))
+		}
+		env.Write(op.Addr, payload[op.Off:op.Off+uint64(op.Size)])
 	case OpScan:
 		env.NoteScan(int(op.Size), int(op.Addr))
 	default:
@@ -36,8 +40,9 @@ func ApplyOp(env *engine.Env, op Op, buf []byte) ([]byte, error) {
 // thread's operations execute in recorded order (interleaved exactly as
 // captured), through whatever persistence scheme sys is configured with.
 // It returns the number of committed transactions replayed. Replaying ops
-// that carry aborts requires a system built with Config.Abortable.
-func ReplayOps(sys *engine.System, ops []Op) (int64, error) {
+// that carry aborts requires a system built with Config.Abortable. payload
+// is the capture's store-data buffer.
+func ReplayOps(sys *engine.System, ops []Op, payload []byte) (int64, error) {
 	envs := make([]*engine.Env, sys.Config().Threads)
 	for i := range envs {
 		envs[i] = sys.NewEnv(i)
@@ -49,7 +54,7 @@ func ReplayOps(sys *engine.System, ops []Op) (int64, error) {
 			return txs, fmt.Errorf("trace: op for thread %d but system has %d threads", op.Thread, len(envs))
 		}
 		var err error
-		if buf, err = ApplyOp(envs[op.Thread], op, buf); err != nil {
+		if buf, err = ApplyOp(envs[op.Thread], op, payload, buf); err != nil {
 			return txs, err
 		}
 		if op.Kind == OpTxEnd {

@@ -25,15 +25,19 @@ const (
 )
 
 // Op is one traced operation. Thread identifies the issuing workload
-// thread; Data is present only for stores. Scan ops reuse the fields for
-// accounting: Size carries the item count and Addr the total value bytes
-// the scan read.
+// thread. A store's data is the Size bytes at Off in the capture's payload
+// buffer (OpSink.Payload); Off is zero for every other kind. Scan ops
+// reuse the fields for accounting: Size carries the item count and Addr
+// the total value bytes the scan read.
+//
+// Op holds no pointers and packs into 24 bytes, so a capture's op stream
+// is one flat allocation the garbage collector never scans.
 type Op struct {
 	Kind   byte
 	Thread uint16
-	Addr   mem.PAddr
 	Size   uint32
-	Data   []byte
+	Addr   mem.PAddr
+	Off    uint64
 }
 
 // RecordMask is the telemetry subscription an OpSink needs: the per-op
@@ -44,9 +48,8 @@ var RecordMask = telemetry.MaskOf(telemetry.KindTxBegin, telemetry.KindTxCommit,
 
 // opFromEvent converts one per-op telemetry event into a trace Op.
 // ok is false for kinds outside RecordMask; err is set when the event
-// cannot be represented (core outside the uint16 thread field). The
-// returned op's Data aliases e.Data, which is only valid for the duration
-// of Emit — callers that keep the op must copy it.
+// cannot be represented (core outside the uint16 thread field). A store's
+// Size is its data length; the caller places the data and sets Off.
 func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 	if e.Core < 0 || int64(e.Core) > 0xFFFF {
 		// Wrapping would route ops to the wrong replay env, so fail the
@@ -64,7 +67,7 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 	case telemetry.KindLoad:
 		return Op{Kind: OpLoad, Thread: th, Addr: e.Addr, Size: uint32(e.Bytes)}, true, nil
 	case telemetry.KindStore:
-		return Op{Kind: OpStore, Thread: th, Addr: e.Addr, Size: uint32(len(e.Data)), Data: e.Data}, true, nil
+		return Op{Kind: OpStore, Thread: th, Addr: e.Addr, Size: uint32(len(e.Data))}, true, nil
 	case telemetry.KindScan:
 		// Size is the item count (Aux), Addr the value bytes the scan
 		// read (Bytes).
@@ -77,9 +80,9 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 // memory while they execute: subscribe it to a system's hub with
 // RecordMask and run the workload. The engine executes on one goroutine
 // and emits exactly one event per operation in issue order, so Ops is the
-// operation stream. Store payloads are copied into a grow-only arena
-// (events only alias the written bytes during Emit), so collection does
-// one bulk allocation per 64 KiB of payload rather than one per store.
+// operation stream. Store data is copied onto the end of Payload (events
+// only alias the written bytes during Emit), and each store Op records
+// where its bytes landed; Ops and Payload are replayed together.
 //
 // An event Op cannot represent makes the sink's error sticky: further
 // events are dropped and the error surfaces from Err. Emit cannot return
@@ -87,9 +90,9 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 // engine's emit path would kill the whole worker, so sticky-and-surface
 // is the contract.
 type OpSink struct {
-	Ops   []Op
-	arena byteArena
-	err   error
+	Ops     []Op
+	Payload []byte
+	err     error
 }
 
 // Emit implements telemetry.Sink.
@@ -103,10 +106,9 @@ func (s *OpSink) Emit(e telemetry.Event) {
 		return
 	}
 	if ok {
-		if len(op.Data) > 0 {
-			cp := s.arena.alloc(len(op.Data))
-			copy(cp, op.Data)
-			op.Data = cp
+		if op.Kind == OpStore {
+			op.Off = uint64(len(s.Payload))
+			s.Payload = append(s.Payload, e.Data...)
 		}
 		s.Ops = append(s.Ops, op)
 	}
@@ -116,24 +118,3 @@ func (s *OpSink) Emit(e telemetry.Event) {
 func (s *OpSink) Err() error { return s.err }
 
 var _ telemetry.Sink = (*OpSink)(nil)
-
-// byteArena hands out chunks of a grow-only backing store. Previously
-// returned slices stay valid forever (blocks are never reused), which is
-// what lets captured ops alias it.
-type byteArena struct {
-	cur []byte
-}
-
-const arenaBlock = 64 << 10
-
-func (a *byteArena) alloc(n int) []byte {
-	if n > arenaBlock/2 {
-		return make([]byte, n)
-	}
-	if len(a.cur)+n > cap(a.cur) {
-		a.cur = make([]byte, 0, arenaBlock)
-	}
-	b := a.cur[len(a.cur) : len(a.cur)+n : len(a.cur)+n]
-	a.cur = a.cur[:len(a.cur)+n]
-	return b
-}

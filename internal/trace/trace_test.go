@@ -55,7 +55,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	// Replay onto Opt-Undo and verify its recovered state matches the
 	// original system's committed oracle.
 	dst := traceSystem(t, engine.SchemeUndo)
-	txs, err := ReplayOps(dst, sink.Ops)
+	txs, err := ReplayOps(dst, sink.Ops, sink.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 
 func TestReplayThreadBoundsChecked(t *testing.T) {
 	sys := traceSystem(t, engine.SchemeNative)
-	if _, err := ReplayOps(sys, []Op{{Kind: OpTxBegin, Thread: 9}}); err == nil {
+	if _, err := ReplayOps(sys, []Op{{Kind: OpTxBegin, Thread: 9}}, nil); err == nil {
 		t.Fatal("out-of-range thread must fail")
 	}
 }
@@ -153,7 +153,7 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 	}
 
 	dst := abortSys(engine.SchemeUndo)
-	txs, err := ReplayOps(dst, sink.Ops)
+	txs, err := ReplayOps(dst, sink.Ops, sink.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSplitTxs(t *testing.T) {
 		{Kind: OpLoad, Thread: 1, Addr: 0, Size: 8}, // pre-tx op attaches forward
 		{Kind: OpTxBegin, Thread: 0},
 		{Kind: OpTxBegin, Thread: 1},
-		{Kind: OpStore, Thread: 0, Addr: 8, Size: 8, Data: make([]byte, 8)},
+		{Kind: OpStore, Thread: 0, Addr: 8, Size: 8, Off: 16},
 		{Kind: OpTxAbort, Thread: 1},
 		{Kind: OpTxEnd, Thread: 0},
 		{Kind: OpTxBegin, Thread: 0},
@@ -201,10 +201,44 @@ func TestSplitTxs(t *testing.T) {
 	if len(txs[1][0]) != 3 || txs[1][0][0].Kind != OpLoad || txs[1][0][2].Kind != OpTxAbort {
 		t.Fatalf("thread 1 segment wrong: %v", txs[1][0])
 	}
+	if txs[0][0][1] != ops[3] {
+		t.Fatalf("store split as %+v, want %+v (payload offset kept)", txs[0][0][1], ops[3])
+	}
 	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 5}}, 2); err == nil {
 		t.Fatal("out-of-range thread must fail")
 	}
 	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 0}}, 1); err == nil {
 		t.Fatal("trailing open transaction must fail")
 	}
+}
+
+// TestApplyOpPayloadBounds pins the store bounds check: a store whose
+// bytes end exactly at the end of the payload replays, and one reaching a
+// byte past it, or starting past it, is an error rather than a slice
+// panic.
+func TestApplyOpPayloadBounds(t *testing.T) {
+	sys := traceSystem(t, engine.SchemeNative)
+	env := sys.NewEnv(0)
+	payload := make([]byte, 24)
+	for i := range payload {
+		payload[i] = byte(i + 1)
+	}
+	env.TxBegin()
+	if _, err := ApplyOp(env, Op{Kind: OpStore, Addr: 64, Size: 16, Off: 8}, payload, nil); err != nil {
+		t.Fatalf("store ending at the payload's end: %v", err)
+	}
+	if got, want := env.ReadWord(64), uint64(0x100f0e0d0c0b0a09); got != want {
+		t.Fatalf("stored word %#x, want %#x", got, want)
+	}
+	for _, op := range []Op{
+		{Kind: OpStore, Addr: 64, Size: 16, Off: 9},
+		{Kind: OpStore, Addr: 64, Size: 17, Off: 8},
+		{Kind: OpStore, Addr: 64, Size: 0, Off: 25},
+		{Kind: OpStore, Addr: 64, Size: 8, Off: math.MaxUint64 - 3},
+	} {
+		if _, err := ApplyOp(env, op, payload, nil); err == nil || !strings.Contains(err.Error(), "payload") {
+			t.Fatalf("store %+v over a %d-byte payload: got %v, want a payload error", op, len(payload), err)
+		}
+	}
+	env.TxEnd()
 }

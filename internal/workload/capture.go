@@ -24,6 +24,9 @@ type Captured struct {
 	SetupOps int
 	// Ops is the full recorded stream.
 	Ops []trace.Op
+	// Payload holds the stores' data; each store Op names its bytes by
+	// offset and size.
+	Payload []byte
 }
 
 // padHeadroom sizes the per-thread padding: every thread's measured
@@ -79,5 +82,6 @@ func Capture(sys *engine.System, w Workload, seed uint64, run func(runners []eng
 		Threads:  threads,
 		SetupOps: setupOps,
 		Ops:      sink.Ops,
+		Payload:  sink.Payload,
 	}, nil
 }
