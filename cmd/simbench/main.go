@@ -10,11 +10,13 @@
 // Usage:
 //
 //	simbench [-o BENCH_simcore.json] [-baseline old.json] [-failregress 0.05]
+//	         [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // With -baseline, each primitive also reports its speedup over the
 // baseline file's ns/op (speedup > 1 means this tree is faster). With
 // -failregress F the process exits non-zero when any primitive is more
-// than the fraction F slower than the baseline — the CI hot-path gate.
+// than the fraction F slower than the baseline, allocates more per op, or
+// is in the baseline but no longer measured — the CI hot-path gate.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hoop/internal/cache"
@@ -57,10 +60,10 @@ type File struct {
 	BaselineFile string `json:"baseline_file,omitempty"`
 }
 
-// benchmarks maps primitive names to their measurement loops. Each mirrors
-// the testing.B benchmark of the same shape in the internal packages; the
-// canonical definitions of what each primitive means live here so the JSON
-// stays comparable across commits.
+// benchmarks maps primitive names to their measurement loops. This map is
+// the sole definition of every gated primitive: no package benchmark
+// restates one, so the JSON stays comparable across commits and a change
+// to what a primitive measures shows up here and nowhere else.
 func benchmarks() map[string]func(b *testing.B) {
 	const region = 16 * mem.PageSize
 	return map[string]func(b *testing.B){
@@ -197,6 +200,14 @@ func benchmarks() map[string]func(b *testing.B) {
 		// committed transaction. Zero steady-state allocations.
 		"cc_2pl_tx4_t4": func(b *testing.B) {
 			r, srcs := ccRunnerForBench(b, cc.Policy2PL, 4)
+			r.Run(srcs, 200)
+			b.ResetTimer()
+			r.Run(srcs, b.N)
+		},
+		// cc_occ_tx4 over the same 4 disjoint threads: the handoff plus
+		// OCC's per-thread buffers. Zero steady-state allocations.
+		"cc_occ_tx4_t4": func(b *testing.B) {
+			r, srcs := ccRunnerForBench(b, cc.PolicyOCC, 4)
 			r.Run(srcs, 200)
 			b.ResetTimer()
 			r.Run(srcs, b.N)
@@ -342,21 +353,33 @@ func engineForBench(b *testing.B) *engine.System {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_simcore.json", "output JSON path (- for stdout)")
-	baselinePath := flag.String("baseline", "", "previous BENCH_simcore.json to compute speedups against")
-	failRegress := flag.Float64("failregress", 0,
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run measures every primitive in name order, printing one line each to
+// stderr, and writes the JSON to -o (out when -o is "-"). The gate's
+// verdict is its error, returned once the JSON is written; the deferred
+// profile stop runs on every return, so a failing gate keeps both profiles.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("simbench", flag.ContinueOnError)
+	outPath := fs.String("o", "BENCH_simcore.json", "output JSON path (- for stdout)")
+	baselinePath := fs.String("baseline", "", "previous BENCH_simcore.json to compute speedups against")
+	failRegress := fs.Float64("failregress", 0,
 		"fail when any primitive regresses more than this fraction vs -baseline (0 disables; e.g. 0.05 = 5%)")
 	var common clihelp.Common
-	common.Register(flag.CommandLine, clihelp.FlagProfile)
-	flag.Parse()
+	common.Register(fs, clihelp.FlagProfile)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *failRegress > 0 && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "simbench: -failregress needs -baseline")
-		os.Exit(1)
+		return fmt.Errorf("-failregress needs -baseline")
 	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	defer stopProfiles()
 
@@ -371,19 +394,18 @@ func main() {
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		baseline = &File{}
 		if err := json.Unmarshal(data, baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: bad baseline: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("bad baseline: %w", err)
 		}
 		f.BaselineFile = *baselinePath
 	}
 
-	for name, fn := range benchmarks() {
-		fn := fn
+	bms := benchmarks()
+	for _, name := range sortedNames(bms) {
+		fn := bms[name]
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			fn(b)
@@ -392,63 +414,85 @@ func main() {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 		}
+		fmt.Fprintf(os.Stderr, "%-28s %10.1f ns/op  %4d allocs/op", name, pr.NsPerOp, pr.AllocsPerOp)
 		if baseline != nil {
-			if base, ok := baseline.Primitives[name]; ok && pr.NsPerOp > 0 {
+			base, ok := baseline.Primitives[name]
+			switch {
+			case !ok:
+				fmt.Fprint(os.Stderr, "  no baseline")
+			case pr.NsPerOp > 0:
 				pr.SpeedupVsBaseline = base.NsPerOp / pr.NsPerOp
+				fmt.Fprintf(os.Stderr, "  %5.2fx vs baseline", pr.SpeedupVsBaseline)
 			}
 		}
-		f.Primitives[name] = pr
-		fmt.Fprintf(os.Stderr, "%-28s %10.1f ns/op  %4d allocs/op", name, pr.NsPerOp, pr.AllocsPerOp)
-		if pr.SpeedupVsBaseline > 0 {
-			fmt.Fprintf(os.Stderr, "  %5.2fx vs baseline", pr.SpeedupVsBaseline)
-		}
 		fmt.Fprintln(os.Stderr)
+		f.Primitives[name] = pr
 	}
 
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		file, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer file.Close()
-		w = file
+	if *outPath == "-" {
+		_, err = out.Write(data)
+	} else {
+		err = os.WriteFile(*outPath, data, 0o644)
 	}
-	if _, err := w.Write(data); err != nil {
-		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-		os.Exit(1)
+	if err != nil {
+		return err
 	}
 
 	if *failRegress > 0 {
-		// Wall-clock benchmarks on shared CI runners are noisy; a regression
-		// must clear the threshold to fail the gate, and the threshold is the
-		// caller's to tune (CI uses 5%).
-		limit := 1 / (1 + *failRegress)
-		failed := false
-		for name, pr := range f.Primitives {
-			if pr.SpeedupVsBaseline > 0 && pr.SpeedupVsBaseline < limit {
-				fmt.Fprintf(os.Stderr, "simbench: REGRESSION %s: %.1f%% slower than baseline (%.2fx)\n",
-					name, (1/pr.SpeedupVsBaseline-1)*100, pr.SpeedupVsBaseline)
-				failed = true
+		if regs := regressions(f, baseline, *failRegress); len(regs) > 0 {
+			for _, r := range regs {
+				fmt.Fprintf(os.Stderr, "simbench: REGRESSION %s\n", r)
 			}
-			// Allocation counts are exact integers, not wall-clock noise: any
-			// increase over the baseline is a real new allocation on the hot
-			// path and fails the gate outright.
-			if base, ok := baseline.Primitives[name]; ok && pr.AllocsPerOp > base.AllocsPerOp {
-				fmt.Fprintf(os.Stderr, "simbench: REGRESSION %s: %d allocs/op, baseline has %d\n",
-					name, pr.AllocsPerOp, base.AllocsPerOp)
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
+			return fmt.Errorf("%d regressions against %s", len(regs), *baselinePath)
 		}
 	}
+	return nil
+}
+
+// regressions lists, ordered by primitive name, every way cur fails the
+// gate against base: a primitive more than the fraction frac slower in
+// ns/op, one with more allocs/op, or one base lists that cur did not
+// measure (deleted or renamed). A primitive base does not list yet passes.
+func regressions(cur, base *File, frac float64) []string {
+	// Wall-clock benchmarks on shared CI runners are noisy; a regression
+	// must clear the threshold to fail the gate, and the threshold is the
+	// caller's to tune (CI uses 5%).
+	limit := 1 / (1 + frac)
+	var regs []string
+	for _, name := range sortedNames(base.Primitives) {
+		b := base.Primitives[name]
+		c, ok := cur.Primitives[name]
+		if !ok {
+			regs = append(regs, fmt.Sprintf("%s: in the baseline but not measured", name))
+			continue
+		}
+		if c.NsPerOp > 0 && b.NsPerOp > 0 {
+			if speedup := b.NsPerOp / c.NsPerOp; speedup < limit {
+				regs = append(regs, fmt.Sprintf("%s: %.1f%% slower than baseline (%.2fx)",
+					name, (1/speedup-1)*100, speedup))
+			}
+		}
+		// Allocation counts are exact integers, not wall-clock noise: any
+		// increase over the baseline is a real new allocation on the hot
+		// path and fails the gate outright.
+		if c.AllocsPerOp > b.AllocsPerOp {
+			regs = append(regs, fmt.Sprintf("%s: %d allocs/op, baseline has %d",
+				name, c.AllocsPerOp, b.AllocsPerOp))
+		}
+	}
+	return regs
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

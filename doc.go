@@ -20,6 +20,5 @@
 // Entry points: cmd/hoopbench (full evaluation, Figure 11's recovery
 // experiment included), cmd/hoopsim (single configuration), and the
 // runnable programs under examples/; DESIGN.md (S18) names the one job of
-// every cmd/ and examples/ program. The benchmarks in bench_test.go
-// regenerate each paper artifact via `go test -bench`.
+// every cmd/ and examples/ program.
 package hoopnvm

@@ -9,17 +9,8 @@ import (
 
 // Hierarchy.Lookup runs once per simulated load/store line touch; Fill
 // once per LLC miss. Together with mem.Store they bound the replay rate of
-// every figure in the evaluation.
-
-func BenchmarkLookupL1Hit(b *testing.B) {
-	h := New(DefaultConfig(1), sim.NewStats())
-	h.Fill(0, 0, false, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Lookup(0, 0, false, false)
-	}
-}
+// every figure in the evaluation. The read-hit probe is simbench's
+// cache_lookup_l1_hit primitive.
 
 func BenchmarkLookupWriteHit(b *testing.B) {
 	h := New(DefaultConfig(1), sim.NewStats())

@@ -57,7 +57,7 @@ func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource
 // slice, one goroutine spawn) below 0.05 allocs/tx. A lone thread grants
 // every step to itself, so after Run's first grant no channel operation
 // happens; grants between threads go over the preallocated resume
-// channels and allocate nothing either (BenchmarkCCTx4Threads4).
+// channels and allocate nothing either (simbench's cc_2pl_tx4_t4).
 func perTxAllocs(tb testing.TB, policy Policy) float64 {
 	r, srcs := benchRunner(tb, policy, 1)
 	r.Run(srcs, 200)
@@ -82,33 +82,5 @@ func TestLockTableAllocBudget(t *testing.T) {
 	// The strict-zero budget leaves only the amortized per-Run overhead.
 	if got := perTxAllocs(t, Policy2PL); got > 0.05 {
 		t.Errorf("2PL: %.3f allocs per committed tx, steady-state budget is 0", got)
-	}
-}
-
-// BenchmarkCCTx4 measures one committed 4-word read-modify-write
-// transaction through the cc layer under each policy — the op-granularity
-// yield protocol plus the policy's bookkeeping. One thread always picks
-// itself and never switches goroutines; BenchmarkCCTx4Threads4 measures
-// the thread-to-thread handoff.
-func BenchmarkCCTx4(b *testing.B) {
-	benchTx4(b, 1)
-}
-
-// BenchmarkCCTx4Threads4 is BenchmarkCCTx4 over 4 threads on disjoint
-// lines: no conflicts, but the smallest-clock grant moves between thread
-// goroutines at nearly every step.
-func BenchmarkCCTx4Threads4(b *testing.B) {
-	benchTx4(b, 4)
-}
-
-func benchTx4(b *testing.B, threads int) {
-	for _, policy := range Policies {
-		b.Run(string(policy), func(b *testing.B) {
-			r, srcs := benchRunner(b, policy, threads)
-			r.Run(srcs, 200) // steady state
-			b.ReportAllocs()
-			b.ResetTimer()
-			r.Run(srcs, b.N)
-		})
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"hoop/internal/mem"
 )
 
-// benchSystem builds a small HOOP system sized like the per-scheme
-// transaction benchmarks at the repo root, but driven directly through an
-// Env so the engine's per-operation cost (clock advance, cache access,
-// scheme store path) is measured without workload logic on top.
+// benchSystem builds a small HOOP system, sized like simbench's engine
+// primitives and driven directly through an Env so the engine's
+// per-operation cost (clock advance, cache access, logical view) is
+// measured without workload logic on top. The four-store transaction is
+// simbench's engine_tx_write4 primitive.
 func benchSystem(b *testing.B) *engine.System {
 	b.Helper()
 	cfg := engine.DefaultConfig(engine.SchemeHOOP)
@@ -24,24 +25,6 @@ func benchSystem(b *testing.B) *engine.System {
 		b.Fatal(err)
 	}
 	return sys
-}
-
-// BenchmarkEngineTxWrite4 measures one transaction of four 8-byte stores —
-// the engine-op primitive underneath every workload.
-func BenchmarkEngineTxWrite4(b *testing.B) {
-	sys := benchSystem(b)
-	env := sys.NewEnv(0)
-	const span = 1 << 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := mem.PAddr(uint64(i) * 4 * mem.WordSize % span)
-		env.TxBegin()
-		for w := 0; w < 4; w++ {
-			env.WriteWord(base+mem.PAddr(w*mem.WordSize), uint64(i))
-		}
-		env.TxEnd()
-	}
 }
 
 // BenchmarkEngineReadWord measures one non-transactional load through the

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -135,6 +136,25 @@ func cellKey(c Cell) string {
 		c.Workload.Name, c.Seed, c.Txs, c.Workload.Opts, c.Policy))
 }
 
+// maxEntryBytes caps how much of a cache file is ever read. Cache bytes
+// are untrusted and a real entry is about 1 KB, so anything larger is a
+// miss (and "foreign" to the inventory), never an unbounded allocation.
+const maxEntryBytes = 1 << 20
+
+// readEntry reads the file at path, failing once it exceeds maxEntryBytes.
+func readEntry(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(io.LimitReader(f, maxEntryBytes+1))
+	if err == nil && len(raw) > maxEntryBytes {
+		err = fmt.Errorf("%s: over the %d-byte cache entry cap", path, maxEntryBytes)
+	}
+	return raw, err
+}
+
 // encodeEntry renders v as the bytes cacheStore writes for it.
 func encodeEntry(kind string, v any) ([]byte, error) {
 	val, err := json.Marshal(v)
@@ -145,13 +165,14 @@ func encodeEntry(kind string, v any) ([]byte, error) {
 }
 
 // cacheLoad returns the value stored under key, or a miss on any problem:
-// a missing file, bad JSON, the wrong schema or kind, or bytes that are
-// not exactly what cacheStore would have written for the decoded value.
-// Corruption therefore degrades to re-execution, never to wrong numbers.
+// a missing or oversized file, bad JSON, the wrong schema or kind, or
+// bytes that are not exactly what cacheStore would have written for the
+// decoded value. Corruption therefore degrades to re-execution, never to
+// wrong numbers.
 func cacheLoad[T any](cc *cellCache, kind, key string) (T, bool) {
 	var e cacheEntry
 	var v T
-	raw, err := os.ReadFile(filepath.Join(cc.dir, key+".json"))
+	raw, err := readEntry(filepath.Join(cc.dir, key+".json"))
 	ok := err == nil && json.Unmarshal(raw, &e) == nil && e.Schema == cacheSchema && e.Kind == kind && json.Unmarshal(e.Value, &v) == nil
 	if ok {
 		canon, err := encodeEntry(kind, v)
@@ -240,7 +261,7 @@ func (cc *cellCache) writeFile(name string, data []byte) error {
 // ReadCacheInventory summarizes a cell cache directory without running
 // anything (hoopbench -cachestats): files by entry kind ("foreign" for
 // anything that is not a current-schema entry of a kind this build
-// writes), orphaned temps, and total bytes.
+// writes, or is over the entry size cap), orphaned temps, and total bytes.
 func ReadCacheInventory(dir string) (string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -257,7 +278,7 @@ func ReadCacheInventory(dir string) (string, error) {
 		files++
 		total += info.Size()
 		var e cacheEntry
-		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		raw, err := readEntry(filepath.Join(dir, ent.Name()))
 		switch {
 		case strings.Contains(ent.Name(), ".tmp"):
 			e.Kind = "orphaned temp"

@@ -180,6 +180,7 @@ func FuzzCacheEntry(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), cacheSchema, "hoop-cellcache/v3", 1)))
 	f.Add([]byte(strings.Replace(string(valid), kindCell, kindWear, 1)))
 	f.Add([]byte(`{"schema":"` + cacheSchema + `","kind":"cell","value":{"Txs":7} }`))
+	f.Add(canonEntryOfSize(f, maxEntryBytes+1))
 	cc, err := openCellCache(Options{CacheDir: f.TempDir()})
 	if err != nil {
 		f.Fatal(err)
@@ -198,6 +199,53 @@ func FuzzCacheEntry(f *testing.F) {
 			t.Fatalf("loaded %+v from bytes cacheStore would not write:\n%q", got, raw)
 		}
 	})
+}
+
+// canonEntryOfSize returns exactly the bytes cacheStore writes for a
+// Metrics whose one counter name pads the entry to n bytes.
+func canonEntryOfSize(tb testing.TB, n int) []byte {
+	tb.Helper()
+	entry := func(pad int) []byte {
+		raw, err := encodeEntry(kindCell, Metrics{Txs: 7, Counters: map[string]int64{strings.Repeat("a", pad): 1}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return raw
+	}
+	raw := entry(n - len(entry(0)))
+	if len(raw) != n {
+		tb.Fatalf("padded entry is %d bytes, want %d", len(raw), n)
+	}
+	return raw
+}
+
+// TestCacheEntrySizeCap: a canonical entry at the size cap loads, but one
+// byte over it is a miss to cacheLoad and foreign to the inventory, so
+// hostile cache files never cost more than the cap to read.
+func TestCacheEntrySizeCap(t *testing.T) {
+	const key = "0123456789abcdef"
+	for _, tc := range []struct {
+		size int
+		hit  bool
+		kind string
+	}{
+		{maxEntryBytes, true, "cell"},
+		{maxEntryBytes + 1, false, "foreign"},
+	} {
+		cc, err := openCellCache(Options{CacheDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cc.dir, key+".json"), canonEntryOfSize(t, tc.size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit := cacheLoad[Metrics](cc, kindCell, key); hit != tc.hit {
+			t.Errorf("%d-byte entry: hit = %v, want %v", tc.size, hit, tc.hit)
+		}
+		if got, want := inventoryCounts(t, cc.dir), map[string]int{tc.kind: 1, "all": 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-byte entry: inventory %v, want %v", tc.size, got, want)
+		}
+	}
 }
 
 // TestCellCacheSweepsStaleTemps: opening the cache removes temp files
