@@ -65,6 +65,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
+	if err := clihelp.CheckArgs(fs); err != nil {
+		return usageError{err}
+	}
 	if *cachestats {
 		if *cachedir == "" {
 			return usageError{errors.New("-cachestats needs -cachedir")}

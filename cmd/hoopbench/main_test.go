@@ -30,6 +30,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-nosuchflag"},
 		{"-cachestats"},
 		{"-workloads", "nosuch"},
+		{"-quick", "fig7-9"},
 	} {
 		if err := run(args, io.Discard); !errors.As(err, new(usageError)) {
 			t.Errorf("run(%q) = %v, want a usage error", args, err)

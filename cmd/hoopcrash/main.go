@@ -55,6 +55,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := clihelp.CheckArgs(fs, "smoketxs", "seeds", "txs", "words", "pool", "cores"); err != nil {
+		return err
+	}
+	if *abortEvery < 0 {
+		return fmt.Errorf("-abortevery must be 0 (none) or more, got %d", *abortEvery)
+	}
 
 	schemes := crashtest.Schemes()
 	if *scheme != "all" {

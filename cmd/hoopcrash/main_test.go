@@ -48,4 +48,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-mode", "sideways"}, &out); err == nil {
 		t.Fatal("expected error for unknown mode")
 	}
+	// Counts below 1 and stray arguments would otherwise check nothing
+	// and still report ok.
+	for _, args := range [][]string{
+		{"-mode", "random", "-seeds", "-3"},
+		{"-mode", "random", "-seeds", "0"},
+		{"-mode", "exhaustive", "-txs", "0"},
+		{"-words", "0"},
+		{"-pool", "-1"},
+		{"-cores", "0"},
+		{"-workloads", "ycsb-a", "-smoketxs", "0"},
+		{"-abortevery", "-1"},
+		{"-scheme", "HOOP", "extra"},
+	} {
+		out.Reset()
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%q) succeeded:\n%s", args, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) printed before rejecting:\n%s", args, out.String())
+		}
+	}
 }

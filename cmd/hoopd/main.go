@@ -94,8 +94,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	if err := clihelp.CheckArgs(fs); err != nil {
+		return err
 	}
 
 	cfg := soakConfig{

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hoop/internal/engine"
 	"hoop/internal/sim"
 	"hoop/internal/telemetry"
 )
@@ -44,6 +45,26 @@ func TestSoakRingShed(t *testing.T) {
 	for _, needle := range []string{"route=ring", "policy=shed"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("output missing %q:\n%s", needle, out)
+		}
+	}
+}
+
+// TestEverySchemeServesRing opens a ring-routed fleet on each of the
+// seven schemes: every fleet must serve the burst and print its report.
+func TestEverySchemeServesRing(t *testing.T) {
+	for _, scheme := range engine.AllSchemes {
+		var b strings.Builder
+		if err := run(tiny("-scheme", scheme, "-route", "ring"), &b); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		out := b.String()
+		for _, needle := range []string{"scheme=" + scheme + " ", "route=ring", "fleet: offered", "sojourn (merged"} {
+			if !strings.Contains(out, needle) {
+				t.Errorf("%s: output missing %q:\n%s", scheme, needle, out)
+			}
+		}
+		if strings.Contains(out, "goodput 0/s") {
+			t.Errorf("%s: fleet served nothing:\n%s", scheme, out)
 		}
 	}
 }

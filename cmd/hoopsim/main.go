@@ -39,6 +39,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := clihelp.CheckArgs(fs, "txs", "threads"); err != nil {
+		return err
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		return err

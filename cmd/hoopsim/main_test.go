@@ -43,6 +43,23 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-txs", "-5"},
+		{"-txs", "0"},
+		{"-threads", "0"},
+		{"-workload", "tpcc", "extra"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%q) succeeded:\n%s", args, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) printed before rejecting:\n%s", args, out.String())
+		}
+	}
+}
+
 // TestRunMatchesHarnessCell: hoopsim's numbers are the harness cell's
 // numbers — the same quiesced window hoopbench measures for the same
 // (scheme, workload, txs, threads).

@@ -18,7 +18,9 @@
 //   - internal/harness    — regenerates every table and figure of §IV
 //
 // Entry points: cmd/hoopbench (full evaluation, Figure 11's recovery
-// experiment included), cmd/hoopsim (single configuration), and the
-// runnable programs under examples/; DESIGN.md (S18) names the one job of
-// every cmd/ and examples/ program.
+// experiment included), cmd/hoopsim (single configuration), cmd/hoopd
+// (the sharded service tier), cmd/hoopcrash (crash-point enumeration) and
+// cmd/hooptop (trace summaries). The worked examples are Example functions
+// with checked output in internal/engine and internal/hoop; DESIGN.md (S18)
+// names the one job of every cmd/ program.
 package hoopnvm

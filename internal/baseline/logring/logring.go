@@ -48,9 +48,6 @@ func New(region mem.Region, payloadSize int) (*Ring, error) {
 // RecordBytes is the durable size of one record including its header.
 func (r *Ring) RecordBytes() int { return r.recSize + headerSize }
 
-// Capacity reports how many records fit.
-func (r *Ring) Capacity() uint64 { return r.capacity }
-
 // Live reports the number of un-truncated records.
 func (r *Ring) Live() uint64 { return r.nextSeq - 1 - r.watermark }
 

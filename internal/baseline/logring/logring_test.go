@@ -124,3 +124,6 @@ func TestValidation(t *testing.T) {
 	}()
 	r.Append(st, make([]byte, 8))
 }
+
+// Capacity reports how many records fit.
+func (r *Ring) Capacity() uint64 { return r.capacity }

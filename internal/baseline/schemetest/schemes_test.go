@@ -5,6 +5,7 @@ package schemetest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -278,9 +279,9 @@ func TestLADSpillOnLargeTx(t *testing.T) {
 	s.TxEnd(0, tx, now)
 }
 
+// ExampleScheme_names lists the registry's schemes once every scheme
+// package is linked in; a dropped or renamed scheme changes the output.
 func ExampleScheme_names() {
-	ctx := persist.Context{}
-	_ = ctx
-	fmt.Println("Opt-Undo Opt-Redo OSP LSM LAD")
-	// Output: Opt-Undo Opt-Redo OSP LSM LAD
+	fmt.Println(strings.Join(persist.Registered(), " "))
+	// Output: HOOP Ideal LAD LSM OSP Opt-Redo Opt-Undo
 }

@@ -175,7 +175,7 @@ type Hierarchy struct {
 	// present maps line index -> bitmask of cores whose private hierarchy
 	// (L1 or L2) may hold the line. Invariant: the mask is a superset of
 	// the cores that hold it, which is what lets write-invalidation, Fill's
-	// back-invalidation, FlushLine and ClearPersistent probe only those
+	// back-invalidation, FlushLine and the tests' ClearPersistent probe only those
 	// cores instead of all of them.
 	present presenceIndex
 	// evScratch backs the slice Fill returns; the caller owns the contents
@@ -296,9 +296,6 @@ func (h *Hierarchy) allocPrivate(core int) {
 	h.l1[core] = newLevel(h.cfg.L1Size, h.cfg.L1Ways, h.cfg.L1Latency)
 	h.l2[core] = newLevel(h.cfg.L2Size, h.cfg.L2Ways, h.cfg.L2Latency)
 }
-
-// Config reports the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // AttachTelemetry connects the hierarchy to a telemetry hub. A
 // KindCacheMiss event fires per full-hierarchy miss while subscribed; the
@@ -547,24 +544,6 @@ func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent b
 	return dirty, persistent
 }
 
-// ClearPersistent clears the persistent bit on the line containing a
-// everywhere it is cached (done when a transaction's lines commit). Like
-// FlushLine, it probes only the cores in the line's presence mask.
-func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
-	idx := mem.LineIndex(a)
-	clear := func(l *level) {
-		if ln := l.lookup(idx); ln != nil {
-			ln.persistent = false
-		}
-	}
-	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
-		c := bits.TrailingZeros32(mask)
-		clear(h.l1[c])
-		clear(h.l2[c])
-	}
-	clear(h.llc)
-}
-
 // DirtyEvictions returns the eviction records (address + persistent bit) a
 // full writeback of the LLC would produce, in ascending address order. The
 // harness uses it to close measurement windows so that every scheme —
@@ -591,25 +570,6 @@ func (h *Hierarchy) DirtyEvictions() []Eviction {
 		out[i] = Eviction{Line: mem.PAddr(k &^ 1), Persistent: k&1 != 0}
 	}
 	return out
-}
-
-// Contains reports whether the line holding a is present anywhere in the
-// hierarchy. It probes every core, so it does not depend on the presence
-// index; tests use it to observe flush and power-loss effects.
-func (h *Hierarchy) Contains(a mem.PAddr) bool {
-	idx := mem.LineIndex(a)
-	if h.llc.lookup(idx) != nil {
-		return true
-	}
-	for c := 0; c < h.cfg.Cores; c++ {
-		if h.l1[c] == nil {
-			continue
-		}
-		if h.l1[c].lookup(idx) != nil || h.l2[c].lookup(idx) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // DropAll models power loss: every cached line vanishes and the hierarchy

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -433,4 +434,42 @@ func TestLevelRejectsNonPowerOfTwoSets(t *testing.T) {
 		}
 	}()
 	newLevel(3*mem.LineSize, 1, 0)
+}
+
+// ClearPersistent clears the persistent bit on the line containing a
+// everywhere it is cached. Like FlushLine, it probes only the cores in the
+// line's presence mask; no scheme calls it, and the seeded tests keep it to
+// check that probe against refClearPersistent.
+func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
+	idx := mem.LineIndex(a)
+	clear := func(l *level) {
+		if ln := l.lookup(idx); ln != nil {
+			ln.persistent = false
+		}
+	}
+	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros32(mask)
+		clear(h.l1[c])
+		clear(h.l2[c])
+	}
+	clear(h.llc)
+}
+
+// Contains reports whether the line holding a is present anywhere in the
+// hierarchy. It probes every core, so it does not depend on the presence
+// index; tests use it to observe flush and power-loss effects.
+func (h *Hierarchy) Contains(a mem.PAddr) bool {
+	idx := mem.LineIndex(a)
+	if h.llc.lookup(idx) != nil {
+		return true
+	}
+	for c := 0; c < h.cfg.Cores; c++ {
+		if h.l1[c] == nil {
+			continue
+		}
+		if h.l1[c].lookup(idx) != nil || h.l2[c].lookup(idx) != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -73,6 +73,21 @@ func (c *Common) Register(fs *flag.FlagSet, blocks ...string) {
 	}
 }
 
+// CheckArgs rejects positional arguments left after fs.Parse and any of
+// the named int flags set below 1: every count a command takes must name
+// at least one thing to do.
+func CheckArgs(fs *flag.FlagSet, counts ...string) error {
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	for _, name := range counts {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", name, v)
+		}
+	}
+	return nil
+}
+
 // EffectiveWorkers resolves the worker count (<= 0 means GOMAXPROCS).
 func (c *Common) EffectiveWorkers() int {
 	if c.Workers > 0 {

@@ -74,17 +74,6 @@ func DefaultWorkload(seed uint64) Workload {
 	return Workload{Seed: seed, Txs: 8, MaxWords: 4, AddrWords: 96, EvictProb: 0.3, Cores: 2}
 }
 
-// AbortWorkload is DefaultWorkload with every third transaction aborting
-// after its writes, so exhaustive enumeration also lands crash points
-// inside each scheme's abort path (undo images rolling home, log
-// neutralization, OOP slice discard).
-func AbortWorkload(seed uint64) Workload {
-	w := DefaultWorkload(seed)
-	w.Txs = 9
-	w.AbortEvery = 3
-	return w
-}
-
 // TxRecord is one executed transaction: its final word image and the
 // journal window it occupied. BeginIdx is the journal length when the
 // transaction began; DurableIdx is the length when TxEnd returned, i.e.

@@ -137,3 +137,14 @@ func TestEnumerateSecondSeed(t *testing.T) {
 		})
 	}
 }
+
+// AbortWorkload is DefaultWorkload with every third transaction aborting
+// after its writes, so exhaustive enumeration also lands crash points
+// inside each scheme's abort path (undo images rolling home, log
+// neutralization, OOP slice discard).
+func AbortWorkload(seed uint64) Workload {
+	w := DefaultWorkload(seed)
+	w.Txs = 9
+	w.AbortEvery = 3
+	return w
+}

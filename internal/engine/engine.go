@@ -273,9 +273,6 @@ func New(cfg Config) (*System, error) {
 // Config reports the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Stats exposes the counter registry.
-func (s *System) Stats() *sim.Stats { return s.stats }
-
 // Scheme exposes the persistence scheme. Scheme-specific machinery (GC,
 // consolidation, recovery scanning) is reached through the optional
 // capability interfaces in package persist — Quiescer, GCReporter,
@@ -293,10 +290,6 @@ func (s *System) Durable() *mem.Store { return s.store }
 
 // View exposes the volatile logical memory image.
 func (s *System) View() *mem.Store { return s.view }
-
-// Oracle exposes the committed-writes shadow store (nil unless
-// TrackOracle).
-func (s *System) Oracle() *mem.Store { return s.oracle }
 
 // Clock reports thread t's current simulated time.
 func (s *System) Clock(t int) sim.Time { return s.clocks[t].Now() }

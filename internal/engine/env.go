@@ -33,9 +33,6 @@ func (s *System) NewEnv(t int) *Env {
 	return &Env{sys: s, thread: t, core: t}
 }
 
-// Thread reports the environment's thread index.
-func (e *Env) Thread() int { return e.thread }
-
 // Now reports the thread's simulated time.
 func (e *Env) Now() sim.Time { return e.sys.clocks[e.thread].Now() }
 
@@ -148,9 +145,6 @@ func (e *Env) TxAbort() {
 	}
 	s.txWrites[e.thread] = s.txWrites[e.thread][:0]
 }
-
-// InTx reports whether the thread has an open transaction.
-func (e *Env) InTx() bool { return e.sys.txOpen[e.thread] }
 
 // Read performs a load of len(buf) bytes at addr, filling buf with the
 // current logical contents. addr and len(buf) must be word-aligned.

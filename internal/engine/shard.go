@@ -165,12 +165,6 @@ func OpenShard(cfg ShardConfig, handler ShardHandler) (*Shard, error) {
 	}, nil
 }
 
-// Index reports the shard's ring position.
-func (s *Shard) Index() int { return s.index }
-
-// Seed reports the shard's derived seed.
-func (s *Shard) Seed() uint64 { return s.seed }
-
 // System exposes the shard's engine. Safe to read between Quiesce and the
 // next Enqueue, or after Close.
 func (s *Shard) System() *System { return s.sys }

@@ -208,43 +208,6 @@ type Grid struct {
 	Format string
 }
 
-// Cell returns the value at (row, col) by name.
-func (g *Grid) Cell(row, col string) float64 {
-	ri, ci := -1, -1
-	for i, r := range g.Rows {
-		if r == row {
-			ri = i
-		}
-	}
-	for j, c := range g.Cols {
-		if c == col {
-			ci = j
-		}
-	}
-	if ri < 0 || ci < 0 {
-		panic(fmt.Sprintf("harness: no cell (%q, %q) in %q", row, col, g.Title))
-	}
-	return g.Cells[ri][ci]
-}
-
-// ColMean returns the arithmetic mean of a column.
-func (g *Grid) ColMean(col string) float64 {
-	ci := -1
-	for j, c := range g.Cols {
-		if c == col {
-			ci = j
-		}
-	}
-	if ci < 0 {
-		panic("harness: unknown column " + col)
-	}
-	sum := 0.0
-	for i := range g.Rows {
-		sum += g.Cells[i][ci]
-	}
-	return sum / float64(len(g.Rows))
-}
-
 // Render writes the grid as an aligned text table.
 func (g *Grid) Render(w io.Writer) {
 	format := g.Format

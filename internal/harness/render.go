@@ -19,29 +19,6 @@ func (g *Grid) JSON() ([]byte, error) {
 	}{g.Title, g.RowName, g.Rows, g.Cols, g.Cells}, "", "  ")
 }
 
-// GridFromJSON parses a grid previously produced by JSON.
-func GridFromJSON(data []byte) (*Grid, error) {
-	var v struct {
-		Title   string      `json:"title"`
-		RowName string      `json:"row_name"`
-		Rows    []string    `json:"rows"`
-		Cols    []string    `json:"cols"`
-		Cells   [][]float64 `json:"cells"`
-	}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, fmt.Errorf("harness: bad grid JSON: %w", err)
-	}
-	if len(v.Cells) != len(v.Rows) {
-		return nil, fmt.Errorf("harness: grid JSON has %d rows but %d cell rows", len(v.Rows), len(v.Cells))
-	}
-	for i, row := range v.Cells {
-		if len(row) != len(v.Cols) {
-			return nil, fmt.Errorf("harness: grid JSON row %d has %d cells, want %d", i, len(row), len(v.Cols))
-		}
-	}
-	return &Grid{Title: v.Title, RowName: v.RowName, Rows: v.Rows, Cols: v.Cols, Cells: v.Cells}, nil
-}
-
 // RenderBars draws the grid as grouped horizontal ASCII bars (one group
 // per row), scaled to the grid's maximum — a terminal-friendly stand-in
 // for the paper's bar figures.

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -147,4 +149,64 @@ func TestRunSectionsQuickSubset(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "figure11.json")); err != nil {
 		t.Errorf("figure11 artifact missing: %v", err)
 	}
+}
+
+// Cell returns the value at (row, col) by name.
+func (g *Grid) Cell(row, col string) float64 {
+	ri, ci := -1, -1
+	for i, r := range g.Rows {
+		if r == row {
+			ri = i
+		}
+	}
+	for j, c := range g.Cols {
+		if c == col {
+			ci = j
+		}
+	}
+	if ri < 0 || ci < 0 {
+		panic(fmt.Sprintf("harness: no cell (%q, %q) in %q", row, col, g.Title))
+	}
+	return g.Cells[ri][ci]
+}
+
+// ColMean returns the arithmetic mean of a column.
+func (g *Grid) ColMean(col string) float64 {
+	ci := -1
+	for j, c := range g.Cols {
+		if c == col {
+			ci = j
+		}
+	}
+	if ci < 0 {
+		panic("harness: unknown column " + col)
+	}
+	sum := 0.0
+	for i := range g.Rows {
+		sum += g.Cells[i][ci]
+	}
+	return sum / float64(len(g.Rows))
+}
+
+// GridFromJSON parses a grid previously produced by JSON.
+func GridFromJSON(data []byte) (*Grid, error) {
+	var v struct {
+		Title   string      `json:"title"`
+		RowName string      `json:"row_name"`
+		Rows    []string    `json:"rows"`
+		Cols    []string    `json:"cols"`
+		Cells   [][]float64 `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, fmt.Errorf("harness: bad grid JSON: %w", err)
+	}
+	if len(v.Cells) != len(v.Rows) {
+		return nil, fmt.Errorf("harness: grid JSON has %d rows but %d cell rows", len(v.Rows), len(v.Cells))
+	}
+	for i, row := range v.Cells {
+		if len(row) != len(v.Cols) {
+			return nil, fmt.Errorf("harness: grid JSON row %d has %d cells, want %d", i, len(row), len(v.Cols))
+		}
+	}
+	return &Grid{Title: v.Title, RowName: v.RowName, Rows: v.Rows, Cols: v.Cols, Cells: v.Cells}, nil
 }

@@ -46,12 +46,6 @@ var AllSections = []string{"tables", "fig7-9", "tableIV", "fig10", "fig11", "fig
 // ExtraSections are opt-in experiments beyond the paper's figures.
 var ExtraSections = []string{"ablation", "fig7-9-1k", "wear"}
 
-// RunAll regenerates every table and figure, streaming progress and the
-// rendered artifacts to w.
-func RunAll(w io.Writer, opts Options) (*Report, error) {
-	return RunSections(w, opts, AllSections)
-}
-
 // RunSections runs the requested subset of the evaluation.
 func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) {
 	want := map[string]bool{}

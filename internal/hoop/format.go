@@ -174,33 +174,3 @@ func DecodeBlockHeader(b []byte) BlockHeader {
 		Index: binary.LittleEndian.Uint64(b[hdrIndex:]),
 	}
 }
-
-// Commit-log entry (the durable content of an "address memory slice"): a
-// fixed 16-byte record appended per committed transaction, holding the
-// transaction ID and the address of the *last* data slice of its chain
-// (chains link backwards, matching the paper's reverse-time-order GC scan).
-const CommitEntrySize = 16
-
-// CommitEntry is one committed-transaction record.
-type CommitEntry struct {
-	TxID persist.TxID
-	Last mem.PAddr // last data slice of the chain (walk Prev links from here)
-}
-
-// Encode serializes the entry.
-func (e CommitEntry) Encode() [CommitEntrySize]byte {
-	var b [CommitEntrySize]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(e.TxID))
-	binary.LittleEndian.PutUint64(b[8:], uint64(e.Last))
-	return b
-}
-
-// DecodeCommitEntry parses an entry; ok is false for an empty (never
-// written) record.
-func DecodeCommitEntry(b []byte) (CommitEntry, bool) {
-	e := CommitEntry{
-		TxID: persist.TxID(binary.LittleEndian.Uint64(b[0:])),
-		Last: mem.PAddr(binary.LittleEndian.Uint64(b[8:])),
-	}
-	return e, e.TxID != 0
-}

@@ -464,3 +464,6 @@ func TestWordsOfSplitsAndValidates(t *testing.T) {
 	}()
 	persist.WordsOf(0x101, make([]byte, 8))
 }
+
+// PendingCommits reports committed-but-unmigrated transactions.
+func (s *Scheme) PendingCommits() int { return len(s.pending) }

@@ -82,8 +82,6 @@ func (t *mapTable) remove(line uint64) (mapEntry, bool) {
 	return e, ok
 }
 
-func (t *mapTable) len() int { return t.entries.Len() }
-
 // hwEntries reports the hardware-entry occupancy: one per line normally,
 // one per 4-line group with condensing.
 func (t *mapTable) hwEntries() int {

@@ -267,3 +267,6 @@ func TestMultiMCQuickRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Controllers reports the configured memory-controller count.
+func (s *Scheme) Controllers() int { return s.nMC }

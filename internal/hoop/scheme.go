@@ -320,9 +320,6 @@ func (s *Scheme) mcOf(a mem.PAddr) int {
 	return int(mem.LineIndex(a)) % s.nMC
 }
 
-// Controllers reports the configured memory-controller count.
-func (s *Scheme) Controllers() int { return s.nMC }
-
 // Name implements persist.Scheme.
 func (s *Scheme) Name() string { return SchemeName }
 
@@ -795,12 +792,6 @@ func (s *Scheme) DataReduction() float64 {
 	}
 	return 1 - float64(s.gcMigratedBytes)/float64(s.gcModifiedBytes)
 }
-
-// MappingTableLen reports the current number of mapping-table entries.
-func (s *Scheme) MappingTableLen() int { return s.table.len() }
-
-// PendingCommits reports committed-but-unmigrated transactions.
-func (s *Scheme) PendingCommits() int { return len(s.pending) }
 
 // ForceGC runs a garbage-collection pass immediately (used by the harness
 // to flush coalescing state at the end of a measurement window).

@@ -89,13 +89,6 @@ func NewBursty(rng *sim.Rand, baseRate, burstRate float64, burstLen, burstGap si
 	return b
 }
 
-// MeanRate reports the long-run average rate (requests/second) of the
-// process, for offered-load accounting.
-func (b *Bursty) MeanRate() float64 {
-	pBurst := b.dwellBurst / (b.dwellBurst + b.dwellBase)
-	return (pBurst/b.burstMean + (1-pBurst)/b.baseMean) * float64(sim.Second)
-}
-
 // Next implements Arrivals.
 func (b *Bursty) Next() sim.Duration {
 	var total sim.Duration

@@ -315,3 +315,10 @@ func TestSweepPointAccessors(t *testing.T) {
 		t.Error("zero SweepPoint accessors must not divide by zero")
 	}
 }
+
+// MeanRate reports the long-run average rate (requests/second) of the
+// process, for offered-load accounting.
+func (b *Bursty) MeanRate() float64 {
+	pBurst := b.dwellBurst / (b.dwellBurst + b.dwellBase)
+	return (pBurst/b.burstMean + (1-pBurst)/b.baseMean) * float64(sim.Second)
+}

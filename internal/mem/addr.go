@@ -20,14 +20,9 @@ const (
 	LineShift    = 6
 	WordShift    = 3
 	LineOffMask  = LineSize - 1
-	InvalidPAddr = PAddr(^uint64(0))
 	PageSize     = 4096
-	LinesPerPage = PageSize / LineSize
 	PageShift    = 12
 	PageOffMask  = PageSize - 1
-	BytesPerKB   = 1 << 10
-	BytesPerMB   = 1 << 20
-	BytesPerGB   = 1 << 30
 )
 
 // LineAddr returns the address of the cache line containing a.
@@ -42,12 +37,6 @@ func WordAddr(a PAddr) PAddr { return a &^ PAddr(WordSize-1) }
 // WordInLine returns the index (0..7) of the word containing a within its
 // cache line.
 func WordInLine(a PAddr) int { return int(a&LineOffMask) >> WordShift }
-
-// PageAddr returns the address of the 4 KB page containing a.
-func PageAddr(a PAddr) PAddr { return a &^ PAddr(PageOffMask) }
-
-// IsLineAligned reports whether a is 64-byte aligned.
-func IsLineAligned(a PAddr) bool { return a&LineOffMask == 0 }
 
 // IsWordAligned reports whether a is 8-byte aligned.
 func IsWordAligned(a PAddr) bool { return a&(WordSize-1) == 0 }
@@ -85,20 +74,4 @@ func (r Region) String() string {
 type Layout struct {
 	Home Region
 	OOP  Region
-}
-
-// NewLayout splits capacity into a home region and an OOP region of
-// oopFraction (e.g. 0.10). The OOP region sits above the home region.
-func NewLayout(capacity uint64, oopFraction float64) Layout {
-	if oopFraction <= 0 || oopFraction >= 1 {
-		panic("mem: oopFraction must be in (0,1)")
-	}
-	oopSize := uint64(float64(capacity) * oopFraction)
-	// Align both regions to cache lines.
-	oopSize &^= uint64(LineOffMask)
-	homeSize := (capacity - oopSize) &^ uint64(LineOffMask)
-	return Layout{
-		Home: Region{Base: 0, Size: homeSize},
-		OOP:  Region{Base: PAddr(homeSize), Size: oopSize},
-	}
 }

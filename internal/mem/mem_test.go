@@ -212,3 +212,36 @@ func TestStoreQuickRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PageAddr returns the address of the 4 KB page containing a.
+func PageAddr(a PAddr) PAddr { return a &^ PAddr(PageOffMask) }
+
+// IsLineAligned reports whether a is 64-byte aligned.
+func IsLineAligned(a PAddr) bool { return a&LineOffMask == 0 }
+
+// NewLayout splits capacity into a home region and an OOP region of
+// oopFraction (e.g. 0.10). The OOP region sits above the home region.
+func NewLayout(capacity uint64, oopFraction float64) Layout {
+	if oopFraction <= 0 || oopFraction >= 1 {
+		panic("mem: oopFraction must be in (0,1)")
+	}
+	oopSize := uint64(float64(capacity) * oopFraction)
+	// Align both regions to cache lines.
+	oopSize &^= uint64(LineOffMask)
+	homeSize := (capacity - oopSize) &^ uint64(LineOffMask)
+	return Layout{
+		Home: Region{Base: 0, Size: homeSize},
+		OOP:  Region{Base: PAddr(homeSize), Size: oopSize},
+	}
+}
+
+// ReadLine reads the 64-byte cache line containing a.
+func (s *Store) ReadLine(a PAddr) [LineSize]byte {
+	var line [LineSize]byte
+	la := LineAddr(a)
+	if p := s.page(la, false); p != nil {
+		off := la & PageOffMask
+		copy(line[:], p[off:off+LineSize])
+	}
+	return line
+}

@@ -156,17 +156,6 @@ func (s *Store) WriteWord(a PAddr, v uint64) {
 	}
 }
 
-// ReadLine reads the 64-byte cache line containing a.
-func (s *Store) ReadLine(a PAddr) [LineSize]byte {
-	var line [LineSize]byte
-	la := LineAddr(a)
-	if p := s.page(la, false); p != nil {
-		off := la & PageOffMask
-		copy(line[:], p[off:off+LineSize])
-	}
-	return line
-}
-
 // WriteLine writes a full 64-byte cache line at the line containing a.
 func (s *Store) WriteLine(a PAddr, line [LineSize]byte) {
 	la := LineAddr(a)
@@ -193,9 +182,6 @@ func (s *Store) Clone() *Store {
 	}
 	return c
 }
-
-// PagesAllocated reports how many 4 KB pages have been materialized.
-func (s *Store) PagesAllocated() int { return len(s.pages) }
 
 // ForEachPage calls fn for every materialized page with its base address
 // and contents, in ascending address order. fn must not modify the store.

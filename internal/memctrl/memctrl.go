@@ -59,12 +59,6 @@ func New(cfg Config, dev *nvm.Device) *Controller {
 // is about. Zero-wait drains stay silent.
 func (c *Controller) AttachTelemetry(h *telemetry.Hub) { c.tel = h }
 
-// Device exposes the underlying NVM device.
-func (c *Controller) Device() *nvm.Device { return c.dev }
-
-// Config reports the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Read performs a synchronous NVM read and returns its completion time.
 func (c *Controller) Read(a mem.PAddr, size int, now sim.Time) sim.Time {
 	return c.dev.Read(a, size, now+c.cfg.Overhead)
@@ -100,16 +94,6 @@ func (c *Controller) Drain(agent int, now sim.Time) sim.Time {
 		})
 	}
 	return done
-}
-
-// Pending reports the completion time of agent's latest posted write.
-func (c *Controller) Pending(agent int) sim.Time { return c.pending[agent] }
-
-// DRAMAccess models one access to DRAM-side metadata (index structures,
-// shadow tables) and returns its completion time. DRAM is modeled as a
-// fixed latency with effectively unlimited bandwidth relative to NVM.
-func (c *Controller) DRAMAccess(now sim.Time) sim.Time {
-	return now + c.cfg.DRAMLatency
 }
 
 // ResetPending clears posted-write tracking (crash: in-flight posted writes

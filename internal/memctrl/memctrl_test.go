@@ -65,3 +65,19 @@ func TestDevice(t *testing.T) {
 		t.Fatal("device accessor")
 	}
 }
+
+// Device exposes the underlying NVM device.
+func (c *Controller) Device() *nvm.Device { return c.dev }
+
+// Config reports the controller configuration.
+func (c *Controller) Config() Config { return c.cfg }
+
+// Pending reports the completion time of agent's latest posted write.
+func (c *Controller) Pending(agent int) sim.Time { return c.pending[agent] }
+
+// DRAMAccess models one access to DRAM-side metadata (index structures,
+// shadow tables) and returns its completion time. DRAM is modeled as a
+// fixed latency with effectively unlimited bandwidth relative to NVM.
+func (c *Controller) DRAMAccess(now sim.Time) sim.Time {
+	return now + c.cfg.DRAMLatency
+}

@@ -28,9 +28,6 @@ func Open(m pmem.Memory, region mem.Region) *DB {
 	return &DB{m: m, arena: a}
 }
 
-// Arena exposes the database's allocator (for ancillary structures).
-func (db *DB) Arena() *pmem.Arena { return db.arena }
-
 // Table is a keyed table of fixed-size records.
 type Table struct {
 	h       *structures.HashMap
@@ -50,12 +47,6 @@ func (db *DB) CreateTable(expectKeys, recSize int) *Table {
 	}
 }
 
-// RecSize reports the table's record size.
-func (t *Table) RecSize() int { return t.recSize }
-
-// Len reports the number of records.
-func (t *Table) Len() int { return t.h.Len() }
-
 // Insert adds or overwrites the record for key. Must run inside a
 // transaction.
 func (t *Table) Insert(key uint64, rec []byte) {
@@ -74,9 +65,6 @@ func (t *Table) Read(key uint64, buf []byte) bool {
 	return t.h.Get(key, buf)
 }
 
-// Delete removes key. Must run inside a transaction.
-func (t *Table) Delete(key uint64) bool { return t.h.Delete(key) }
-
 // OrderedTable is a keyed table of fixed-size records with ascending-key
 // range scans, backed by the persistent B-tree. The YCSB A–F suite runs
 // over it (workload E needs scans, which the hash-backed Table cannot
@@ -94,12 +82,6 @@ func (db *DB) CreateOrderedTable(recSize int) *OrderedTable {
 		recSize: recSize,
 	}
 }
-
-// RecSize reports the table's record size.
-func (t *OrderedTable) RecSize() int { return t.recSize }
-
-// Len reports the number of records.
-func (t *OrderedTable) Len() int { return t.bt.Len() }
 
 // Insert adds or overwrites the record for key. Must run inside a
 // transaction.

@@ -73,3 +73,12 @@ func TestWrongRecordSizePanics(t *testing.T) {
 	}()
 	tbl.Insert(1, make([]byte, 32))
 }
+
+// RecSize reports the table's record size.
+func (t *Table) RecSize() int { return t.recSize }
+
+// Len reports the number of records.
+func (t *Table) Len() int { return t.h.Len() }
+
+// Delete removes key. Must run inside a transaction.
+func (t *Table) Delete(key uint64) bool { return t.h.Delete(key) }

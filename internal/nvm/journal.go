@@ -58,18 +58,6 @@ func (d *Device) AttachJournal() *Journal {
 	return j
 }
 
-// Journal returns the attached journal, or nil.
-func (d *Device) Journal() *Journal { return d.journal }
-
-// DetachJournal stops recording and releases the journal.
-func (d *Device) DetachJournal() {
-	if d.journal == nil {
-		return
-	}
-	d.store.SetWriteObserver(nil)
-	d.journal = nil
-}
-
 // BeginAtomicPersist opens an atomic persist group: all units recorded
 // until the matching EndAtomicPersist reach NVM all-or-nothing. This models
 // hardware whose persistence domain covers the controller queues (LAD's
@@ -109,9 +97,6 @@ func (j *Journal) endAtomic() {
 // Len is the number of persist units recorded so far. Crash point k = Len()
 // means "everything so far is durable".
 func (j *Journal) Len() int { return len(j.entries) }
-
-// Entries exposes the recorded unit sequence (read-only; do not mutate).
-func (j *Journal) Entries() []JournalEntry { return j.entries }
 
 // AlignPoint rounds k down out of the interior of any atomic group, since a
 // crash cannot observe a partially-drained atomic queue. Points at a group

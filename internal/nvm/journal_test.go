@@ -171,3 +171,18 @@ func TestJournalDetachStopsRecording(t *testing.T) {
 	dev.BeginAtomicPersist()
 	dev.EndAtomicPersist()
 }
+
+// Journal returns the attached journal, or nil.
+func (d *Device) Journal() *Journal { return d.journal }
+
+// DetachJournal stops recording and releases the journal.
+func (d *Device) DetachJournal() {
+	if d.journal == nil {
+		return
+	}
+	d.store.SetWriteObserver(nil)
+	d.journal = nil
+}
+
+// Entries exposes the recorded unit sequence (read-only; do not mutate).
+func (j *Journal) Entries() []JournalEntry { return j.entries }

@@ -155,17 +155,6 @@ func (d *Device) Params() Params { return d.params }
 // Store exposes the functional contents.
 func (d *Device) Store() *mem.Store { return d.store }
 
-// SetLatencies changes the read/write latencies (Figure 12 sensitivity).
-func (d *Device) SetLatencies(read, write sim.Duration) {
-	d.params.ReadLatency = read
-	d.params.WriteLatency = write
-}
-
-// SetBandwidth changes the channel bandwidth (Figure 11 sensitivity).
-func (d *Device) SetBandwidth(bytesPerSec int64) {
-	d.params.Bandwidth = bytesPerSec
-}
-
 func (d *Device) bank(a mem.PAddr) int {
 	return int(mem.LineIndex(a)) % d.params.Banks
 }
@@ -273,9 +262,6 @@ func (d *Device) ReadEnergyPJ() float64 { return d.readEnergyPJ }
 
 // WriteEnergyPJ reports accumulated write energy in picojoules.
 func (d *Device) WriteEnergyPJ() float64 { return d.writeEnergyPJ }
-
-// TotalEnergyPJ reports total read+write energy in picojoules.
-func (d *Device) TotalEnergyPJ() float64 { return d.readEnergyPJ + d.writeEnergyPJ }
 
 // WearBuckets returns a copy of per-1MB-bucket bytes-written counters, used
 // to verify the round-robin OOP block allocation achieves uniform aging.

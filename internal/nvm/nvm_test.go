@@ -150,3 +150,17 @@ func TestMultiLineAccessPipelines(t *testing.T) {
 		t.Fatalf("multi-line read did not pipeline: %v", done)
 	}
 }
+
+// SetLatencies changes the read/write latencies in place.
+func (d *Device) SetLatencies(read, write sim.Duration) {
+	d.params.ReadLatency = read
+	d.params.WriteLatency = write
+}
+
+// SetBandwidth changes the channel bandwidth in place.
+func (d *Device) SetBandwidth(bytesPerSec int64) {
+	d.params.Bandwidth = bytesPerSec
+}
+
+// TotalEnergyPJ reports total read+write energy in picojoules.
+func (d *Device) TotalEnergyPJ() float64 { return d.readEnergyPJ + d.writeEnergyPJ }

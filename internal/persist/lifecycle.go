@@ -46,8 +46,6 @@ type RecoveryScanner interface {
 	// RecoverWithReport runs recovery with the given thread count and
 	// returns the detailed accounting of what the pass found and did.
 	RecoverWithReport(threads int) (RecoveryReport, error)
-	// PendingCommits reports committed-but-unmigrated transactions.
-	PendingCommits() int
 }
 
 // RecoveryReport describes what a recovery pass found and did.

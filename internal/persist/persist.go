@@ -141,9 +141,6 @@ func (a *TxnAllocator) Next() TxID {
 	return a.next
 }
 
-// Current reports the most recently issued ID.
-func (a *TxnAllocator) Current() TxID { return a.next }
-
 // Reset restarts ID assignment (after recovery).
 func (a *TxnAllocator) Reset(from TxID) { a.next = from }
 

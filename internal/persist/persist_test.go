@@ -72,3 +72,6 @@ func TestWordsOfRejectsMisalignment(t *testing.T) {
 		}()
 	}
 }
+
+// Current reports the most recently issued ID.
+func (a *TxnAllocator) Current() TxID { return a.next }

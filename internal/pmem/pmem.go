@@ -51,14 +51,6 @@ func (a *Arena) Init() {
 	a.m.WriteWord(a.region.Base+offNext, arenaHdrSize)
 }
 
-// Region reports the arena's address range.
-func (a *Arena) Region() mem.Region { return a.region }
-
-// Used reports allocated bytes (including the header).
-func (a *Arena) Used() uint64 {
-	return a.m.ReadWord(a.region.Base + offNext)
-}
-
 // Alloc returns n bytes (rounded up to a word) of zeroed persistent
 // memory. Must run inside a transaction (it updates the cursor).
 func (a *Arena) Alloc(n int) mem.PAddr {

@@ -64,7 +64,7 @@ func TestPartition(t *testing.T) {
 		if r.Size != (1<<20)/4 {
 			t.Fatalf("region %d size %d", i, r.Size)
 		}
-		if !mem.IsLineAligned(r.Base) {
+		if r.Base%mem.LineSize != 0 {
 			t.Fatalf("region %d misaligned", i)
 		}
 		if i > 0 && r.Base != rs[i-1].End() {
@@ -88,4 +88,9 @@ func TestDirectRoundtrip(t *testing.T) {
 			t.Fatal("byte roundtrip")
 		}
 	}
+}
+
+// Used reports allocated bytes (including the header).
+func (a *Arena) Used() uint64 {
+	return a.m.ReadWord(a.region.Base + offNext)
 }

@@ -18,21 +18,6 @@ const (
 	OpDelete
 )
 
-// OpName names an opcode for CLI output.
-func OpName(op uint8) string {
-	switch op {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("op%d", op)
-}
-
 // KVConfig sizes one shard's key-value table.
 type KVConfig struct {
 	// Keys is the keyspace size: per-shard when Ring is nil (each shard
@@ -162,6 +147,3 @@ func (h *KVHandler) Handle(env *engine.Env, req engine.ShardRequest) {
 	}
 	env.TxEnd()
 }
-
-// Table exposes the shard's hash map (read after Quiesce).
-func (h *KVHandler) Table() *structures.HashMap { return h.table }

@@ -73,10 +73,6 @@ func (r Ring) Route(key uint64) int {
 	return JumpHash(mix64(key), r.shards)
 }
 
-// OwnedShare estimates the fraction of a uniform keyspace owned by one
-// shard (1/n); handy for sizing per-shard tables in ring mode.
-func (r Ring) OwnedShare() float64 { return 1 / float64(r.shards) }
-
 // suggestBuckets sizes a chained hash table for about n expected entries:
 // the next power of two of n/2, at least 16. bits.Len64 keeps it integral.
 func suggestBuckets(n uint64) int {

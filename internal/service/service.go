@@ -133,18 +133,9 @@ func (s *Service) Serve() {
 	}
 }
 
-// Ring exposes the router's hash ring.
-func (s *Service) Ring() Ring { return s.ring }
-
-// Shards reports the fleet size.
-func (s *Service) Shards() int { return len(s.shards) }
-
 // Shard exposes shard i (read its System between Quiesce and the next
 // submission, or after Close).
 func (s *Service) Shard(i int) *engine.Shard { return s.shards[i] }
-
-// Route reports which shard owns key without submitting anything.
-func (s *Service) Route(key uint64) int { return s.ring.Route(key) }
 
 // Submit routes one keyed request over the ring and enqueues it, blocking
 // in real time while the target mailbox is full. It returns the chosen
@@ -179,9 +170,6 @@ func (s *Service) SubmitTo(shard int, req engine.ShardRequest) {
 	s.subs[shard]++
 	s.shards[shard].Enqueue(req)
 }
-
-// Submitted reports how many requests the router has sent to shard i.
-func (s *Service) Submitted(shard int) int64 { return s.subs[shard] }
 
 // Quiesce blocks until every shard has drained its mailbox and closed off
 // in-flight engine work; afterwards every shard's System is safe to read
@@ -228,27 +216,6 @@ func (s *Service) MergedSojourn() sim.Histogram {
 		out.Merge(&h)
 	}
 	return out
-}
-
-// MergedLatency folds every shard engine's transaction critical-path
-// latency distribution (service time only, no queueing) into one
-// fleet-wide histogram.
-func (s *Service) MergedLatency() sim.Histogram {
-	var out sim.Histogram
-	for _, sh := range s.shards {
-		h := sh.System().LatencyHistogram()
-		out.Merge(&h)
-	}
-	return out
-}
-
-// MaxSpan reports the latest simulated clock across the fleet.
-func (s *Service) MaxSpan() sim.Time {
-	var m sim.Time
-	for _, sh := range s.shards {
-		m = sim.MaxTime(m, sh.System().MaxClock())
-	}
-	return m
 }
 
 // StreamSpan reports shard i's simulated serving span: its clock measured

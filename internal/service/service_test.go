@@ -8,6 +8,7 @@ import (
 
 	"hoop/internal/engine"
 	"hoop/internal/sim"
+	"hoop/internal/structures"
 	"hoop/internal/telemetry"
 )
 
@@ -381,4 +382,34 @@ func readTrace(t *testing.T, tc *telemetry.CellTrace) []telemetry.Cell {
 		t.Fatal(err)
 	}
 	return cells
+}
+
+// Table exposes the shard's hash map (read after Quiesce).
+func (h *KVHandler) Table() *structures.HashMap { return h.table }
+
+// Route reports which shard owns key without submitting anything.
+func (s *Service) Route(key uint64) int { return s.ring.Route(key) }
+
+// Submitted reports how many requests the router has sent to shard i.
+func (s *Service) Submitted(shard int) int64 { return s.subs[shard] }
+
+// MergedLatency folds every shard engine's transaction critical-path
+// latency distribution (service time only, no queueing) into one
+// fleet-wide histogram.
+func (s *Service) MergedLatency() sim.Histogram {
+	var out sim.Histogram
+	for _, sh := range s.shards {
+		h := sh.System().LatencyHistogram()
+		out.Merge(&h)
+	}
+	return out
+}
+
+// MaxSpan reports the latest simulated clock across the fleet.
+func (s *Service) MaxSpan() sim.Time {
+	var m sim.Time
+	for _, sh := range s.shards {
+		m = sim.MaxTime(m, sh.System().MaxClock())
+	}
+	return m
 }

@@ -61,8 +61,6 @@ func (h *Histogram) Mean() Duration {
 	return h.sum / Duration(h.count)
 }
 
-// Min and Max report the extremes.
-func (h *Histogram) Min() Duration { return h.min }
 func (h *Histogram) Max() Duration { return h.max }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) from the bucket
@@ -134,9 +132,6 @@ func (h *Histogram) Since(before Histogram) Histogram {
 	}
 	return out
 }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 // String summarizes the distribution.
 func (h *Histogram) String() string {

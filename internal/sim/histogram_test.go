@@ -207,3 +207,9 @@ func TestHistogramQuantileClampsToMin(t *testing.T) {
 		t.Fatalf("Quantile(0.01) = %v outside [min=%v, max=%v]", got, h.Min(), h.Max())
 	}
 }
+
+// Min and Max report the extremes.
+func (h *Histogram) Min() Duration { return h.min }
+
+// Reset clears the histogram.
+func (h *Histogram) Reset() { *h = Histogram{} }

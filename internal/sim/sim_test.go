@@ -172,3 +172,31 @@ func TestStats(t *testing.T) {
 		t.Fatal("String should render counters")
 	}
 }
+
+// Int63 returns a non-negative 63-bit integer.
+func (r *Rand) Int63() int64 {
+	return int64(r.Uint64() >> 1)
+}
+
+// Shuffle permutes the first n elements using swap, Fisher-Yates style.
+func (r *Rand) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		swap(i, j)
+	}
+}
+
+// Cycles converts a duration to whole cycles at the clock's frequency,
+// rounding up (a partial cycle still occupies the pipeline).
+func (c *Clock) Cycles(d Duration) int64 {
+	per := int64(Second) / c.freq
+	return (int64(d) + per - 1) / per
+}
+
+// MinTime returns the earlier of a and b.
+func MinTime(a, b Time) Time {
+	if a < b {
+		return a
+	}
+	return b
+}

@@ -58,12 +58,6 @@ func (s *Stats) Counter(name string) *Counter {
 // Add increments counter name by delta, creating it on first use.
 func (s *Stats) Add(name string, delta int64) { s.Counter(name).v += delta }
 
-// Inc increments counter name by one.
-func (s *Stats) Inc(name string) { s.Counter(name).v++ }
-
-// Set overwrites counter name.
-func (s *Stats) Set(name string, v int64) { s.Counter(name).v = v }
-
 // Get reports counter name (zero if never touched).
 //
 // Deprecated for hot paths: Get pays a map hash per call. Code that reads
@@ -74,13 +68,6 @@ func (s *Stats) Get(name string) int64 {
 		return c.v
 	}
 	return 0
-}
-
-// Names returns the registered counter names in first-use order.
-func (s *Stats) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
 }
 
 // CounterSample is one counter's value at snapshot time. Samples are
@@ -100,14 +87,6 @@ func (s *Stats) Snapshot() []CounterSample {
 		out[i] = CounterSample{Name: name, Value: s.counters[name].v}
 	}
 	return out
-}
-
-// Reset zeroes every counter but keeps registration order (and every
-// interned handle).
-func (s *Stats) Reset() {
-	for _, c := range s.counters {
-		c.v = 0
-	}
 }
 
 // String renders the counters sorted by name, one per line — handy in test
@@ -141,7 +120,6 @@ const (
 	StatEvictions = "cache.dirty_evictions"
 
 	StatTxCommitted = "tx.committed"
-	StatTxAborted   = "tx.aborted"
 	StatTxStores    = "tx.stores"
 	StatTxLoads     = "tx.loads"
 

@@ -65,3 +65,24 @@ func TestStatsCounterRegistersImmediately(t *testing.T) {
 		t.Fatalf("interning must register the name: %v", names)
 	}
 }
+
+// Inc increments counter name by one.
+func (s *Stats) Inc(name string) { s.Counter(name).v++ }
+
+// Set overwrites counter name.
+func (s *Stats) Set(name string, v int64) { s.Counter(name).v = v }
+
+// Names returns the registered counter names in first-use order.
+func (s *Stats) Names() []string {
+	out := make([]string, len(s.order))
+	copy(out, s.order)
+	return out
+}
+
+// Reset zeroes every counter but keeps registration order (and every
+// interned handle).
+func (s *Stats) Reset() {
+	for _, c := range s.counters {
+		c.v = 0
+	}
+}

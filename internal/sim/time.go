@@ -111,24 +111,6 @@ func (c *Clock) CycleTime(n int64) Duration {
 	return Duration(n * (int64(Second) / c.freq))
 }
 
-// Cycles converts a duration to whole cycles at the clock's frequency,
-// rounding up (a partial cycle still occupies the pipeline).
-func (c *Clock) Cycles(d Duration) int64 {
-	per := int64(Second) / c.freq
-	return (int64(d) + per - 1) / per
-}
-
-// Freq reports the clock frequency in Hz.
-func (c *Clock) Freq() int64 { return c.freq }
-
-// MinTime returns the earlier of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MaxTime returns the later of a and b.
 func MaxTime(a, b Time) Time {
 	if a > b {

@@ -205,18 +205,6 @@ func (l *List) Delete(key uint64) (found bool, hops int) {
 	return true, hops
 }
 
-// Range calls fn for every key in [lo, hi) in ascending order until fn
-// returns false.
-func (l *List) Range(lo, hi uint64, fn func(key, val uint64) bool) {
-	var update [maxLevel]uint32
-	x, _ := l.descend(lo, &update)
-	for x = l.nodes[x].next[0]; x != 0 && l.nodes[x].key < hi; x = l.nodes[x].next[0] {
-		if !fn(l.nodes[x].key, l.nodes[x].val) {
-			return
-		}
-	}
-}
-
 // Clear drops every entry and rewinds the node and tower arrays for reuse.
 // The level generator is not reseeded, so the level sequence continues
 // across Clears.

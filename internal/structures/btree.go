@@ -55,9 +55,6 @@ func NewBTree(m pmem.Memory, a *pmem.Arena, valBytes int) *BTree {
 	return &BTree{m: m, arena: a, base: base, val: valBytes}
 }
 
-// Base reports the tree's persistent root address.
-func (t *BTree) Base() mem.PAddr { return t.base }
-
 // Len reports the number of keys.
 func (t *BTree) Len() int { return int(t.m.ReadWord(t.base + btOffCount)) }
 
@@ -234,41 +231,6 @@ func (t *BTree) splitChild(n mem.PAddr, i int) {
 	t.setNKeys(n, pn+1)
 }
 
-// Walk calls fn for every key in ascending order until fn returns false
-// (duplicate separator copies are suppressed).
-func (t *BTree) Walk(fn func(key uint64) bool) {
-	var last uint64
-	var seen bool
-	t.walk(mem.PAddr(t.m.ReadWord(t.base+btOffRoot)), func(k uint64) bool {
-		if seen && k == last {
-			return true
-		}
-		last, seen = k, true
-		return fn(k)
-	})
-}
-
-func (t *BTree) walk(n mem.PAddr, fn func(uint64) bool) bool {
-	nk := t.nkeys(n)
-	if t.isLeaf(n) {
-		for i := 0; i < nk; i++ {
-			if !fn(t.keyAt(n, i)) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < nk; i++ {
-		if !t.walk(t.ptrAt(n, i), fn) {
-			return false
-		}
-		if !fn(t.keyAt(n, i)) {
-			return false
-		}
-	}
-	return t.walk(t.ptrAt(n, nk), fn)
-}
-
 // scanNoter is implemented by memories that account range scans
 // (engine.Env); plain stores and pmem.Direct simply skip the accounting.
 type scanNoter interface {
@@ -318,17 +280,6 @@ func (t *BTree) scan(n mem.PAddr, start uint64, max int, buf []byte, fn func(uin
 		}
 	}
 	return true
-}
-
-// Depth reports tree height (every root-to-leaf path has equal length).
-func (t *BTree) Depth() int {
-	d := 1
-	n := mem.PAddr(t.m.ReadWord(t.base + btOffRoot))
-	for !t.isLeaf(n) {
-		n = t.ptrAt(n, 0)
-		d++
-	}
-	return d
 }
 
 func (t *BTree) checkVal(b []byte) {

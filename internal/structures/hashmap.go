@@ -54,9 +54,6 @@ func NewHashMap(m pmem.Memory, a *pmem.Arena, buckets, valBytes int) *HashMap {
 	return &HashMap{m: m, arena: a, base: base, val: valBytes, buckets: buckets}
 }
 
-// Base reports the map's persistent root address.
-func (h *HashMap) Base() mem.PAddr { return h.base }
-
 // Len reports the number of keys.
 func (h *HashMap) Len() int { return int(h.m.ReadWord(h.base + hmOffCount)) }
 

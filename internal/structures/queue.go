@@ -43,9 +43,6 @@ func NewQueue(m pmem.Memory, a *pmem.Arena, itemBytes int) *Queue {
 	return &Queue{m: m, arena: a, base: base, item: itemBytes}
 }
 
-// Base reports the queue's persistent root address.
-func (q *Queue) Base() mem.PAddr { return q.base }
-
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return int(q.m.ReadWord(q.base + qOffCount)) }
 
@@ -82,17 +79,6 @@ func (q *Queue) Dequeue(buf []byte) bool {
 		q.m.WriteWord(q.base+qOffTail, 0)
 	}
 	q.m.WriteWord(q.base+qOffCount, uint64(q.Len()-1))
-	return true
-}
-
-// Peek reads the oldest item without removing it.
-func (q *Queue) Peek(buf []byte) bool {
-	q.checkItem(buf)
-	head := mem.PAddr(q.m.ReadWord(q.base + qOffHead))
-	if head == pmem.Null {
-		return false
-	}
-	q.m.Read(head+qNodeOffItem, buf)
 	return true
 }
 

@@ -46,14 +46,6 @@ func NewVector(m pmem.Memory, a *pmem.Arena, capacity, itemBytes int) *Vector {
 	return &Vector{m: m, base: base, item: itemBytes}
 }
 
-// OpenVector reattaches to a vector previously created at base.
-func OpenVector(m pmem.Memory, base mem.PAddr) *Vector {
-	return &Vector{m: m, base: base, item: int(m.ReadWord(base + vecOffItem))}
-}
-
-// Base reports the vector's persistent root address.
-func (v *Vector) Base() mem.PAddr { return v.base }
-
 // Len reports the number of items.
 func (v *Vector) Len() int { return int(v.m.ReadWord(v.base + vecOffLen)) }
 
@@ -78,13 +70,6 @@ func (v *Vector) Append(item []byte) int {
 	v.writeItem(v.slot(n), item)
 	v.m.WriteWord(v.base+vecOffLen, uint64(n+1))
 	return n
-}
-
-// Update overwrites item i.
-func (v *Vector) Update(i int, item []byte) {
-	v.checkItem(item)
-	v.checkIndex(i)
-	v.writeItem(v.slot(i), item)
 }
 
 // UpdateWord overwrites one 8-byte word of item i (a sparse field update).

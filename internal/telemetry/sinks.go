@@ -1,55 +1,5 @@
 package telemetry
 
-// RingSink keeps the last N events in a bounded ring buffer — the
-// "flight recorder" sink: cheap enough to leave attached, and inspected
-// after the fact (post-crash, post-assertion) for the events leading up
-// to the interesting moment. Store payloads are copied so events stay
-// valid after Emit returns.
-type RingSink struct {
-	events  []Event
-	next    int
-	wrapped bool
-	dropped int64
-}
-
-// NewRingSink returns a ring holding the most recent capacity events.
-func NewRingSink(capacity int) *RingSink {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &RingSink{events: make([]Event, capacity)}
-}
-
-// Emit implements Sink.
-func (r *RingSink) Emit(e Event) {
-	if len(e.Data) > 0 {
-		e.Data = append([]byte(nil), e.Data...)
-	}
-	if r.wrapped {
-		r.dropped++
-	}
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
-
-// Events returns the buffered events oldest-first.
-func (r *RingSink) Events() []Event {
-	if !r.wrapped {
-		return append([]Event(nil), r.events[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// Dropped reports how many events were overwritten before being read.
-func (r *RingSink) Dropped() int64 { return r.dropped }
-
 // KindCount is one row of a CountingSink summary.
 type KindCount struct {
 	Kind  Kind  `json:"kind"`
@@ -72,22 +22,6 @@ func (c *CountingSink) Emit(e Event) {
 	}
 	c.n[e.Kind]++
 	c.bytes[e.Kind] += e.Bytes
-}
-
-// N reports how many events of kind k were seen.
-func (c *CountingSink) N(k Kind) int64 {
-	if int(k) > NumKinds {
-		return 0
-	}
-	return c.n[k]
-}
-
-// BytesOf reports the summed Bytes field of kind k.
-func (c *CountingSink) BytesOf(k Kind) int64 {
-	if int(k) > NumKinds {
-		return 0
-	}
-	return c.bytes[k]
 }
 
 // Counts returns the non-zero tallies in Kind order.

@@ -208,11 +208,6 @@ func (m Mask) Has(k Kind) bool { return m&(1<<k) != 0 }
 // MaskAll selects every kind.
 const MaskAll Mask = (1<<numKinds - 1) &^ 1
 
-// MaskOps selects the per-operation kinds: tx lifecycle plus every load
-// and store. This is what trace recording subscribes to; it is also the
-// expensive end of the taxonomy (events per memory operation).
-var MaskOps = MaskOf(KindTxBegin, KindTxCommit, KindTxAbort, KindLoad, KindStore)
-
 // MaskPhases selects the low-rate mechanism kinds — persist drains, slice
 // writes, GC epochs, mapping-table evictions, log writes, aborts, recovery
 // phases. The harness leaves these on for its per-cell phase breakdowns;

@@ -160,29 +160,6 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 }
 
-func TestRingSink(t *testing.T) {
-	r := NewRingSink(3)
-	data := []byte{1, 2, 3}
-	r.Emit(Event{Kind: KindStore, Tx: 1, Data: data})
-	data[0] = 99 // ring must have copied
-	for tx := uint64(2); tx <= 5; tx++ {
-		r.Emit(Event{Kind: KindTxCommit, Tx: tx})
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].Tx != 3 || evs[2].Tx != 5 {
-		t.Fatalf("ring kept %+v", evs)
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2", r.Dropped())
-	}
-
-	small := NewRingSink(2)
-	small.Emit(Event{Kind: KindStore, Tx: 1, Data: []byte{7}})
-	if got := small.Events(); len(got) != 1 || got[0].Data[0] != 7 {
-		t.Fatalf("unwrapped ring returned %+v", got)
-	}
-}
-
 func TestCountingSink(t *testing.T) {
 	var c CountingSink
 	c.Emit(Event{Kind: KindSliceWrite, Bytes: 256})
@@ -205,4 +182,20 @@ func TestEventTimeType(t *testing.T) {
 	if e.Time != 42 {
 		t.Fatal("unexpected time")
 	}
+}
+
+// N reports how many events of kind k were seen.
+func (c *CountingSink) N(k Kind) int64 {
+	if int(k) > NumKinds {
+		return 0
+	}
+	return c.n[k]
+}
+
+// BytesOf reports the summed Bytes field of kind k.
+func (c *CountingSink) BytesOf(k Kind) int64 {
+	if int(k) > NumKinds {
+		return 0
+	}
+	return c.bytes[k]
 }

@@ -32,9 +32,6 @@ func (c *Cursor) Reset(label string, thread int, txs [][]Op, payload []byte) {
 	c.next = 0
 }
 
-// Done reports how many transactions the cursor has replayed.
-func (c *Cursor) Done() int { return c.next }
-
 // RunTx replays the next recorded transaction. Running dry means the
 // capture's padding was undersized for the requested window — a harness
 // bug — so it panics rather than silently measuring a partial run.

@@ -67,3 +67,6 @@ func TestCursorReplayZeroAllocs(t *testing.T) {
 		t.Fatalf("cursor replay allocates %.1f objects per transaction, want 0", allocs)
 	}
 }
+
+// Done reports how many transactions the cursor has replayed.
+func (c *Cursor) Done() int { return c.next }

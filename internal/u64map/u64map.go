@@ -77,19 +77,8 @@ func (m *Map[V]) init(capacity int) {
 	m.n = 0
 }
 
-// NewMap returns a map pre-sized to hold about capHint entries without
-// growing. The zero value works too; NewMap just avoids the early doublings.
-func NewMap[V any](capHint int) *Map[V] {
-	m := &Map[V]{}
-	m.init(capHint * 4 / 3)
-	return m
-}
-
 // Len reports the number of live entries.
 func (m *Map[V]) Len() int { return m.n }
-
-// Cap reports the current slot-array capacity (for memory accounting).
-func (m *Map[V]) Cap() int { return len(m.keys) }
 
 // find returns the slot of k, or -1 when absent.
 func (m *Map[V]) find(k uint64) int {
@@ -246,13 +235,6 @@ func (m *Map[V]) Range(f func(k uint64, v *V) bool) {
 // The zero value is ready to use.
 type Set struct {
 	m Map[struct{}]
-}
-
-// NewSet returns a set pre-sized for about capHint members.
-func NewSet(capHint int) *Set {
-	s := &Set{}
-	s.m.init(capHint * 4 / 3)
-	return s
 }
 
 // Len reports the number of members.

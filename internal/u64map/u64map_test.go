@@ -405,3 +405,21 @@ func BenchmarkClearRefill(b *testing.B) {
 		}
 	}
 }
+
+// NewMap returns a map pre-sized to hold about capHint entries without
+// growing. The zero value works too; NewMap just avoids the early doublings.
+func NewMap[V any](capHint int) *Map[V] {
+	m := &Map[V]{}
+	m.init(capHint * 4 / 3)
+	return m
+}
+
+// Cap reports the current slot-array capacity (for memory accounting).
+func (m *Map[V]) Cap() int { return len(m.keys) }
+
+// NewSet returns a set pre-sized for about capHint members.
+func NewSet(capHint int) *Set {
+	s := &Set{}
+	s.m.init(capHint * 4 / 3)
+	return s
+}

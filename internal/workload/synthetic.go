@@ -77,10 +77,6 @@ func fillItem(r *sim.Rand, buf []byte) {
 	}
 }
 
-// Vector is the Table III vector benchmark with the given item size
-// (8 stores per transaction at 64-byte items, write-only).
-func Vector(itemBytes int) Workload { return MustBuild("vector", Options{ValBytes: itemBytes}) }
-
 // buildVector is the registry factory behind Vector.
 func buildVector(opt Options) Workload {
 	o := opt.withDefaults(synthDefaults)
@@ -265,10 +261,6 @@ func buildRBTree(opt Options) Workload {
 		},
 	}
 }
-
-// BTreeWL is the Table III B-tree benchmark (2–12 stores per transaction
-// depending on node splits).
-func BTreeWL(itemBytes int) Workload { return MustBuild("btree", Options{ValBytes: itemBytes}) }
 
 // buildBTree is the registry factory behind BTreeWL.
 func buildBTree(opt Options) Workload {

@@ -117,10 +117,10 @@ func TestYCSBWriteReadMix(t *testing.T) {
 	sys := testSystem(t, engine.SchemeNative)
 	runners := YCSB(512).Runners(sys, 3)
 	sys.Run(runners, 2000)
-	st := sys.Stats()
+	st := sys.Snapshot()
 	// Each update op issues value-size/64 stores; reads issue loads via
 	// table.Read. We sanity-check that both happen in bulk.
-	if st.Get(sim.StatTxStores) == 0 || st.Get(sim.StatTxLoads) == 0 {
+	if st.Counter(sim.StatTxStores) == 0 || st.Counter(sim.StatTxLoads) == 0 {
 		t.Fatal("mix missing loads or stores")
 	}
 }
@@ -187,3 +187,11 @@ func TestZipfZetaSane(t *testing.T) {
 		t.Fatalf("zeta(100,0) = %f", got)
 	}
 }
+
+// Vector is the Table III vector benchmark with the given item size
+// (8 stores per transaction at 64-byte items, write-only).
+func Vector(itemBytes int) Workload { return MustBuild("vector", Options{ValBytes: itemBytes}) }
+
+// BTreeWL is the Table III B-tree benchmark (2–12 stores per transaction
+// depending on node splits).
+func BTreeWL(itemBytes int) Workload { return MustBuild("btree", Options{ValBytes: itemBytes}) }
