@@ -175,8 +175,8 @@ func benchmarks() map[string]func(b *testing.B) {
 		// One committed 4-word read-modify-write transaction through the
 		// concurrency-control layer on a single thread: the op-granularity
 		// yield protocol plus OCC's buffer/validate/install bookkeeping.
-		// A lone thread always picks itself at each step boundary, so the
-		// grant never leaves its goroutine; cc_2pl_tx4_t4 measures the
+		// A lone thread always picks itself at each step boundary, so its
+		// coroutine never parks; cc_2pl_tx4_t4 measures the
 		// thread-to-thread handoff. The alloc gate holds the budget at zero
 		// steady-state allocations (validation reuses its scratch buffer).
 		"cc_occ_tx4": func(b *testing.B) {
@@ -195,9 +195,10 @@ func benchmarks() map[string]func(b *testing.B) {
 			r.Run(srcs, b.N)
 		},
 		// cc_2pl_tx4 over 4 threads on disjoint lines: no conflicts, but
-		// the smallest-clock grant passes from one thread goroutine to the
-		// next at nearly every step, so this is the handoff's cost per
-		// committed transaction. Zero steady-state allocations.
+		// the smallest-clock step passes from one thread's coroutine to the
+		// next at nearly every step (the thread parks, Run resumes the
+		// next), so this is the handoff's cost per committed transaction.
+		// Zero steady-state allocations.
 		"cc_2pl_tx4_t4": func(b *testing.B) {
 			r, srcs := ccRunnerForBench(b, cc.Policy2PL, 4)
 			r.Run(srcs, 200)

@@ -65,11 +65,11 @@ type Scheme struct {
 	cursor  mem.PAddr
 	epoch   uint32
 
-	index     *skiplist.List    // home word addr -> log data addr
-	lineWords u64map.Map[int32] // home line -> log-resident word count
-	records   []record          // volatile mirror of live log records
-	committed u64map.Set        // tx committed since last GC
-	liveTx    u64map.Map[int32] // live tx -> record count
+	index     *skiplist.List     // home word addr -> log data addr
+	lineWords u64map.Map[int32]  // home line -> log-resident word count
+	records   []record           // volatile mirror of live log records
+	committed u64map.Set         // tx committed since last GC
+	liveTx    u64map.Map[txRecs] // live tx -> its records
 
 	// GC coalescing table, cleared and reused across passes.
 	gcLines persist.Coalescer
@@ -91,6 +91,11 @@ type record struct {
 	n    int
 	at   mem.PAddr // record header address in the log
 }
+
+// txRecs locates a live transaction's n records: the first sits at
+// records[first] and the rest after it. runGC defers while any transaction
+// is live, so records is never truncated under one.
+type txRecs struct{ first, n int32 }
 
 // New builds the scheme; the log occupies the layout's OOP region.
 func New(ctx persist.Context, cfg Config) (*Scheme, error) {
@@ -216,7 +221,7 @@ func (s *Scheme) appendRecord(tx persist.TxID, addr mem.PAddr, data []byte) (at 
 // TxBegin implements persist.Scheme.
 func (s *Scheme) TxBegin(core int, now sim.Time) (persist.TxID, sim.Time) {
 	tx := s.alloc.Next()
-	s.liveTx.Put(uint64(tx), 0)
+	s.liveTx.Put(uint64(tx), txRecs{})
 	return tx, now
 }
 
@@ -232,7 +237,11 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 			Tx: uint64(tx), Addr: at, Bytes: int64(recTraffic(len(val))),
 		})
 	}
-	*s.liveTx.Ref(uint64(tx))++
+	l := s.liveTx.Ref(uint64(tx))
+	if l.n == 0 {
+		l.first = int32(len(s.records) - 1) // the record just appended
+	}
+	l.n++
 	var hops int
 	for off := 0; off < len(val); off += mem.WordSize {
 		w := addr + mem.PAddr(off)
@@ -248,7 +257,7 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 // TxEnd implements persist.Scheme: drain the posted appends, then persist
 // the commit record with a fence.
 func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
-	if n, _ := s.liveTx.Get(uint64(tx)); n > 0 {
+	if l, _ := s.liveTx.Get(uint64(tx)); l.n > 0 {
 		now = s.ctx.Ctrl.Drain(core, now)
 		at, _ := s.appendRecord(tx, commitSentinel, nil)
 		now = s.ctx.Ctrl.Write(at, recTraffic(0), now)
@@ -276,11 +285,15 @@ func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
 // while any transaction is live, and an aborted one must not pin it.
 func (s *Scheme) TxAbort(core int, tx persist.TxID, now sim.Time) sim.Time {
 	var hops, words int
-	for i := range s.records {
+	l, _ := s.liveTx.Delete(uint64(tx))
+	// Walk only the transaction's own records, in append order (the hop
+	// count depends on the deletion order): from its first to its last.
+	for i, left := int(l.first), l.n; left > 0; i++ {
 		r := &s.records[i]
-		if r.tx != tx || r.addr == commitSentinel {
+		if r.tx != tx {
 			continue
 		}
+		left--
 		for off := 0; off < r.n; off += mem.WordSize {
 			w := r.addr + mem.PAddr(off)
 			if _, h := s.index.Delete(uint64(w)); h > hops {
@@ -294,7 +307,6 @@ func (s *Scheme) TxAbort(core int, tx persist.TxID, now sim.Time) sim.Time {
 			}
 		}
 	}
-	s.liveTx.Delete(uint64(tx))
 	if words > 0 {
 		now += sim.Duration(words)*indexInsertBase + sim.Duration(hops)*indexHopCost
 	}

@@ -53,11 +53,11 @@ func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource
 // perTxAllocs measures steady-state allocations per committed transaction
 // on one thread: a warmup run grows every reused structure (write buffer,
 // read set, validation scratch, lock table, held-lock set) to its steady
-// size, then a long measured run amortizes the per-Run overhead (quota
-// slice, one goroutine spawn) below 0.05 allocs/tx. A lone thread grants
-// every step to itself, so after Run's first grant no channel operation
-// happens; grants between threads go over the preallocated resume
-// channels and allocate nothing either (simbench's cc_2pl_tx4_t4).
+// size, then a long measured run amortizes the per-Run overhead (the quota
+// slice and each thread's iter.Pull coroutine, 13 allocations for one
+// thread) below 0.05 allocs/tx. A lone thread picks itself at every step
+// boundary and never parks; a handoff between threads is a coroutine
+// switch, which allocates nothing either (simbench's cc_2pl_tx4_t4).
 func perTxAllocs(tb testing.TB, policy Policy) float64 {
 	r, srcs := benchRunner(tb, policy, 1)
 	r.Run(srcs, 200)

@@ -1,3 +1,10 @@
+// iter.Pull needs go1.23. This constraint raises the language version of
+// this file alone: the module's go line stays at 1.22 because the
+// benchmark module, which requires this one, declares go 1.22, and a
+// dependency may not declare a newer go line than its main module.
+
+//go:build go1.23
+
 // Package cc is the optional concurrency-control layer above the persist
 // schemes: it lets the engine's per-core threads issue *conflicting*
 // transactions and resolves the conflicts with one of two interchangeable
@@ -11,21 +18,23 @@
 //
 // Execution model: engine.System.Run interleaves whole transactions, which
 // can never conflict. The cc.Runner instead interleaves at *operation*
-// granularity: each thread's transaction body runs in its own goroutine,
-// and before every operation the running thread picks the next step's
-// owner itself — the runnable thread with the smallest simulated clock
-// (ties to the lowest thread id). If that is the thread itself it carries
-// on without a goroutine switch; otherwise it hands the grant straight to
-// the chosen thread and parks until a later grant comes back to it. There
-// is no scheduler goroutine: exactly one thread goroutine holds the grant
-// at any time, so the interleaving is deterministic, race-free, and
-// reproducible bit-for-bit — yet transactions are genuinely concurrent in
-// simulated time, so a lock request can find its line held by a parked
-// transaction and wound-wait has someone to wound.
+// granularity: each thread's transaction body runs in its own coroutine
+// (iter.Pull), and before every operation the running thread picks the
+// next step's owner itself — the runnable thread with the smallest
+// simulated clock (ties to the lowest thread id). If that is the thread
+// itself it carries on without a switch; otherwise it records the chosen
+// thread and parks, and Run, a loop on the caller's goroutine, resumes the
+// chosen one. A coroutine switch is a direct hand-over that never goes
+// through the Go scheduler, and exactly one coroutine runs at any time, so
+// the interleaving is deterministic, race-free, and reproducible
+// bit-for-bit — yet transactions are genuinely concurrent in simulated
+// time, so a lock request can find its line held by a parked transaction
+// and wound-wait has someone to wound.
 package cc
 
 import (
 	"fmt"
+	"iter"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
@@ -71,7 +80,9 @@ type TxFunc func(tx Tx)
 // TxSource produces the transaction bodies of one thread. Next is called
 // once per *committed* transaction; the returned body may execute several
 // times (abort → retry), so any randomness must be drawn inside Next and
-// captured by the closure, never inside the body.
+// captured by the closure, never inside the body. The Runner uses a body
+// only until it calls Next again, so a source may reuse one body and its
+// buffers for every transaction.
 type TxSource interface {
 	Next() TxFunc
 }
@@ -102,9 +113,10 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	// done tells Run that a thread found no runnable thread: every thread
-	// has finished, or the schedule is stuck.
-	done chan struct{}
+	// handoff is the thread a parking or finishing thread picked to step
+	// next; Run resumes it. nil means the thread found no runnable thread:
+	// every thread has finished, or the schedule is stuck.
+	handoff *thread
 	// lockEpoch increments whenever any lock is released (or a holder is
 	// wounded); blocked threads only become runnable again when the epoch
 	// has moved past the one they blocked under, so a failed re-check
@@ -120,7 +132,7 @@ type Runner struct {
 const (
 	statusReady    = iota // parked at a yield point, runnable
 	statusBlocked         // waiting on a lock
-	statusFinished        // quota done, goroutine exited
+	statusFinished        // quota done, coroutine returned
 )
 
 type thread struct {
@@ -128,9 +140,12 @@ type thread struct {
 	id  int
 	env *engine.Env
 
-	// resume delivers grants (buffer 1, so the granting thread never
-	// waits for the granted one to wake).
-	resume chan struct{}
+	// The thread's coroutine in the current Run: next resumes it until it
+	// parks or finishes, park (the coroutine's yield) suspends it back to
+	// Run, and stop unwinds it if Run panics while it is parked.
+	next   func() (struct{}, bool)
+	stop   func()
+	park   func(struct{}) bool
 	status int
 	// blockEpoch is the lockEpoch observed when the thread blocked.
 	blockEpoch uint64
@@ -157,6 +172,9 @@ type thread struct {
 // abortSignal unwinds a wounded or validation-failed transaction body.
 type abortSignal struct{}
 
+// stopSignal unwinds a parked thread whose coroutine Run stops.
+type stopSignal struct{}
+
 // New builds a Runner over sys. The system must have been built with
 // engine.Config.Abortable (the rollback arena TxAbort needs).
 func New(sys *engine.System, cfg Config) (*Runner, error) {
@@ -170,11 +188,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 10000
 	}
-	r := &Runner{
-		sys:  sys,
-		cfg:  cfg,
-		done: make(chan struct{}),
-	}
+	r := &Runner{sys: sys, cfg: cfg}
 	switch cfg.Policy {
 	case PolicyOCC:
 		r.policy = newOCCPolicy(r)
@@ -187,12 +201,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 	}
 	r.threads = make([]*thread, n)
 	for i := range r.threads {
-		r.threads[i] = &thread{
-			r:      r,
-			id:     i,
-			env:    sys.NewEnv(i),
-			resume: make(chan struct{}, 1),
-		}
+		r.threads[i] = &thread{r: r, id: i, env: sys.NewEnv(i)}
 	}
 	return r, nil
 }
@@ -202,7 +211,7 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 func (r *Runner) History() *History { return &r.history }
 
 // policy is the internal algorithm surface. All methods run on the
-// granted thread's goroutine; none may yield except through t.acquire
+// stepping thread's coroutine; none may yield except through t.acquire
 // helpers that the policy itself owns.
 type policy interface {
 	// begin opens the engine transaction and resets per-attempt state.
@@ -226,7 +235,9 @@ type policy interface {
 // thread has committed its share; aborted attempts retry until they
 // commit, so the committed-transaction count is exact. If the threads ever
 // find no runnable thread before all have finished (a lock-scheduling bug),
-// Run panics on the caller's goroutine; the stuck threads stay parked.
+// Run panics on the caller's goroutine, and so does any other panic a body
+// or policy raises. Either way no thread coroutine outlives Run; after a
+// panic the Runner must not be used again.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
@@ -236,6 +247,7 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	for i := 0; i < totalTxs; i++ {
 		quota[i%n]++
 	}
+	defer r.stopThreads()
 	for i, t := range r.threads {
 		t.status = statusReady
 		t.wounded = false
@@ -245,20 +257,32 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 			t.status = statusFinished
 			continue
 		}
-		go t.loop(sources[i], quota[i])
+		t.next, t.stop = iter.Pull(func(park func(struct{}) bool) {
+			t.loop(park, sources[i], quota[i])
+		})
 	}
-	// The goroutines start parked: hand out the first grant, after which
-	// the threads pass it among themselves until none can run.
-	first := r.pick()
-	if first == nil {
-		return
+	// A coroutine runs from its first resume until it parks or finishes,
+	// and leaves in r.handoff the thread it picked to step next.
+	for cur := r.pick(); cur != nil; cur = r.handoff {
+		r.handoff = nil
+		cur.next()
 	}
-	first.resume <- struct{}{}
-	<-r.done
 	for _, t := range r.threads {
 		if t.status != statusFinished {
 			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
 		}
+	}
+}
+
+// stopThreads ends every thread's coroutine and drops it. A finished
+// coroutine has ended already; one still parked (Run is panicking) unwinds
+// from its step boundary.
+func (r *Runner) stopThreads() {
+	for _, t := range r.threads {
+		if t.stop != nil {
+			t.stop()
+		}
+		t.next, t.stop, t.park = nil, nil, nil
 	}
 }
 
@@ -284,32 +308,21 @@ func (r *Runner) pick() *thread {
 	return best
 }
 
-// pass hands the grant from t (which has just set its status) to the next
-// thread, or back to Run when no thread can run, and reports whether t gave
-// it away and must park. Once the grant is gone, t must not touch Runner
-// state again.
-func (r *Runner) pass(t *thread) bool {
-	switch next := r.pick(); next {
-	case t:
-		return false
-	case nil:
-		r.done <- struct{}{}
-	default:
-		next.resume <- struct{}{}
-	}
-	return true
-}
-
-// loop is one thread's goroutine: commit `quota` transactions, retrying
-// aborted attempts with the same body.
-func (t *thread) loop(src TxSource, quota int) {
-	<-t.resume // wait for the first grant
+// loop is one thread's coroutine: commit `quota` transactions, retrying
+// aborted attempts with the same body, then pick the thread to step after
+// it.
+func (t *thread) loop(park func(struct{}) bool, src TxSource, quota int) {
+	defer func() {
+		if e := recover(); e != nil && e != (stopSignal{}) {
+			panic(e)
+		}
+	}()
+	t.park = park
 	for done := 0; done < quota; done++ {
-		body := src.Next()
-		t.runToCommit(body)
+		t.runToCommit(src.Next())
 	}
 	t.status = statusFinished
-	t.r.pass(t) // hand on the grant and exit
+	t.r.handoff = t.r.pick()
 }
 
 // runToCommit executes body until one attempt commits.
@@ -373,13 +386,17 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 	return true
 }
 
-// yield is a step boundary: the thread passes the grant on and continues
-// once it is granted a step again (immediately, if it picks itself). A
-// pending wound is consumed here: the grant lands as an abort.
+// yield is a step boundary: the thread picks the next step's owner and, if
+// that is another thread (or none), parks until Run resumes it (not at
+// all, if it picks itself). A pending wound is consumed here: the resumed
+// step lands as an abort.
 func (t *thread) yield(status int) {
 	t.status = status
-	if t.r.pass(t) {
-		<-t.resume
+	if next := t.r.pick(); next != t {
+		t.r.handoff = next
+		if !t.park(struct{}{}) {
+			panic(stopSignal{})
+		}
 	}
 	t.status = statusReady
 	if t.wounded {

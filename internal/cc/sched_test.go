@@ -5,26 +5,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"hoop/internal/mem"
 )
-
-// waitGoroutines polls until the process is back to want goroutines: a
-// thread goroutine that has handed on its last grant may still be on its
-// way out when Run returns.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after Run, want %d:\n%s",
-				runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // stuckPolicy commits empty transactions but blocks every read forever:
 // it waits on a lock nobody ever releases, so the schedule runs out of
@@ -82,11 +65,85 @@ func TestStuckScheduleReported(t *testing.T) {
 	}
 }
 
+// failCommitPolicy fails validation at every commit, so a transaction
+// retries until Config.MaxRetries trips the livelock panic.
+type failCommitPolicy struct{}
+
+func (failCommitPolicy) begin(*thread)                    {}
+func (failCommitPolicy) read(*thread, mem.PAddr) uint64   { return 0 }
+func (failCommitPolicy) write(*thread, mem.PAddr, uint64) {}
+func (failCommitPolicy) commit(*thread) bool              { return false }
+func (failCommitPolicy) abort(*thread)                    {}
+
+// checkNoThreadCoroutines fails if any goroutine is still inside a thread
+// coroutine: Run must have ended every one by the time it returns or
+// panics. It inspects stacks rather than comparing runtime.NumGoroutine
+// with a count taken before Run, which a previous (sub)test's goroutine
+// still on its way out can lower in between.
+func checkNoThreadCoroutines(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	if got := strings.Count(string(buf), "cc.(*thread).loop("); got != 0 {
+		t.Fatalf("%d thread coroutines outlive Run:\n%s", got, buf)
+	}
+}
+
+// TestRunPanicsAreRecoverable checks that a panic other than an abort,
+// raised on a thread's coroutine, surfaces on Run's caller's goroutine with
+// its own value and can be recovered there, and that Run still ends the
+// coroutine of every other thread, parked mid-transaction. The cases are
+// the MaxRetries livelock panic (under a policy whose commit always fails)
+// and a panic from the body itself.
+func TestRunPanicsAreRecoverable(t *testing.T) {
+	rmw := func(tx Tx) { tx.WriteWord(0, tx.ReadWord(0)+1) }
+	calls := 0
+	boom := func(tx Tx) {
+		if calls++; calls == 3 {
+			panic("boom")
+		}
+		rmw(tx)
+	}
+	for _, tc := range []struct {
+		name string
+		fail bool
+		body TxFunc
+		want string
+	}{
+		{"livelock", true, rmw, "exceeded 5 retries (livelock?)"},
+		{"body", false, boom, "boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRunner(t, PolicyOCC, 2)
+			r.cfg.MaxRetries = 5
+			if tc.fail {
+				r.policy = failCommitPolicy{}
+			}
+			srcs := []TxSource{
+				TxSourceFunc(func() TxFunc { return tc.body }),
+				TxSourceFunc(func() TxFunc { return rmw }),
+			}
+			p := runRecover(r, srcs, 8)
+			if msg, _ := p.(string); !strings.Contains(msg, tc.want) {
+				t.Fatalf("Run panicked with %v, want %q", p, tc.want)
+			}
+			checkNoThreadCoroutines(t)
+		})
+	}
+}
+
 // TestRunGoroutineHygiene runs both policies at several thread counts over
 // conflicting read-modify-writes, including runs where some or all threads
-// have a zero quota. Every transaction must commit exactly once, every
-// thread goroutine must be gone after Run returns, and a second Run on the
-// same Runner must complete too.
+// have a zero quota. Every transaction must commit exactly once, no thread
+// coroutine may outlive Run, and a second Run on the same Runner must
+// complete too.
 func TestRunGoroutineHygiene(t *testing.T) {
 	for _, policy := range Policies {
 		for _, n := range []int{1, 2, 4, 8} {
@@ -113,10 +170,9 @@ func TestRunGoroutineHygiene(t *testing.T) {
 						}
 						srcs[i] = TxSourceFunc(func() TxFunc { return body })
 					}
-					before := runtime.NumGoroutine()
 					for run := 1; run <= 2; run++ {
 						r.Run(srcs, txs)
-						waitGoroutines(t, before)
+						checkNoThreadCoroutines(t)
 						if got := len(r.History().Commits); got != run*txs {
 							t.Fatalf("run %d: %d commits recorded, want %d", run, got, run*txs)
 						}

@@ -51,26 +51,29 @@ func ContentionOf(w Workload) (c Contention, ok bool) {
 
 // Sources builds one cc.TxSource per thread. All randomness is drawn in
 // Next, outside the returned body, so an aborted attempt retries with the
-// same keys and deltas; deterministic given (threads, seed).
+// same keys and deltas; deterministic given (threads, seed). Each source
+// refills one keys/deltas buffer in place and returns the same body every
+// time, so Next allocates nothing: the Runner is done with a body before
+// it calls Next again.
 func (c Contention) Sources(threads int, seed uint64) []cc.TxSource {
 	srcs := make([]cc.TxSource, threads)
 	for i := range srcs {
 		rng := sim.NewRand(seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
 		zipf := NewZipf(rng, uint64(c.Keys), c.Theta)
-		ops := c.OpsPerTx
+		keys := make([]mem.PAddr, c.OpsPerTx)
+		deltas := make([]uint64, c.OpsPerTx)
+		body := func(tx cc.Tx) {
+			for j := range keys {
+				v := tx.ReadWord(keys[j])
+				tx.WriteWord(keys[j], v+deltas[j])
+			}
+		}
 		srcs[i] = cc.TxSourceFunc(func() cc.TxFunc {
-			keys := make([]mem.PAddr, ops)
-			deltas := make([]uint64, ops)
 			for j := range keys {
 				keys[j] = mem.PAddr(zipf.Next() * mem.WordSize)
 				deltas[j] = rng.Uint64()%1000 + 1
 			}
-			return func(tx cc.Tx) {
-				for j := range keys {
-					v := tx.ReadWord(keys[j])
-					tx.WriteWord(keys[j], v+deltas[j])
-				}
-			}
+			return body
 		})
 	}
 	return srcs
