@@ -74,9 +74,14 @@ func TestPresenceIndex(t *testing.T) {
 		t.Fatal("set(5, 0) did not clear")
 	}
 	// set(idx, 0) on a never-touched page must not materialize one.
-	before := len(p.pages)
+	pages := func() int {
+		n := 0
+		p.dir.Walk(func(mem.PAddr, *presencePage) bool { n++; return true })
+		return n
+	}
+	before := pages()
 	p.set(uint64(presenceLines*99), 0)
-	if len(p.pages) != before {
+	if pages() != before {
 		t.Fatal("set(_, 0) created a page")
 	}
 	p.reset()

@@ -9,6 +9,12 @@
 // the per-line dirty bit and HOOP's extra "persistent bit" marking lines
 // modified inside a transaction (§III-G), because where an evicted line must
 // be written (home region vs OOP region) depends on that bit.
+//
+// Host representation: each level keeps one packed 8-byte tag word per way
+// (line index plus valid, dirty and persistent bits) and a parallel array
+// of LRU stamps, so a set probe reads only tag words (a 16-way LLC set is
+// 128 B, an 8-way L2 set one host cache line). The per-line core-presence
+// masks live in a mem.Dir radix page directory; no access path hashes.
 package cache
 
 import (
@@ -52,23 +58,38 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// line is one cache-line tag entry.
-type line struct {
-	idx        uint64 // line index (addr >> 6); tag and set derive from it
-	valid      bool
-	dirty      bool
-	persistent bool // HOOP per-line transaction bit
-	stamp      uint64
+// A way's tag word packs the line index (addr >> 6) above three flag
+// bits: valid, dirty, and HOOP's per-line persistent (transaction) bit. A
+// zero word is an invalid way, so a set probe compares tag words only.
+const (
+	tagValid      = 1 << 0
+	tagDirty      = 1 << 1
+	tagPersistent = 1 << 2
+	tagFlagBits   = 3
+)
+
+// persistentBit is tagPersistent when persistent is set, else 0.
+func persistentBit(persistent bool) uint64 {
+	if persistent {
+		return tagPersistent
+	}
+	return 0
 }
 
+// tagIndex returns the line index a valid tag word holds.
+func tagIndex(t uint64) uint64 { return t >> tagFlagBits }
+
 // level is one set-associative tag array. The set count is a power of two,
-// so a line's set is its index masked by setMask.
+// so a line's set is its index masked by setMask. Set s occupies ways
+// [s*ways, (s+1)*ways) of tags and of the parallel LRU stamps; stamps are
+// read only to pick a victim in a full set.
 type level struct {
 	sets    int
 	setMask uint64
 	ways    int
 	latency sim.Duration
-	meta    []line
+	tags    []uint64
+	stamps  []uint64
 	tick    uint64
 }
 
@@ -87,64 +108,94 @@ func levelSets(size, ways int) int {
 
 func newLevel(size, ways int, lat sim.Duration) *level {
 	sets := levelSets(size, ways)
-	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat, meta: make([]line, sets*ways)}
+	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat,
+		tags: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
 }
 
-func (l *level) set(idx uint64) []line {
-	s := int(idx & l.setMask)
-	return l.meta[s*l.ways : (s+1)*l.ways]
-}
+// setBase returns the position of the first way of idx's set.
+func (l *level) setBase(idx uint64) int { return int(idx&l.setMask) * l.ways }
 
-// lookup finds the line, bumping LRU on hit.
-func (l *level) lookup(idx uint64) *line {
-	set := l.set(idx)
-	for i := range set {
-		if set[i].valid && set[i].idx == idx {
-			l.tick++
-			set[i].stamp = l.tick
-			return &set[i]
+// find returns the position of idx's way, or -1, without touching LRU.
+func (l *level) find(idx uint64) int {
+	b := l.setBase(idx)
+	want := idx<<tagFlagBits | tagValid
+	for i, t := range l.tags[b : b+l.ways] {
+		if t&^(tagDirty|tagPersistent) == want {
+			return b + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// insert places idx into the level, returning the victim that was evicted
-// (valid==true) if the set was full.
-func (l *level) insert(idx uint64, dirty, persistent bool) (victim line) {
-	set := l.set(idx)
-	// Prefer an invalid way.
+// lookup finds the line, bumping LRU on hit. It returns the way's
+// position in tags, or -1 on a miss.
+func (l *level) lookup(idx uint64) int {
+	w := l.find(idx)
+	if w >= 0 {
+		l.tick++
+		l.stamps[w] = l.tick
+	}
+	return w
+}
+
+// markDirty sets the dirty bit of the way at w, and its persistent bit
+// when persistent.
+func (l *level) markDirty(w int, persistent bool) {
+	l.tags[w] |= tagDirty | persistentBit(persistent)
+}
+
+// fold marks idx's way dirty, and persistent when persistent, if the
+// level holds it (bumping its LRU stamp like any hit). It reports whether
+// the level held idx.
+func (l *level) fold(idx uint64, persistent bool) bool {
+	w := l.lookup(idx)
+	if w >= 0 {
+		l.markDirty(w, persistent)
+	}
+	return w >= 0
+}
+
+// insert places idx into the level, returning the tag word of the victim
+// it evicted, or 0 if the set had an invalid way.
+func (l *level) insert(idx uint64, dirty, persistent bool) (victim uint64) {
+	b := l.setBase(idx)
 	vi := -1
-	var oldest uint64 = ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			victim = line{}
+	for i, t := range l.tags[b : b+l.ways] {
+		if t == 0 {
+			vi = b + i
 			break
 		}
-		if set[i].stamp < oldest {
-			oldest = set[i].stamp
-			vi = i
-		}
 	}
-	if set[vi].valid {
-		victim = set[vi]
+	if vi < 0 {
+		// Full set: the least recently used way goes.
+		vi = b
+		for i := b + 1; i < b+l.ways; i++ {
+			if l.stamps[i] < l.stamps[vi] {
+				vi = i
+			}
+		}
+		victim = l.tags[vi]
+	}
+	t := idx<<tagFlagBits | tagValid | persistentBit(persistent)
+	if dirty {
+		t |= tagDirty
 	}
 	l.tick++
-	set[vi] = line{idx: idx, valid: true, dirty: dirty, persistent: persistent, stamp: l.tick}
+	l.tags[vi] = t
+	l.stamps[vi] = l.tick
 	return victim
 }
 
-// invalidate drops idx, returning the dropped entry if it was present.
-func (l *level) invalidate(idx uint64) (line, bool) {
-	set := l.set(idx)
-	for i := range set {
-		if set[i].valid && set[i].idx == idx {
-			old := set[i]
-			set[i] = line{}
-			return old, true
-		}
+// invalidate drops idx, returning its tag word, or 0 if it was absent.
+func (l *level) invalidate(idx uint64) uint64 {
+	w := l.find(idx)
+	if w < 0 {
+		return 0
 	}
-	return line{}, false
+	old := l.tags[w]
+	l.tags[w] = 0
+	l.stamps[w] = 0
+	return old
 }
 
 // Eviction describes a dirty line leaving the LLC toward memory. The
@@ -187,13 +238,11 @@ type Hierarchy struct {
 	tel *telemetry.Hub
 }
 
-// Presence-index geometry: the core-presence bitmasks live in direct-mapped
-// pages of presenceLines consecutive line indices (one page spans
-// presenceLines × 64 B = 16 KB of address space), found through a page table
-// with a last-touched-page cache — the same structure mem.Store uses for
-// data. Every hot-path presence read or update is then an array index; the
-// page-table map is only consulted when the access stream crosses a page
-// boundary.
+// Presence-index geometry: the core-presence bitmasks live in pages of
+// presenceLines consecutive line indices (one page spans presenceLines ×
+// 64 B = 16 KB of address space), found through a mem.Dir radix page
+// directory. Every presence read or update is three array indexings and
+// no hashing.
 const (
 	presenceShift = 8 // lines per page (256)
 	presenceLines = 1 << presenceShift
@@ -203,42 +252,18 @@ const (
 type presencePage [presenceLines]uint32
 
 type presenceIndex struct {
-	pages   map[uint64]*presencePage
-	lastKey uint64
-	last    *presencePage
+	dir mem.Dir[presencePage]
 }
 
+// reset drops every page.
 func (p *presenceIndex) reset() {
-	p.pages = make(map[uint64]*presencePage)
-	p.lastKey = 0
-	p.last = nil
+	p.dir = mem.NewDir[presencePage](presenceShift + mem.LineShift)
 }
 
 // page returns the page covering line idx, or nil when no bit in it was
 // ever set.
 func (p *presenceIndex) page(idx uint64) *presencePage {
-	key := idx >> presenceShift
-	if p.last != nil && key == p.lastKey {
-		return p.last
-	}
-	pg := p.pages[key]
-	if pg != nil {
-		p.lastKey = key
-		p.last = pg
-	}
-	return pg
-}
-
-func (p *presenceIndex) pageOrCreate(idx uint64) *presencePage {
-	if pg := p.page(idx); pg != nil {
-		return pg
-	}
-	key := idx >> presenceShift
-	pg := new(presencePage)
-	p.pages[key] = pg
-	p.lastKey = key
-	p.last = pg
-	return pg
+	return p.dir.Page(mem.PAddr(idx << mem.LineShift))
 }
 
 // get returns the presence mask for line idx (0 when never set).
@@ -259,13 +284,12 @@ func (p *presenceIndex) set(idx uint64, mask uint32) {
 		}
 		return
 	}
-	p.pageOrCreate(idx)[idx&presenceMask] = mask
+	p.dir.PageOrNew(mem.PAddr(idx << mem.LineShift))[idx&presenceMask] = mask
 }
 
 // or sets bits in the presence mask for line idx.
 func (p *presenceIndex) or(idx uint64, bits uint32) {
-	pg := p.pageOrCreate(idx)
-	pg[idx&presenceMask] |= bits
+	p.dir.PageOrNew(mem.PAddr(idx << mem.LineShift))[idx&presenceMask] |= bits
 }
 
 // New builds a hierarchy for cfg.
@@ -322,10 +346,10 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	}
 	idx := mem.LineIndex(a)
 	lat := h.cfg.L1Latency
-	if ln := h.l1[core].lookup(idx); ln != nil {
+	l1 := h.l1[core]
+	if w := l1.lookup(idx); w >= 0 {
 		if write {
-			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
+			l1.markDirty(w, persistent)
 			h.markL2Dirty(core, idx, persistent)
 			h.invalidateOthers(core, idx)
 		}
@@ -333,23 +357,22 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 		return Result{Latency: lat, HitLevel: 1}
 	}
 	lat += h.cfg.L2Latency
-	if ln := h.l2[core].lookup(idx); ln != nil {
+	l2 := h.l2[core]
+	if w := l2.lookup(idx); w >= 0 {
 		// Promote into L1.
-		h.fillL1(core, idx, write, write && persistent || ln.persistent)
+		h.fillL1(core, idx, write, write && persistent || l2.tags[w]&tagPersistent != 0)
 		if write {
-			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
+			l2.markDirty(w, persistent)
 			h.invalidateOthers(core, idx)
 		}
 		h.l2Hits.Inc()
 		return Result{Latency: lat, HitLevel: 2}
 	}
 	lat += h.cfg.LLCLatency
-	if ln := h.llc.lookup(idx); ln != nil {
-		h.fillPrivate(core, idx, write, write && persistent || ln.persistent)
+	if w := h.llc.lookup(idx); w >= 0 {
+		h.fillPrivate(core, idx, write, write && persistent || h.llc.tags[w]&tagPersistent != 0)
 		if write {
-			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
+			h.llc.markDirty(w, persistent)
 			h.invalidateOthers(core, idx)
 		}
 		h.llcHits.Inc()
@@ -377,39 +400,29 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 // folding it early is equivalent for our accounting because only LLC
 // evictions reach memory.)
 func (h *Hierarchy) markL2Dirty(core int, idx uint64, persistent bool) {
-	if ln := h.l2[core].lookup(idx); ln != nil {
-		ln.dirty = true
-		ln.persistent = ln.persistent || persistent
-	}
-	if ln := h.llc.lookup(idx); ln != nil {
-		ln.dirty = true
-		ln.persistent = ln.persistent || persistent
-	}
+	h.l2[core].fold(idx, persistent)
+	h.llc.fold(idx, persistent)
 }
 
 // invalidateOthers removes the line from every other core's private levels
-// (simple write-invalidate coherence).
+// (simple write-invalidate coherence). Only other cores' presence bits
+// matter: with none set there is nothing to invalidate, and the mask is
+// left as it is.
 func (h *Hierarchy) invalidateOthers(core int, idx uint64) {
 	mask := h.present.get(idx)
-	if mask == 0 {
+	if mask&^(1<<uint(core)) == 0 {
 		return
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		if c == core || mask&(1<<uint(c)) == 0 {
 			continue
 		}
-		if old, ok := h.l1[c].invalidate(idx); ok && old.dirty {
-			// Fold dirtiness into the shared LLC copy.
-			if ln := h.llc.lookup(idx); ln != nil {
-				ln.dirty = true
-				ln.persistent = ln.persistent || old.persistent
-			}
+		// Fold dirtiness into the shared LLC copy.
+		if old := h.l1[c].invalidate(idx); old&tagDirty != 0 {
+			h.llc.fold(idx, old&tagPersistent != 0)
 		}
-		if old, ok := h.l2[c].invalidate(idx); ok && old.dirty {
-			if ln := h.llc.lookup(idx); ln != nil {
-				ln.dirty = true
-				ln.persistent = ln.persistent || old.persistent
-			}
+		if old := h.l2[c].invalidate(idx); old&tagDirty != 0 {
+			h.llc.fold(idx, old&tagPersistent != 0)
 		}
 		mask &^= 1 << uint(c)
 	}
@@ -420,38 +433,29 @@ func (h *Hierarchy) invalidateOthers(core int, idx uint64) {
 // fillL1 installs a line into core's L1 only (it is already in L2/LLC).
 func (h *Hierarchy) fillL1(core int, idx uint64, dirty, persistent bool) {
 	v := h.l1[core].insert(idx, dirty, persistent)
-	if v.valid && v.dirty {
+	if v&tagDirty != 0 {
 		// Victim folds into L2 (inclusive: it is there).
-		if ln := h.l2[core].lookup(v.idx); ln != nil {
-			ln.dirty = true
-			ln.persistent = ln.persistent || v.persistent
-		} else if ln := h.llc.lookup(v.idx); ln != nil {
+		vidx, vpers := tagIndex(v), v&tagPersistent != 0
+		if !h.l2[core].fold(vidx, vpers) {
 			// L2 copy was itself evicted earlier; fold into LLC.
-			ln.dirty = true
-			ln.persistent = ln.persistent || v.persistent
+			h.llc.fold(vidx, vpers)
 		}
 	}
 }
 
 // fillPrivate installs a line into core's L2 and L1 (already in LLC).
 func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) {
-	v := h.l2[core].insert(idx, dirty, persistent)
-	if v.valid {
-		if v.dirty {
-			if ln := h.llc.lookup(v.idx); ln != nil {
-				ln.dirty = true
-				ln.persistent = ln.persistent || v.persistent
-			}
+	if v := h.l2[core].insert(idx, dirty, persistent); v != 0 {
+		vidx := tagIndex(v)
+		if v&tagDirty != 0 {
+			h.llc.fold(vidx, v&tagPersistent != 0)
 		}
 		// The victim leaves this core's private hierarchy entirely
 		// (its L1 copy, if any, is dropped to preserve inclusion).
-		if old, ok := h.l1[core].invalidate(v.idx); ok && old.dirty {
-			if ln := h.llc.lookup(v.idx); ln != nil {
-				ln.dirty = true
-				ln.persistent = ln.persistent || old.persistent
-			}
+		if old := h.l1[core].invalidate(vidx); old&tagDirty != 0 {
+			h.llc.fold(vidx, old&tagPersistent != 0)
 		}
-		h.dropPresence(core, v.idx)
+		h.dropPresence(core, vidx)
 	}
 	h.fillL1(core, idx, dirty, persistent)
 	h.addPresence(core, idx)
@@ -476,30 +480,27 @@ func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Evicti
 	}
 	idx := mem.LineIndex(a)
 	out := h.evScratch[:0]
-	v := h.llc.insert(idx, write, persistent)
-	if v.valid {
-		dirty := v.dirty
-		pers := v.persistent
+	if v := h.llc.insert(idx, write, persistent); v != 0 {
+		vidx := tagIndex(v)
+		flags := v
 		// Inclusive LLC: back-invalidate every private copy.
-		if mask := h.present.get(v.idx); mask != 0 {
+		if mask := h.present.get(vidx); mask != 0 {
 			for c := 0; c < h.cfg.Cores; c++ {
 				if mask&(1<<uint(c)) == 0 {
 					continue
 				}
-				if old, ok := h.l1[c].invalidate(v.idx); ok && old.dirty {
-					dirty = true
-					pers = pers || old.persistent
+				if old := h.l1[c].invalidate(vidx); old&tagDirty != 0 {
+					flags |= old
 				}
-				if old, ok := h.l2[c].invalidate(v.idx); ok && old.dirty {
-					dirty = true
-					pers = pers || old.persistent
+				if old := h.l2[c].invalidate(vidx); old&tagDirty != 0 {
+					flags |= old
 				}
 			}
-			h.present.set(v.idx, 0)
+			h.present.set(vidx, 0)
 		}
-		if dirty {
+		if flags&tagDirty != 0 {
 			h.evictions.Inc()
-			out = append(out, Eviction{Line: mem.PAddr(v.idx << mem.LineShift), Persistent: pers})
+			out = append(out, Eviction{Line: mem.PAddr(vidx << mem.LineShift), Persistent: flags&tagPersistent != 0})
 		}
 	}
 	h.fillPrivate(core, idx, write, persistent)
@@ -518,30 +519,29 @@ func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Evicti
 // privately, so only their levels are probed.
 func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent bool) {
 	idx := mem.LineIndex(a)
-	fold := func(l *level) {
-		var old line
-		var ok bool
+	var flags uint64
+	drain := func(l *level) {
+		var old uint64
 		if invalidate {
-			old, ok = l.invalidate(idx)
-		} else if ln := l.lookup(idx); ln != nil {
-			old, ok = *ln, true
-			ln.dirty = false
+			old = l.invalidate(idx)
+		} else if w := l.lookup(idx); w >= 0 {
+			old = l.tags[w]
+			l.tags[w] &^= tagDirty
 		}
-		if ok && old.dirty {
-			dirty = true
-			persistent = persistent || old.persistent
+		if old&tagDirty != 0 {
+			flags |= old
 		}
 	}
 	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
 		c := bits.TrailingZeros32(mask)
-		fold(h.l1[c])
-		fold(h.l2[c])
+		drain(h.l1[c])
+		drain(h.l2[c])
 	}
-	fold(h.llc)
+	drain(h.llc)
 	if invalidate {
 		h.present.set(idx, 0)
 	}
-	return dirty, persistent
+	return flags&tagDirty != 0, flags&tagPersistent != 0
 }
 
 // DirtyEvictions returns the eviction records (address + persistent bit) a
@@ -553,11 +553,10 @@ func (h *Hierarchy) DirtyEvictions() []Eviction {
 	// A line address has its low LineShift bits free, so the persistent
 	// bit rides in bit 0 and a plain integer sort orders by address.
 	keys := h.drainKeys[:0]
-	for i := range h.llc.meta {
-		ln := &h.llc.meta[i]
-		if ln.valid && ln.dirty {
-			k := ln.idx << mem.LineShift
-			if ln.persistent {
+	for _, t := range h.llc.tags {
+		if t&tagDirty != 0 {
+			k := tagIndex(t) << mem.LineShift
+			if t&tagPersistent != 0 {
 				k |= 1
 			}
 			keys = append(keys, k)
@@ -579,7 +578,8 @@ func (h *Hierarchy) DirtyEvictions() []Eviction {
 func (h *Hierarchy) DropAll() {
 	clear(h.l1)
 	clear(h.l2)
-	clear(h.llc.meta)
+	clear(h.llc.tags)
+	clear(h.llc.stamps)
 	h.llc.tick = 0
 	h.present.reset()
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
@@ -163,8 +164,8 @@ func TestLRUWithinSet(t *testing.T) {
 	}
 	l.lookup(0) // touch 0 -> victim should be 1
 	v := l.insert(99, false, false)
-	if !v.valid || v.idx != 1 {
-		t.Fatalf("victim = %+v, want idx 1", v)
+	if v == 0 || tagIndex(v) != 1 {
+		t.Fatalf("victim = %#x, want idx 1", v)
 	}
 }
 
@@ -180,14 +181,7 @@ func TestConfigGeometry(t *testing.T) {
 
 // holds reports whether l has a valid way for idx without touching LRU
 // state, so invariant checks do not perturb the hierarchy they inspect.
-func holds(l *level, idx uint64) bool {
-	for _, ln := range l.set(idx) {
-		if ln.valid && ln.idx == idx {
-			return true
-		}
-	}
-	return false
-}
+func holds(l *level, idx uint64) bool { return l.find(idx) >= 0 }
 
 // privateLevels returns core c's L1 and L2, or empty levels of the same
 // geometry when c was never touched: an untouched core holds no lines.
@@ -204,17 +198,16 @@ func privateLevels(h *Hierarchy, c int) (l1, l2 *level) {
 func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent bool) {
 	idx := mem.LineIndex(a)
 	fold := func(l *level) {
-		var old line
-		var ok bool
+		var old uint64
 		if invalidate {
-			old, ok = l.invalidate(idx)
-		} else if ln := l.lookup(idx); ln != nil {
-			old, ok = *ln, true
-			ln.dirty = false
+			old = l.invalidate(idx)
+		} else if w := l.lookup(idx); w >= 0 {
+			old = l.tags[w]
+			l.tags[w] &^= tagDirty
 		}
-		if ok && old.dirty {
+		if old&tagDirty != 0 {
 			dirty = true
-			persistent = persistent || old.persistent
+			persistent = persistent || old&tagPersistent != 0
 		}
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
@@ -235,13 +228,13 @@ func refClearPersistent(h *Hierarchy, a mem.PAddr) {
 	for c := 0; c < h.cfg.Cores; c++ {
 		l1, l2 := privateLevels(h, c)
 		for _, l := range []*level{l1, l2} {
-			if ln := l.lookup(idx); ln != nil {
-				ln.persistent = false
+			if w := l.lookup(idx); w >= 0 {
+				l.tags[w] &^= tagPersistent
 			}
 		}
 	}
-	if ln := h.llc.lookup(idx); ln != nil {
-		ln.persistent = false
+	if w := h.llc.lookup(idx); w >= 0 {
+		h.llc.tags[w] &^= tagPersistent
 	}
 }
 
@@ -256,40 +249,44 @@ func checkHierarchy(t *testing.T, h *Hierarchy, step int) {
 		levels = append(levels, l1, l2)
 	}
 	for _, l := range levels {
-		for i, ln := range l.meta {
-			if ln.valid && int(ln.idx%uint64(l.sets)) != i/l.ways {
-				t.Fatalf("step %d: line %d in set %d, want %d", step, ln.idx, i/l.ways, ln.idx%uint64(l.sets))
+		for i, tag := range l.tags {
+			if idx := tagIndex(tag); tag != 0 && int(idx%uint64(l.sets)) != i/l.ways {
+				t.Fatalf("step %d: line %d in set %d, want %d", step, idx, i/l.ways, idx%uint64(l.sets))
+			}
+			if tag == 0 && l.stamps[i] != 0 {
+				t.Fatalf("step %d: invalid way %d keeps LRU stamp %d", step, i, l.stamps[i])
 			}
 		}
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		l1, l2 := privateLevels(h, c)
-		for _, ln := range l1.meta {
-			if ln.valid && !holds(l2, ln.idx) {
-				t.Fatalf("step %d: core %d L1 holds line %d without L2", step, c, ln.idx)
+		for _, tag := range l1.tags {
+			if tag != 0 && !holds(l2, tagIndex(tag)) {
+				t.Fatalf("step %d: core %d L1 holds line %d without L2", step, c, tagIndex(tag))
 			}
 		}
-		for _, ln := range l2.meta {
-			if !ln.valid {
+		for _, tag := range l2.tags {
+			if tag == 0 {
 				continue
 			}
-			if !holds(h.llc, ln.idx) {
-				t.Fatalf("step %d: core %d L2 holds line %d without LLC", step, c, ln.idx)
+			idx := tagIndex(tag)
+			if !holds(h.llc, idx) {
+				t.Fatalf("step %d: core %d L2 holds line %d without LLC", step, c, idx)
 			}
-			if h.present.get(ln.idx)&(1<<uint(c)) == 0 {
-				t.Fatalf("step %d: core %d holds line %d outside its presence mask %#x", step, c, ln.idx, h.present.get(ln.idx))
+			if h.present.get(idx)&(1<<uint(c)) == 0 {
+				t.Fatalf("step %d: core %d holds line %d outside its presence mask %#x", step, c, idx, h.present.get(idx))
 			}
 		}
 	}
 }
 
-// sameState asserts two hierarchies hold identical tag state: valid,
-// dirty, persistent and stamp of every way, every level's LRU clock, and
-// every presence mask.
+// sameState asserts two hierarchies hold identical tag state: the tag word
+// (line index, valid, dirty and persistent bits) and stamp of every way,
+// every level's LRU clock, and every presence mask.
 func sameState(t *testing.T, got, want *Hierarchy, lines, step int) {
 	t.Helper()
 	same := func(name string, a, b *level) {
-		if a.tick != b.tick || !slices.Equal(a.meta, b.meta) {
+		if a.tick != b.tick || !slices.Equal(a.tags, b.tags) || !slices.Equal(a.stamps, b.stamps) {
 			t.Fatalf("step %d: %s diverged from the all-cores reference", step, name)
 		}
 	}
@@ -443,8 +440,8 @@ func TestLevelRejectsNonPowerOfTwoSets(t *testing.T) {
 func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
 	idx := mem.LineIndex(a)
 	clear := func(l *level) {
-		if ln := l.lookup(idx); ln != nil {
-			ln.persistent = false
+		if w := l.lookup(idx); w >= 0 {
+			l.tags[w] &^= tagPersistent
 		}
 	}
 	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
@@ -460,16 +457,388 @@ func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
 // index; tests use it to observe flush and power-loss effects.
 func (h *Hierarchy) Contains(a mem.PAddr) bool {
 	idx := mem.LineIndex(a)
-	if h.llc.lookup(idx) != nil {
+	if h.llc.lookup(idx) >= 0 {
 		return true
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		if h.l1[c] == nil {
 			continue
 		}
-		if h.l1[c].lookup(idx) != nil || h.l2[c].lookup(idx) != nil {
+		if h.l1[c].lookup(idx) >= 0 || h.l2[c].lookup(idx) >= 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// refLine is the 24-byte tag entry the packed tag words replaced; the
+// reference model below keeps it.
+type refLine struct {
+	idx        uint64
+	valid      bool
+	dirty      bool
+	persistent bool
+	stamp      uint64
+}
+
+// refLevel is a set-associative level over refLine entries: the set is
+// scanned entry by entry and the LRU stamp lives in the entry.
+type refLevel struct {
+	sets, ways int
+	meta       []refLine
+	tick       uint64
+}
+
+func newRefLevel(size, ways int) *refLevel {
+	sets := levelSets(size, ways)
+	return &refLevel{sets: sets, ways: ways, meta: make([]refLine, sets*ways)}
+}
+
+func (l *refLevel) set(idx uint64) []refLine {
+	s := int(idx % uint64(l.sets))
+	return l.meta[s*l.ways : (s+1)*l.ways]
+}
+
+func (l *refLevel) lookup(idx uint64) *refLine {
+	set := l.set(idx)
+	for i := range set {
+		if set[i].valid && set[i].idx == idx {
+			l.tick++
+			set[i].stamp = l.tick
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (l *refLevel) insert(idx uint64, dirty, persistent bool) (victim refLine) {
+	set := l.set(idx)
+	vi := -1
+	oldest := ^uint64(0)
+	for i := range set {
+		if !set[i].valid {
+			vi = i
+			break
+		}
+		if set[i].stamp < oldest {
+			oldest = set[i].stamp
+			vi = i
+		}
+	}
+	if set[vi].valid {
+		victim = set[vi]
+	}
+	l.tick++
+	set[vi] = refLine{idx: idx, valid: true, dirty: dirty, persistent: persistent, stamp: l.tick}
+	return victim
+}
+
+func (l *refLevel) invalidate(idx uint64) (refLine, bool) {
+	set := l.set(idx)
+	for i := range set {
+		if set[i].valid && set[i].idx == idx {
+			old := set[i]
+			set[i] = refLine{}
+			return old, true
+		}
+	}
+	return refLine{}, false
+}
+
+// fold marks idx dirty (and persistent when persistent) if l holds it.
+func (l *refLevel) fold(idx uint64, persistent bool) bool {
+	if ln := l.lookup(idx); ln != nil {
+		ln.dirty = true
+		ln.persistent = ln.persistent || persistent
+		return true
+	}
+	return false
+}
+
+// refHierarchy is the hierarchy over refLevels, with every core's levels
+// built up front and every coherence action probing every core: no
+// presence index, no first-touch allocation.
+type refHierarchy struct {
+	cfg    Config
+	l1, l2 []*refLevel
+	llc    *refLevel
+	stats  *sim.Stats
+}
+
+func newRefHierarchy(cfg Config) *refHierarchy {
+	h := &refHierarchy{cfg: cfg, stats: sim.NewStats()}
+	h.DropAll()
+	return h
+}
+
+func (h *refHierarchy) DropAll() {
+	h.llc = newRefLevel(h.cfg.LLCSize, h.cfg.LLCWays)
+	h.l1, h.l2 = nil, nil
+	for c := 0; c < h.cfg.Cores; c++ {
+		h.l1 = append(h.l1, newRefLevel(h.cfg.L1Size, h.cfg.L1Ways))
+		h.l2 = append(h.l2, newRefLevel(h.cfg.L2Size, h.cfg.L2Ways))
+	}
+}
+
+func (h *refHierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result {
+	idx := mem.LineIndex(a)
+	lat := h.cfg.L1Latency
+	if ln := h.l1[core].lookup(idx); ln != nil {
+		if write {
+			ln.dirty = true
+			ln.persistent = ln.persistent || persistent
+			h.l2[core].fold(idx, persistent)
+			h.llc.fold(idx, persistent)
+			h.invalidateOthers(core, idx)
+		}
+		h.stats.Add(sim.StatL1Hits, 1)
+		return Result{Latency: lat, HitLevel: 1}
+	}
+	lat += h.cfg.L2Latency
+	if ln := h.l2[core].lookup(idx); ln != nil {
+		h.fillL1(core, idx, write, write && persistent || ln.persistent)
+		if write {
+			ln.dirty = true
+			ln.persistent = ln.persistent || persistent
+			h.invalidateOthers(core, idx)
+		}
+		h.stats.Add(sim.StatL2Hits, 1)
+		return Result{Latency: lat, HitLevel: 2}
+	}
+	lat += h.cfg.LLCLatency
+	if ln := h.llc.lookup(idx); ln != nil {
+		h.fillPrivate(core, idx, write, write && persistent || ln.persistent)
+		if write {
+			ln.dirty = true
+			ln.persistent = ln.persistent || persistent
+			h.invalidateOthers(core, idx)
+		}
+		h.stats.Add(sim.StatLLCHits, 1)
+		return Result{Latency: lat, HitLevel: 3}
+	}
+	h.stats.Add(sim.StatLLCMisses, 1)
+	return Result{Latency: lat, HitLevel: 0}
+}
+
+func (h *refHierarchy) invalidateOthers(core int, idx uint64) {
+	for c := 0; c < h.cfg.Cores; c++ {
+		if c == core {
+			continue
+		}
+		if old, ok := h.l1[c].invalidate(idx); ok && old.dirty {
+			h.llc.fold(idx, old.persistent)
+		}
+		if old, ok := h.l2[c].invalidate(idx); ok && old.dirty {
+			h.llc.fold(idx, old.persistent)
+		}
+	}
+}
+
+func (h *refHierarchy) fillL1(core int, idx uint64, dirty, persistent bool) {
+	if v := h.l1[core].insert(idx, dirty, persistent); v.valid && v.dirty {
+		if !h.l2[core].fold(v.idx, v.persistent) {
+			h.llc.fold(v.idx, v.persistent)
+		}
+	}
+}
+
+func (h *refHierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) {
+	if v := h.l2[core].insert(idx, dirty, persistent); v.valid {
+		if v.dirty {
+			h.llc.fold(v.idx, v.persistent)
+		}
+		if old, ok := h.l1[core].invalidate(v.idx); ok && old.dirty {
+			h.llc.fold(v.idx, old.persistent)
+		}
+	}
+	h.fillL1(core, idx, dirty, persistent)
+}
+
+func (h *refHierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Eviction {
+	idx := mem.LineIndex(a)
+	var out []Eviction
+	if v := h.llc.insert(idx, write, persistent); v.valid {
+		dirty, pers := v.dirty, v.persistent
+		for c := 0; c < h.cfg.Cores; c++ {
+			for _, l := range []*refLevel{h.l1[c], h.l2[c]} {
+				if old, ok := l.invalidate(v.idx); ok && old.dirty {
+					dirty = true
+					pers = pers || old.persistent
+				}
+			}
+		}
+		if dirty {
+			h.stats.Add(sim.StatEvictions, 1)
+			out = append(out, Eviction{Line: mem.PAddr(v.idx << mem.LineShift), Persistent: pers})
+		}
+	}
+	h.fillPrivate(core, idx, write, persistent)
+	if write {
+		h.invalidateOthers(core, idx)
+	}
+	return out
+}
+
+func (h *refHierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+	idx := mem.LineIndex(a)
+	drain := func(l *refLevel) {
+		var old refLine
+		var ok bool
+		if invalidate {
+			old, ok = l.invalidate(idx)
+		} else if ln := l.lookup(idx); ln != nil {
+			old, ok = *ln, true
+			ln.dirty = false
+		}
+		if ok && old.dirty {
+			dirty = true
+			persistent = persistent || old.persistent
+		}
+	}
+	for c := 0; c < h.cfg.Cores; c++ {
+		drain(h.l1[c])
+		drain(h.l2[c])
+	}
+	drain(h.llc)
+	return dirty, persistent
+}
+
+func (h *refHierarchy) DirtyEvictions() []Eviction {
+	var out []Eviction
+	for _, ln := range h.llc.meta {
+		if ln.valid && ln.dirty {
+			out = append(out, Eviction{Line: mem.PAddr(ln.idx << mem.LineShift), Persistent: ln.persistent})
+		}
+	}
+	slices.SortFunc(out, func(a, b Eviction) int { return cmp.Compare(a.Line, b.Line) })
+	return out
+}
+
+// sameAsReference fails unless every way of every level holds what the
+// reference holds: line index, valid, dirty and persistent bits and LRU
+// stamp, with the same LRU clock per level.
+func sameAsReference(t *testing.T, h *Hierarchy, ref *refHierarchy, step int) {
+	t.Helper()
+	same := func(name string, l *level, r *refLevel) {
+		t.Helper()
+		if l.tick != r.tick {
+			t.Fatalf("step %d: %s LRU clock %d, reference %d", step, name, l.tick, r.tick)
+		}
+		for i, ln := range r.meta {
+			var want uint64
+			if ln.valid {
+				want = ln.idx<<tagFlagBits | tagValid
+				if ln.dirty {
+					want |= tagDirty
+				}
+				if ln.persistent {
+					want |= tagPersistent
+				}
+			}
+			if l.tags[i] != want || l.stamps[i] != ln.stamp {
+				t.Fatalf("step %d: %s way %d holds tag %#x stamp %d, reference %+v", step, name, i, l.tags[i], l.stamps[i], ln)
+			}
+		}
+	}
+	same("LLC", h.llc, ref.llc)
+	for c := 0; c < h.cfg.Cores; c++ {
+		l1, l2 := privateLevels(h, c)
+		same(fmt.Sprintf("core %d L1", c), l1, ref.l1[c])
+		same(fmt.Sprintf("core %d L2", c), l2, ref.l2[c])
+	}
+}
+
+// TestHierarchyMatchesReferenceLevels drives the packed-tag hierarchy and
+// the 24-byte-entry reference with one seeded 16-core stream of Lookup,
+// Fill, FlushLine, DirtyEvictions and DropAll, and compares every result,
+// every eviction, every counter, and the tag state (so every LRU victim).
+// The small geometry is compared way by way after every step; the Table
+// II geometry, whose LLC the stream overflows, every 2000 steps.
+func TestHierarchyMatchesReferenceLevels(t *testing.T) {
+	small := DefaultConfig(16)
+	small.L1Size, small.L1Ways = 4*mem.LineSize, 2
+	small.L2Size, small.L2Ways = 8*mem.LineSize, 2
+	small.LLCSize, small.LLCWays = 32*mem.LineSize, 4
+	const oop = mem.PAddr(460 << 30) // inside a 512 GB layout's OOP region
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		steps      int
+		hot, lines int // per-core hot window, shared range
+		every      int
+	}{
+		{"small", small, 30000, 8, 96, 1},
+		{"tableII", DefaultConfig(16), 120000, 1024, 1 << 15, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := sim.NewStats()
+			h := New(tc.cfg, st)
+			ref := newRefHierarchy(tc.cfg)
+			rng := rand.New(rand.NewPCG(29, uint64(tc.steps)))
+			pick := func(core int) mem.PAddr {
+				// Odd cores' hot windows and half the shared lines sit in
+				// the OOP region, so the presence directory spans
+				// far-apart pages.
+				if rng.IntN(2) == 0 {
+					return mem.PAddr(core%2)*oop + addr(core*tc.hot+rng.IntN(tc.hot))
+				}
+				return mem.PAddr(rng.IntN(2))*oop + addr(rng.IntN(tc.lines))
+			}
+			var evictions, flushes, drops int
+			for step := 0; step < tc.steps; step++ {
+				core := rng.IntN(tc.cfg.Cores)
+				a := pick(core)
+				switch op := rng.IntN(1000); {
+				case op < 800:
+					write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
+					r, rr := h.Lookup(core, a, write, pers), ref.Lookup(core, a, write, pers)
+					if r != rr {
+						t.Fatalf("step %d: Lookup %+v, reference %+v", step, r, rr)
+					}
+					if r.HitLevel == 0 {
+						ev, rev := h.Fill(core, a, write, pers), ref.Fill(core, a, write, pers)
+						if !slices.Equal(ev, rev) {
+							t.Fatalf("step %d: Fill evicted %v, reference %v", step, ev, rev)
+						}
+						evictions += len(ev)
+					}
+				case op < 990:
+					inv := rng.IntN(2) == 0
+					d, p := h.FlushLine(a, inv)
+					if rd, rp := ref.FlushLine(a, inv); d != rd || p != rp {
+						t.Fatalf("step %d: FlushLine(%v) = (%v,%v), reference (%v,%v)", step, inv, d, p, rd, rp)
+					}
+					if d {
+						flushes++
+					}
+				case op < 999:
+					if ev, rev := h.DirtyEvictions(), ref.DirtyEvictions(); !slices.Equal(ev, rev) {
+						t.Fatalf("step %d: DirtyEvictions %d lines, reference %d", step, len(ev), len(rev))
+					}
+				case rng.IntN(tc.steps/4000+1) == 0:
+					// About four power losses per stream.
+					h.DropAll()
+					ref.DropAll()
+					drops++
+				}
+				for _, name := range []string{sim.StatL1Hits, sim.StatL2Hits, sim.StatLLCHits, sim.StatLLCMisses, sim.StatEvictions} {
+					if g, w := st.Get(name), ref.stats.Get(name); g != w {
+						t.Fatalf("step %d: %s = %d, reference %d", step, name, g, w)
+					}
+				}
+				if step%tc.every == 0 {
+					sameAsReference(t, h, ref, step)
+				}
+			}
+			sameAsReference(t, h, ref, tc.steps)
+			for _, name := range []string{sim.StatL1Hits, sim.StatL2Hits, sim.StatLLCHits, sim.StatLLCMisses} {
+				if st.Get(name) == 0 {
+					t.Fatalf("stream never produced %s", name)
+				}
+			}
+			if evictions == 0 || flushes == 0 || drops == 0 {
+				t.Fatalf("stream produced %d evictions, %d dirty flushes and %d power losses; want each", evictions, flushes, drops)
+			}
+		})
+	}
 }

@@ -195,6 +195,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.Threads < 1 || cfg.Threads > cfg.Cores {
 		return nil, fmt.Errorf("engine: threads must be in [1, cores=%d], got %d", cfg.Cores, cfg.Threads)
 	}
+	if cfg.NVM.Capacity > uint64(mem.MaxAddr) {
+		return nil, fmt.Errorf("engine: capacity %d exceeds the %d-bit simulated address space", cfg.NVM.Capacity, mem.AddrBits)
+	}
 	stats := sim.NewStats()
 	store := mem.NewStore()
 	oop := cfg.OOPBytes

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hoop/internal/engine"
+	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/pmem"
 	"hoop/internal/sim"
@@ -348,4 +349,51 @@ func ExampleSystem_Recover() {
 	// user 3: <not present>
 	//
 	// transactions committed: 3, simulated time: 4.86us
+}
+
+// TestLayoutAddressesWork: at the paper's 512 GB capacity, and at the
+// largest capacity engine.New accepts, a transaction writes the first and
+// last words of the home and OOP regions through every layer (cache,
+// scheme, store, wear), and the words read back after a drain. A capacity
+// past mem.MaxAddr is rejected. HOOP's slice format holds 40-bit home
+// addresses, so HOOP runs only at 512 GB.
+func TestLayoutAddressesWork(t *testing.T) {
+	for _, tc := range []struct {
+		scheme   string
+		capacity uint64
+	}{
+		{"HOOP", 512 << 30},
+		{"Opt-Redo", 512 << 30},
+		{"Opt-Redo", uint64(mem.MaxAddr)},
+	} {
+		cfg := engine.DefaultConfig(tc.scheme)
+		cfg.NVM.Capacity = tc.capacity
+		cfg.Threads = 1
+		sys, err := engine.New(cfg)
+		if err != nil {
+			t.Fatalf("%s at %d bytes: %v", tc.scheme, tc.capacity, err)
+		}
+		l := sys.Layout()
+		addrs := []mem.PAddr{l.Home.Base, l.Home.End() - mem.WordSize, l.OOP.Base, l.OOP.End() - mem.WordSize}
+		env := sys.NewEnv(0)
+		env.TxBegin()
+		for i, a := range addrs {
+			env.WriteWord(a, uint64(i)+1)
+		}
+		env.TxEnd()
+		sys.DrainCache()
+		for i, a := range addrs {
+			if got := env.ReadWord(a); got != uint64(i)+1 {
+				t.Fatalf("%s at %d bytes: word at %v reads %d, want %d", tc.scheme, tc.capacity, a, got, i+1)
+			}
+		}
+		if _, _, _, total := sys.Device().WearInRegion(mem.Region{Base: 0, Size: tc.capacity}); total == 0 {
+			t.Fatalf("%s at %d bytes: no wear recorded", tc.scheme, tc.capacity)
+		}
+	}
+	cfg := engine.DefaultConfig("HOOP")
+	cfg.NVM.Capacity = uint64(mem.MaxAddr) + mem.PageSize
+	if _, err := engine.New(cfg); err == nil {
+		t.Fatal("a capacity past mem.MaxAddr must be rejected")
+	}
 }

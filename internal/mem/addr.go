@@ -1,8 +1,11 @@
 // Package mem defines the physical address space shared by the whole
 // simulator: address arithmetic at word and cache-line granularity, the
-// home-region / OOP-region split, and a sparse functional byte store that
+// home-region / OOP-region split, a sparse functional byte store that
 // holds the actual contents of the simulated NVM so that crash recovery can
-// be verified for real, not just timed.
+// be verified for real, not just timed, and the radix page directory (Dir)
+// that every per-page table on the access path uses: the store's 4 KB
+// pages, the cache model's core-presence masks and the NVM wear counters.
+// Every address lies below MaxAddr.
 package mem
 
 import "fmt"

@@ -239,7 +239,7 @@ func NewLayout(capacity uint64, oopFraction float64) Layout {
 func (s *Store) ReadLine(a PAddr) [LineSize]byte {
 	var line [LineSize]byte
 	la := LineAddr(a)
-	if p := s.page(la, false); p != nil {
+	if p := s.pages.Page(la); p != nil {
 		off := la & PageOffMask
 		copy(line[:], p[off:off+LineSize])
 	}

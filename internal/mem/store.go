@@ -1,29 +1,23 @@
 package mem
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
 // Store is the functional contents of the simulated NVM: a sparse byte
-// store over the 512 GB physical address space. Pages (4 KB) are allocated
-// lazily on first write, so simulating a huge DIMM costs memory
-// proportional to the working set only.
+// store over the simulated physical address space. Pages (4 KB) are
+// allocated lazily on first write and found through a radix page
+// directory (Dir), so simulating a huge DIMM costs memory proportional to
+// the working set only, and a lookup is three array indexings with no
+// hashing.
 //
 // Store carries no timing information — timing lives in internal/nvm. The
 // split lets crash-consistency tests reason about "what survives a crash"
 // (this store) separately from "how long did it take".
 //
-// The store remembers the last page it touched: simulated traffic is
-// bursty at line/page granularity (slice streaming, log appends, GC
-// migration), so sequential word and line accesses hit the cached page and
-// skip the page-map hash.
+// Reads never write the store, so concurrent readers are safe; any write
+// requires exclusive access.
 type Store struct {
-	pages map[uint64][]byte
+	pages Dir[[PageSize]byte]
 	obs   WriteObserver
-
-	lastIdx  uint64
-	lastPage []byte // nil when the cache is empty
 }
 
 // A WriteObserver is notified after every mutation of the store, decomposed
@@ -52,7 +46,7 @@ func (s *Store) notifyRange(a PAddr, n uint64) {
 	}
 	end := uint64(a) + n
 	for w := uint64(WordAddr(a)); w < end; {
-		p := s.page(PAddr(w), false)
+		p := s.pages.Page(PAddr(w))
 		pageEnd := (w &^ uint64(PageOffMask)) + PageSize
 		for ; w < end && w < pageEnd; w += WordSize {
 			var unit [WordSize]byte
@@ -67,28 +61,7 @@ func (s *Store) notifyRange(a PAddr, n uint64) {
 
 // NewStore returns an empty (all-zero) store.
 func NewStore() *Store {
-	return &Store{pages: make(map[uint64][]byte)}
-}
-
-// page returns the page backing a, allocating it when create is true.
-// Only the create (mutating) path refreshes the last-page cache: read
-// paths must stay free of writes so concurrent readers remain safe, the
-// same contract the bare map gave (reads may run concurrently, any write
-// requires exclusive access).
-func (s *Store) page(a PAddr, create bool) []byte {
-	idx := uint64(a) >> PageShift
-	if s.lastPage != nil && s.lastIdx == idx {
-		return s.lastPage
-	}
-	p, ok := s.pages[idx]
-	if !ok && create {
-		p = make([]byte, PageSize)
-		s.pages[idx] = p
-	}
-	if create {
-		s.lastIdx, s.lastPage = idx, p
-	}
-	return p
+	return &Store{pages: NewDir[[PageSize]byte](PageShift)}
 }
 
 // Read copies len(dst) bytes starting at a into dst. Unwritten memory
@@ -100,7 +73,7 @@ func (s *Store) Read(a PAddr, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if p := s.page(a, false); p != nil {
+		if p := s.pages.Page(a); p != nil {
 			copy(dst[:n], p[off:off+n])
 		} else {
 			clear(dst[:n])
@@ -115,7 +88,7 @@ func (s *Store) Write(a PAddr, src []byte) {
 	if off := int(a & PageOffMask); off+len(src) <= PageSize {
 		// Single-page fast path: the vast majority of simulated writes are
 		// word/line/slice granules that never cross a page.
-		copy(s.page(a, true)[off:off+len(src)], src)
+		copy(s.pages.PageOrNew(a)[off:off+len(src)], src)
 		s.notifyRange(a, uint64(len(src)))
 		return
 	}
@@ -126,7 +99,7 @@ func (s *Store) Write(a PAddr, src []byte) {
 		if n > len(src) {
 			n = len(src)
 		}
-		copy(s.page(a, true)[off:off+n], src[:n])
+		copy(s.pages.PageOrNew(a)[off:off+n], src[:n])
 		src = src[n:]
 		a += PAddr(n)
 	}
@@ -135,7 +108,7 @@ func (s *Store) Write(a PAddr, src []byte) {
 
 // ReadWord reads the 8-byte little-endian word at a (must be word-aligned).
 func (s *Store) ReadWord(a PAddr) uint64 {
-	p := s.page(a, false)
+	p := s.pages.Page(a)
 	if p == nil {
 		return 0
 	}
@@ -146,7 +119,7 @@ func (s *Store) ReadWord(a PAddr) uint64 {
 // WriteWord writes the 8-byte little-endian word v at a (must be
 // word-aligned).
 func (s *Store) WriteWord(a PAddr, v uint64) {
-	p := s.page(a, true)
+	p := s.pages.PageOrNew(a)
 	off := a & PageOffMask
 	binary.LittleEndian.PutUint64(p[off:off+WordSize], v)
 	if s.obs != nil {
@@ -159,7 +132,7 @@ func (s *Store) WriteWord(a PAddr, v uint64) {
 // WriteLine writes a full 64-byte cache line at the line containing a.
 func (s *Store) WriteLine(a PAddr, line [LineSize]byte) {
 	la := LineAddr(a)
-	p := s.page(la, true)
+	p := s.pages.PageOrNew(la)
 	off := la & PageOffMask
 	copy(p[off:off+LineSize], line[:])
 	if s.obs != nil {
@@ -175,12 +148,16 @@ func (s *Store) WriteLine(a PAddr, line [LineSize]byte) {
 // durable state before injecting a crash.
 func (s *Store) Clone() *Store {
 	c := NewStore()
-	for idx, p := range s.pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		c.pages[idx] = cp
-	}
+	c.copyPages(s)
 	return c
+}
+
+// copyPages deep-copies every page of other into s.
+func (s *Store) copyPages(other *Store) {
+	other.pages.Walk(func(base PAddr, p *[PageSize]byte) bool {
+		*s.pages.PageOrNew(base) = *p
+		return true
+	})
 }
 
 // ForEachPage calls fn for every materialized page with its base address
@@ -197,33 +174,19 @@ func (s *Store) ForEachPage(fn func(base PAddr, data []byte)) {
 // verification reporting the first few mismatches) avoid walking the rest
 // of the working set.
 func (s *Store) ForEachPageUntil(fn func(base PAddr, data []byte) bool) {
-	idxs := make([]uint64, 0, len(s.pages))
-	for idx := range s.pages {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		if !fn(PAddr(idx<<PageShift), s.pages[idx]) {
-			return
-		}
-	}
+	s.pages.Walk(func(base PAddr, p *[PageSize]byte) bool {
+		return fn(base, p[:])
+	})
 }
 
 // Reset drops every page, returning the store to all-zeros, while keeping
 // the store object (and every pointer to it) valid.
-func (s *Store) Reset() {
-	s.pages = make(map[uint64][]byte)
-	s.lastPage = nil
-}
+func (s *Store) Reset() { s.pages.Reset() }
 
 // CopyFrom replaces this store's contents with a deep copy of other's.
 func (s *Store) CopyFrom(other *Store) {
 	s.Reset()
-	for idx, p := range other.pages {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		s.pages[idx] = cp
-	}
+	s.copyPages(other)
 }
 
 // zeroPage is the shared all-zero source for ZeroRange; it is never
@@ -240,7 +203,7 @@ func (s *Store) ZeroRange(a PAddr, n uint64) {
 		if c > n {
 			c = n
 		}
-		if p := s.page(a, false); p != nil {
+		if p := s.pages.Page(a); p != nil {
 			copy(p[off:off+int(c)], zeroPage[:c])
 			s.notifyRange(a, c)
 		}

@@ -64,8 +64,16 @@ func DefaultParams() Params {
 }
 
 // wearBucketShift groups wear accounting into 1 MB buckets; fine enough to
-// observe uniform aging of OOP blocks (2 MB) without per-line maps.
-const wearBucketShift = 20
+// observe uniform aging of OOP blocks (2 MB) without per-line maps. The
+// counters live in pages of wearPageBuckets buckets (512 MB of address
+// space each) in a mem.Dir radix page directory.
+const (
+	wearBucketShift = 20
+	wearPageBits    = 9
+	wearPageBuckets = 1 << wearPageBits
+)
+
+type wearPage [wearPageBuckets]int64
 
 // queue models contention on one resource (a bank or the shared channel)
 // as a leaky bucket: outstanding service time drains in real time, and a
@@ -116,7 +124,9 @@ type Device struct {
 	readEnergyPJ  float64
 	writeEnergyPJ float64
 
-	wear map[uint64]int64
+	// wear counts bytes written per 1 MB bucket; a bucket was written iff
+	// its count is nonzero, since every Write adds a positive size.
+	wear mem.Dir[wearPage]
 
 	journal *Journal
 	tel     *telemetry.Hub
@@ -139,7 +149,7 @@ func NewDevice(p Params, store *mem.Store, stats *sim.Stats) *Device {
 		writes:       stats.Counter(sim.StatNVMWrites),
 		bytesWritten: stats.Counter(sim.StatNVMBytesWritten),
 		banks:        make([]queue, p.Banks),
-		wear:         make(map[uint64]int64),
+		wear:         mem.NewDir[wearPage](wearBucketShift + wearPageBits),
 	}
 }
 
@@ -233,7 +243,7 @@ func (d *Device) Write(a mem.PAddr, size int, now sim.Time) sim.Time {
 	d.bytesWritten.Add(int64(size))
 	bits := float64(size) * 8
 	d.writeEnergyPJ += bits * (d.params.Energy.RowBufferWrite + d.params.Energy.ArrayWrite)
-	d.wear[uint64(a)>>wearBucketShift] += int64(size)
+	d.wear.PageOrNew(a)[(uint64(a)>>wearBucketShift)%wearPageBuckets] += int64(size)
 	if d.tel.Enabled(telemetry.KindNVMWrite) {
 		d.tel.Emit(telemetry.Event{
 			Kind:  telemetry.KindNVMWrite,
@@ -266,11 +276,26 @@ func (d *Device) WriteEnergyPJ() float64 { return d.writeEnergyPJ }
 // WearBuckets returns a copy of per-1MB-bucket bytes-written counters, used
 // to verify the round-robin OOP block allocation achieves uniform aging.
 func (d *Device) WearBuckets() map[uint64]int64 {
-	out := make(map[uint64]int64, len(d.wear))
-	for k, v := range d.wear {
-		out[k] = v
-	}
+	out := make(map[uint64]int64)
+	d.eachWearBucket(0, ^uint64(0), func(b uint64, w int64) { out[b] = w })
 	return out
+}
+
+// eachWearBucket calls fn for every written bucket in [lo, hi], in
+// ascending order.
+func (d *Device) eachWearBucket(lo, hi uint64, fn func(bucket uint64, w int64)) {
+	d.wear.Walk(func(base mem.PAddr, p *wearPage) bool {
+		first := uint64(base) >> wearBucketShift
+		if first > hi {
+			return false
+		}
+		for i, w := range p {
+			if b := first + uint64(i); w != 0 && b >= lo && b <= hi {
+				fn(b, w)
+			}
+		}
+		return true
+	})
 }
 
 // WearInRegion summarizes wear over a region: number of touched 1 MB
@@ -278,22 +303,16 @@ func (d *Device) WearBuckets() map[uint64]int64 {
 func (d *Device) WearInRegion(r mem.Region) (buckets int, minW, maxW, total int64) {
 	lo := uint64(r.Base) >> wearBucketShift
 	hi := uint64(r.End()-1) >> wearBucketShift
-	first := true
-	for b := lo; b <= hi; b++ {
-		w, ok := d.wear[b]
-		if !ok {
-			continue
+	d.eachWearBucket(lo, hi, func(_ uint64, w int64) {
+		if buckets == 0 || w < minW {
+			minW = w
+		}
+		if buckets == 0 || w > maxW {
+			maxW = w
 		}
 		buckets++
 		total += w
-		if first || w < minW {
-			minW = w
-		}
-		if first || w > maxW {
-			maxW = w
-		}
-		first = false
-	}
+	})
 	return buckets, minW, maxW, total
 }
 

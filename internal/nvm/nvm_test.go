@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"maps"
+	"math/rand/v2"
 	"testing"
 
 	"hoop/internal/mem"
@@ -123,6 +125,81 @@ func TestWearTracking(t *testing.T) {
 	}
 	if len(d.WearBuckets()) != 2 {
 		t.Fatal("WearBuckets")
+	}
+}
+
+// mapWear is the map model the wear directory replaced: bytes written per
+// 1 MB bucket, keyed by bucket, with WearInRegion probing every bucket of
+// the region.
+type mapWear map[uint64]int64
+
+func (m mapWear) inRegion(r mem.Region) (buckets int, minW, maxW, total int64) {
+	for b := uint64(r.Base) >> wearBucketShift; b <= uint64(r.End()-1)>>wearBucketShift; b++ {
+		w, ok := m[b]
+		if !ok {
+			continue
+		}
+		if buckets == 0 || w < minW {
+			minW = w
+		}
+		if buckets == 0 || w > maxW {
+			maxW = w
+		}
+		buckets++
+		total += w
+	}
+	return buckets, minW, maxW, total
+}
+
+// TestWearMatchesMapModel writes a seeded stream across a 512 GB layout's
+// home and OOP regions (and OSP's shadow space above the device) and
+// checks WearBuckets and WearInRegion against the map model, for regions
+// that start and end inside a bucket, span wear-page boundaries, and
+// cover nothing written.
+func TestWearMatchesMapModel(t *testing.T) {
+	d, _ := newDev(t)
+	model := mapWear{}
+	const capacity = 512 << 30
+	oop := mem.PAddr(capacity - capacity/10)
+	rng := rand.New(rand.NewPCG(3, 17))
+	for i := 0; i < 20000; i++ {
+		var a mem.PAddr
+		switch rng.IntN(4) {
+		case 0:
+			a = mem.PAddr(rng.Uint64N(8 << 30)) // home, several wear pages
+		case 1:
+			a = oop + mem.PAddr(rng.Uint64N(2<<30))
+		case 2:
+			a = mem.PAddr(capacity - 1<<20 + rng.Uint64N(1<<20)) // the top bucket
+		default:
+			a = 1<<41 + mem.PAddr(rng.Uint64N(1<<30))
+		}
+		a = mem.LineAddr(a)
+		size := mem.LineSize * (1 + rng.IntN(64))
+		d.Write(a, size, 0)
+		model[uint64(a)>>wearBucketShift] += int64(size)
+	}
+	if got := d.WearBuckets(); !maps.Equal(got, model) {
+		t.Fatalf("WearBuckets holds %d buckets, map model %d, or a count differs", len(got), len(model))
+	}
+	regions := []mem.Region{
+		{Base: 0, Size: capacity},
+		{Base: 0, Size: 8 << 30},
+		{Base: oop, Size: capacity / 10},
+		{Base: 511<<20 + 12345, Size: 3<<20 + 77}, // crosses a 512 MB wear page
+		{Base: 9 << 30, Size: 100 << 20},          // nothing written
+		{Base: 1 << 41, Size: 1 << 30},
+	}
+	for i := 0; i < 200; i++ {
+		base := rng.Uint64N(10 << 30)
+		regions = append(regions, mem.Region{Base: mem.PAddr(base), Size: 1 + rng.Uint64N(1<<30)})
+	}
+	for _, r := range regions {
+		b, lo, hi, tot := d.WearInRegion(r)
+		wb, wlo, whi, wtot := model.inRegion(r)
+		if b != wb || lo != wlo || hi != whi || tot != wtot {
+			t.Fatalf("WearInRegion(%v) = (%d, %d, %d, %d), map model (%d, %d, %d, %d)", r, b, lo, hi, tot, wb, wlo, whi, wtot)
+		}
 	}
 }
 

@@ -72,7 +72,6 @@ type Service struct {
 	shards []*engine.Shard
 	tel    *telemetry.Hub // router hub: ring_route
 	seq    uint64
-	subs   []int64 // per-shard submitted counts (router side)
 }
 
 // Open builds the fleet: N shard engines, handlers, and trace plumbing.
@@ -94,7 +93,6 @@ func Open(cfg Config) (*Service, error) {
 		cfg:  cfg,
 		ring: NewRing(cfg.Shards),
 		tel:  telemetry.NewHub(),
-		subs: make([]int64, cfg.Shards),
 	}
 	if cfg.Trace != nil {
 		s.tel.Subscribe(cfg.Trace.AddOptional("router"), telemetry.MaskOf(telemetry.KindRingRoute))
@@ -152,7 +150,6 @@ func (s *Service) Submit(arrival sim.Time, kind uint8, key, aux uint64) int {
 			Aux:  int64(shard),
 		})
 	}
-	s.subs[shard]++
 	s.shards[shard].Enqueue(engine.ShardRequest{
 		Arrival: arrival,
 		Seq:     s.seq,
@@ -167,7 +164,6 @@ func (s *Service) Submit(arrival sim.Time, kind uint8, key, aux uint64) int {
 // path where each shard consumes its own derived open-loop stream. The
 // caller owns req.Seq.
 func (s *Service) SubmitTo(shard int, req engine.ShardRequest) {
-	s.subs[shard]++
 	s.shards[shard].Enqueue(req)
 }
 

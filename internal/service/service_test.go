@@ -167,8 +167,9 @@ func TestRingModeDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingModeRouting cross-checks Submit against Ring.Route and the
-// router-side Submitted counters.
+// TestRingModeRouting cross-checks Submit against Ring.Route and each
+// shard's own accounting: every request routed to a shard is executed or
+// shed there.
 func TestRingModeRouting(t *testing.T) {
 	svc, err := Open(Config{
 		Shards:  4,
@@ -192,10 +193,11 @@ func TestRingModeRouting(t *testing.T) {
 	svc.Quiesce()
 	var total int64
 	for i := 0; i < 4; i++ {
-		if svc.Submitted(i) != want[i] {
-			t.Errorf("Submitted(%d) = %d, want %d", i, svc.Submitted(i), want[i])
+		sh := svc.Shard(i)
+		if got := sh.Executed() + sh.Shed(); got != want[i] {
+			t.Errorf("shard %d executed %d + shed %d, routed %d", i, sh.Executed(), sh.Shed(), want[i])
 		}
-		total += svc.Shard(i).Executed()
+		total += sh.Executed()
 	}
 	if total != 200 {
 		t.Errorf("fleet executed %d, want 200", total)
@@ -389,9 +391,6 @@ func (h *KVHandler) Table() *structures.HashMap { return h.table }
 
 // Route reports which shard owns key without submitting anything.
 func (s *Service) Route(key uint64) int { return s.ring.Route(key) }
-
-// Submitted reports how many requests the router has sent to shard i.
-func (s *Service) Submitted(shard int) int64 { return s.subs[shard] }
 
 // MergedLatency folds every shard engine's transaction critical-path
 // latency distribution (service time only, no queueing) into one

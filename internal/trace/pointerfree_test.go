@@ -11,9 +11,9 @@ import (
 
 // TestHotStateIsPointerFree locks the layout of the per-cell state held
 // in bulk: captured ops, the LSM index's skip-list nodes and the cache
-// model's tag entries. None may hold a pointer-shaped field, so the
-// garbage collector never scans their arrays; an Op stays 24 bytes and a
-// skip-list node 32, half a cache line.
+// model's tag words and LRU stamps. None may hold a pointer-shaped field,
+// so the garbage collector never scans their arrays; an Op stays 24 bytes,
+// a skip-list node 32, half a cache line, and a tag word 8.
 // The skip-list and cache types are unexported, so they are reached
 // through the fields that hold them.
 func TestHotStateIsPointerFree(t *testing.T) {
@@ -41,10 +41,15 @@ func TestHotStateIsPointerFree(t *testing.T) {
 	if got := skipNode.Size(); got != 32 {
 		t.Errorf("skip-list node is %d bytes, want 32", got)
 	}
+	tagWord := elem(reflect.TypeOf(cache.Hierarchy{}), "llc", "tags")
+	if got := tagWord.Size(); got != 8 {
+		t.Errorf("cache tag word is %d bytes, want 8", got)
+	}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(Op{}),
 		skipNode,
-		elem(reflect.TypeOf(cache.Hierarchy{}), "llc", "meta"),
+		tagWord,
+		elem(reflect.TypeOf(cache.Hierarchy{}), "llc", "stamps"),
 	} {
 		checkPointerFree(t, typ.String(), typ)
 	}

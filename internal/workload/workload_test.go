@@ -49,6 +49,51 @@ func TestZipfDistribution(t *testing.T) {
 	}
 }
 
+// zipfNextPerDraw is Next with the rank-1 bound recomputed on every
+// draw, as the generator did before NewZipf cached it.
+func zipfNextPerDraw(z *Zipf) uint64 {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < 1.0+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+// TestZipfCachedBoundMatchesPerDraw: the cached 1 + 0.5^θ bound is the
+// same float64 as the per-draw formula and yields the same 100k draws, for
+// every θ the repository draws with (contention figure 0.5/0.9/1.2, cctest
+// 0.9, YCSB and loadgen 0.99).
+func TestZipfCachedBoundMatchesPerDraw(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.9, 0.99, 1.2} {
+		got := NewZipf(sim.NewRand(11), 4096, theta)
+		want := NewZipf(sim.NewRand(11), 4096, theta)
+		if got.rank1 != 1.0+math.Pow(0.5, theta) {
+			t.Fatalf("theta %v: cached bound %v is not 1 + 0.5^theta", theta, got.rank1)
+		}
+		ranks1 := 0
+		for i := 0; i < 100000; i++ {
+			g, w := got.Next(), zipfNextPerDraw(want)
+			if g != w {
+				t.Fatalf("theta %v draw %d: %d, per-draw formula %d", theta, i, g, w)
+			}
+			if g == 1 {
+				ranks1++
+			}
+		}
+		if ranks1 == 0 {
+			t.Fatalf("theta %v: no draw reached the rank-1 branch", theta)
+		}
+	}
+}
+
 func TestZipfDeterminism(t *testing.T) {
 	a := NewZipf(sim.NewRand(42), 512, 0.99)
 	b := NewZipf(sim.NewRand(42), 512, 0.99)

@@ -24,6 +24,9 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// rank1 is 1 + 0.5^theta: draws with u·zetan below it (and at least
+	// 1) return rank 1.
+	rank1 float64
 }
 
 // NewZipf builds a generator over [0, n). theta=0.99 is the YCSB default.
@@ -36,6 +39,7 @@ func NewZipf(rng *sim.Rand, n uint64, theta float64) *Zipf {
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.rank1 = 1.0 + powF(0.5, theta)
 	return z
 }
 
@@ -46,7 +50,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+powF(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha))
