@@ -173,12 +173,12 @@ func benchmarks() map[string]func(b *testing.B) {
 			}
 		},
 		// One committed 4-word read-modify-write transaction through the
-		// concurrency-control layer on a single thread: the op-granularity
-		// yield protocol plus OCC's buffer/validate/install bookkeeping.
-		// A lone thread always picks itself at each step boundary, so its
-		// coroutine never parks; cc_2pl_tx4_t4 measures the
-		// thread-to-thread handoff. The alloc gate holds the budget at zero
-		// steady-state allocations (validation reuses its scratch buffer).
+		// concurrency-control layer on a single thread: nine steps of the
+		// step loop (begin, eight operations, commit) plus OCC's
+		// buffer/validate/install bookkeeping. A lone thread is picked at
+		// every step; cc_2pl_tx4_t4 passes the step between threads. The
+		// alloc gate holds the budget at zero steady-state allocations
+		// (validation reuses its scratch buffer).
 		"cc_occ_tx4": func(b *testing.B) {
 			r, srcs := ccRunnerForBench(b, cc.PolicyOCC, 1)
 			r.Run(srcs, 200) // steady state
@@ -195,18 +195,18 @@ func benchmarks() map[string]func(b *testing.B) {
 			r.Run(srcs, b.N)
 		},
 		// cc_2pl_tx4 over 4 threads on disjoint lines: no conflicts, but
-		// the smallest-clock step passes from one thread's coroutine to the
-		// next at nearly every step (the thread parks, Run resumes the
-		// next), so this is the handoff's cost per committed transaction.
-		// Zero steady-state allocations.
+		// the smallest-clock pick moves the step to another thread at
+		// nearly every boundary, so this adds the pick over four threads
+		// to each step. Zero steady-state allocations.
 		"cc_2pl_tx4_t4": func(b *testing.B) {
 			r, srcs := ccRunnerForBench(b, cc.Policy2PL, 4)
 			r.Run(srcs, 200)
 			b.ResetTimer()
 			r.Run(srcs, b.N)
 		},
-		// cc_occ_tx4 over the same 4 disjoint threads: the handoff plus
-		// OCC's per-thread buffers. Zero steady-state allocations.
+		// cc_occ_tx4 over the same 4 disjoint threads: the four-thread
+		// pick plus OCC's per-thread buffers. Zero steady-state
+		// allocations.
 		"cc_occ_tx4_t4": func(b *testing.B) {
 			r, srcs := ccRunnerForBench(b, cc.PolicyOCC, 4)
 			r.Run(srcs, 200)
@@ -305,10 +305,10 @@ func benchmarks() map[string]func(b *testing.B) {
 
 var sinkU64 uint64
 
-// ccRunnerForBench builds an abortable Ideal system with the given thread
-// count, each thread running a fixed 4-word read-modify-write source on
-// its own cache line whose Next allocates nothing, so the measurement sees
-// only the cc layer's own cost.
+// ccRunnerForBench builds an abortable Ideal system with the given
+// thread count, each thread running a fixed 4-word read-modify-write
+// program on its own cache line whose Next allocates nothing, so the
+// measurement sees only the cc layer's own cost.
 func ccRunnerForBench(b *testing.B, policy cc.Policy, threads int) (*cc.Runner, []cc.TxSource) {
 	cfg := engine.DefaultConfig(engine.SchemeNative)
 	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
@@ -327,14 +327,12 @@ func ccRunnerForBench(b *testing.B, policy cc.Policy, threads int) (*cc.Runner, 
 	srcs := make([]cc.TxSource, threads)
 	for i := range srcs {
 		base := mem.PAddr(i * mem.LineSize)
-		body := func(tx cc.Tx) {
-			for w := 0; w < 4; w++ {
-				a := base + mem.PAddr(w*mem.WordSize)
-				v := tx.ReadWord(a)
-				tx.WriteWord(a, v+1)
-			}
+		var prog []cc.Step
+		for w := 0; w < 4; w++ {
+			a := base + mem.PAddr(w*mem.WordSize)
+			prog = append(prog, cc.Step{Kind: cc.OpRead, Addr: a}, cc.Step{Kind: cc.OpWrite, Addr: a, Add: 1})
 		}
-		srcs[i] = cc.TxSourceFunc(func() cc.TxFunc { return body })
+		srcs[i] = cc.TxSourceFunc(func() []cc.Step { return prog })
 	}
 	return r, srcs
 }

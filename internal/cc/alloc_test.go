@@ -29,58 +29,49 @@ func newTestRunner(tb testing.TB, policy Policy, threads int) *Runner {
 }
 
 // benchRunner builds a Runner with the given thread count, each thread
-// running a fixed 4-word read-modify-write source on its own cache line
+// running a fixed 4-word read-modify-write program on its own cache line
 // (so threads never conflict) whose Next allocates nothing: steady-state
-// measurements see only the policy's and the step handoff's own cost.
+// measurements see only the policy's and the step loop's own cost.
 func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource) {
 	tb.Helper()
 	r := newTestRunner(tb, policy, threads)
 	srcs := make([]TxSource, threads)
 	for i := range srcs {
 		base := mem.PAddr(i * mem.LineSize)
-		body := func(tx Tx) {
-			for w := 0; w < 4; w++ {
-				a := base + mem.PAddr(w*mem.WordSize)
-				v := tx.ReadWord(a)
-				tx.WriteWord(a, v+1)
-			}
+		var prog []Step
+		for w := 0; w < 4; w++ {
+			a := base + mem.PAddr(w*mem.WordSize)
+			prog = append(prog, Step{Kind: OpRead, Addr: a}, Step{Kind: OpWrite, Addr: a, Add: 1})
 		}
-		srcs[i] = TxSourceFunc(func() TxFunc { return body })
+		srcs[i] = TxSourceFunc(func() []Step { return prog })
 	}
 	return r, srcs
 }
 
-// perTxAllocs measures steady-state allocations per committed transaction
-// on one thread: a warmup run grows every reused structure (write buffer,
-// read set, validation scratch, lock table, held-lock set) to its steady
-// size, then a long measured run amortizes the per-Run overhead (the quota
-// slice and each thread's iter.Pull coroutine, 13 allocations for one
-// thread) below 0.05 allocs/tx. A lone thread picks itself at every step
-// boundary and never parks; a handoff between threads is a coroutine
-// switch, which allocates nothing either (simbench's cc_2pl_tx4_t4).
-func perTxAllocs(tb testing.TB, policy Policy) float64 {
-	r, srcs := benchRunner(tb, policy, 1)
-	r.Run(srcs, 200)
-	const txs = 1000
-	return testing.AllocsPerRun(1, func() { r.Run(srcs, txs) }) / txs
-}
-
-// TestOCCValidateAllocBudget locks the OCC commit path's allocation
-// budget: validation reuses its scratch key buffer and the write buffer /
-// read set are epoch-cleared maps, so a committed transaction stays within
-// 1 allocation end to end.
-func TestOCCValidateAllocBudget(t *testing.T) {
-	if got := perTxAllocs(t, PolicyOCC); got > 1 {
-		t.Errorf("OCC: %.3f allocs per committed tx, budget is 1", got)
+// checkRunAllocs locks a whole Run at zero allocations once a warmup run
+// has grown every reused structure (write buffer, read set, validation
+// scratch, lock table, held-lock set) to its steady size: Run keeps its
+// per-thread quota and program counter in the thread, and a step passes
+// between threads by a plain call, so there is no per-Run overhead to
+// amortize. It runs one thread, which picks itself at every step, and
+// four threads on disjoint lines, where the step passes from thread to
+// thread at nearly every boundary.
+func checkRunAllocs(t *testing.T, policy Policy) {
+	for _, threads := range []int{1, 4} {
+		r, srcs := benchRunner(t, policy, threads)
+		r.Run(srcs, 200)
+		if got := testing.AllocsPerRun(5, func() { r.Run(srcs, 100) }); got != 0 {
+			t.Errorf("%s with %d threads: %.1f allocs per Run of 100 transactions, budget is 0", policy, threads, got)
+		}
 	}
 }
 
-// TestLockTableAllocBudget locks the 2PL steady-state budget at zero:
-// lock-table entries are never deleted and the held-lock set is reused, so
-// once the table covers the working set, acquire/release allocates nothing.
-func TestLockTableAllocBudget(t *testing.T) {
-	// The strict-zero budget leaves only the amortized per-Run overhead.
-	if got := perTxAllocs(t, Policy2PL); got > 0.05 {
-		t.Errorf("2PL: %.3f allocs per committed tx, steady-state budget is 0", got)
-	}
-}
+// TestOCCValidateAllocBudget locks the OCC path's allocation budget at
+// zero: validation reuses its scratch key buffer and the write buffer /
+// read set are epoch-cleared maps.
+func TestOCCValidateAllocBudget(t *testing.T) { checkRunAllocs(t, PolicyOCC) }
+
+// TestLockTableAllocBudget locks the 2PL budget at zero: lock-table
+// entries are never deleted and the held-lock set is reused, so once the
+// table covers the working set, acquire/release allocates nothing.
+func TestLockTableAllocBudget(t *testing.T) { checkRunAllocs(t, Policy2PL) }

@@ -1,10 +1,3 @@
-// iter.Pull needs go1.23. This constraint raises the language version of
-// this file alone: the module's go line stays at 1.22 because the
-// benchmark module, which requires this one, declares go 1.22, and a
-// dependency may not declare a newer go line than its main module.
-
-//go:build go1.23
-
 // Package cc is the optional concurrency-control layer above the persist
 // schemes: it lets the engine's per-core threads issue *conflicting*
 // transactions and resolves the conflicts with one of two interchangeable
@@ -18,23 +11,22 @@
 //
 // Execution model: engine.System.Run interleaves whole transactions, which
 // can never conflict. The cc.Runner instead interleaves at *operation*
-// granularity: each thread's transaction body runs in its own coroutine
-// (iter.Pull), and before every operation the running thread picks the
-// next step's owner itself — the runnable thread with the smallest
-// simulated clock (ties to the lowest thread id). If that is the thread
-// itself it carries on without a switch; otherwise it records the chosen
-// thread and parks, and Run, a loop on the caller's goroutine, resumes the
-// chosen one. A coroutine switch is a direct hand-over that never goes
-// through the Go scheduler, and exactly one coroutine runs at any time, so
-// the interleaving is deterministic, race-free, and reproducible
-// bit-for-bit — yet transactions are genuinely concurrent in simulated
-// time, so a lock request can find its line held by a parked transaction
-// and wound-wait has someone to wound.
+// granularity. A transaction is data — a program of Steps over one
+// register — and each thread is a program counter into its current
+// program. Run is one loop on the caller's goroutine: it picks the
+// runnable thread with the smallest simulated clock (ties to the lowest
+// thread id) and executes one step of it — the begin, one operation, or
+// the commit — then picks again. A lock that cannot be granted leaves the
+// thread blocked on the same step; a wound or a failed validation runs the
+// abort path within the step. Nothing parks and nothing unwinds, so the
+// interleaving is deterministic, race-free, and reproducible bit-for-bit —
+// yet transactions are genuinely concurrent in simulated time, so a lock
+// request can find its line held by another thread's open transaction and
+// wound-wait has someone to wound.
 package cc
 
 import (
 	"fmt"
-	"iter"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
@@ -66,32 +58,32 @@ const (
 // Policies lists the sound policies in figure order.
 var Policies = []Policy{PolicyOCC, Policy2PL}
 
-// Tx is the operation surface a transaction body runs against. Bodies must
-// be deterministic functions of their inputs: an aborted body re-executes
-// from scratch on retry.
-type Tx interface {
-	ReadWord(addr mem.PAddr) uint64
-	WriteWord(addr mem.PAddr, v uint64)
+// Step is one operation of a transaction program. A transaction has one
+// register, zero at begin: a read step (Kind OpRead) loads the word at
+// Addr into it, and a write step (Kind OpWrite) stores register + Add at
+// Addr. A read-modify-write of one word is the pair {OpRead, a} then
+// {OpWrite, a, delta}.
+type Step struct {
+	Kind OpKind
+	Addr mem.PAddr
+	Add  uint64
 }
 
-// TxFunc is one transaction body.
-type TxFunc func(tx Tx)
-
-// TxSource produces the transaction bodies of one thread. Next is called
-// once per *committed* transaction; the returned body may execute several
-// times (abort → retry), so any randomness must be drawn inside Next and
-// captured by the closure, never inside the body. The Runner uses a body
-// only until it calls Next again, so a source may reuse one body and its
-// buffers for every transaction.
+// TxSource produces the transaction programs of one thread. Next is called
+// once per *committed* transaction; the returned program may execute
+// several times (abort → retry), so any randomness must be drawn inside
+// Next and baked into the steps. The Runner reads a program only until it
+// calls Next again, so a source may refill and return one slice for every
+// transaction.
 type TxSource interface {
-	Next() TxFunc
+	Next() []Step
 }
 
 // TxSourceFunc adapts a function to TxSource.
-type TxSourceFunc func() TxFunc
+type TxSourceFunc func() []Step
 
 // Next implements TxSource.
-func (f TxSourceFunc) Next() TxFunc { return f() }
+func (f TxSourceFunc) Next() []Step { return f() }
 
 // Config configures a Runner.
 type Config struct {
@@ -113,10 +105,6 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	// handoff is the thread a parking or finishing thread picked to step
-	// next; Run resumes it. nil means the thread found no runnable thread:
-	// every thread has finished, or the schedule is stuck.
-	handoff *thread
 	// lockEpoch increments whenever any lock is released (or a holder is
 	// wounded); blocked threads only become runnable again when the epoch
 	// has moved past the one they blocked under, so a failed re-check
@@ -130,9 +118,9 @@ type Runner struct {
 
 // thread run states (thread.status).
 const (
-	statusReady    = iota // parked at a yield point, runnable
+	statusReady    = iota // at a step boundary, runnable
 	statusBlocked         // waiting on a lock
-	statusFinished        // quota done, coroutine returned
+	statusFinished        // quota done
 )
 
 type thread struct {
@@ -140,21 +128,23 @@ type thread struct {
 	id  int
 	env *engine.Env
 
-	// The thread's coroutine in the current Run: next resumes it until it
-	// parks or finishes, park (the coroutine's yield) suspends it back to
-	// Run, and stop unwinds it if Run panics while it is parked.
-	next   func() (struct{}, bool)
-	stop   func()
-	park   func(struct{}) bool
 	status int
 	// blockEpoch is the lockEpoch observed when the thread blocked.
 	blockEpoch uint64
-	blockLine  uint64
+
+	// The thread's work in the current Run: src supplies programs, left
+	// counts the transactions still to commit, prog is the current one,
+	// pc indexes its next step and reg is its register.
+	src  TxSource
+	left int
+	prog []Step
+	pc   int
+	reg  uint64
 
 	// Wound-wait state: prio is the first-begin timestamp (kept across
 	// retries so a repeatedly-wounded transaction ages into the oldest and
 	// must eventually win); wounded is set by an older conflicting
-	// requester and consumed at the next yield point.
+	// requester and consumed at the thread's next step.
 	prio       uint64
 	wounded    bool
 	committing bool
@@ -168,12 +158,6 @@ type thread struct {
 	ops     []Op
 	attempt int
 }
-
-// abortSignal unwinds a wounded or validation-failed transaction body.
-type abortSignal struct{}
-
-// stopSignal unwinds a parked thread whose coroutine Run stops.
-type stopSignal struct{}
 
 // New builds a Runner over sys. The system must have been built with
 // engine.Config.Abortable (the rollback arena TxAbort needs).
@@ -210,14 +194,14 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 // by the Runner; read it only after Run returns.
 func (r *Runner) History() *History { return &r.history }
 
-// policy is the internal algorithm surface. All methods run on the
-// stepping thread's coroutine; none may yield except through t.acquire
-// helpers that the policy itself owns.
+// policy is the internal algorithm surface. Every method runs inside one
+// step of the thread; read and write report false when a lock cannot be
+// granted, and the thread then blocks on the same step.
 type policy interface {
 	// begin opens the engine transaction and resets per-attempt state.
 	begin(t *thread)
-	read(t *thread, addr mem.PAddr) uint64
-	write(t *thread, addr mem.PAddr, v uint64)
+	read(t *thread, addr mem.PAddr) (uint64, bool)
+	write(t *thread, addr mem.PAddr, v uint64) bool
 	// commit attempts to commit; false means validation failed and the
 	// caller must abort the attempt. On true the engine transaction is
 	// durable and all policy state is released.
@@ -233,56 +217,38 @@ type policy interface {
 // Run executes totalTxs committed transactions spread round-robin over the
 // sources (one per thread, like engine.System.Run). It returns when every
 // thread has committed its share; aborted attempts retry until they
-// commit, so the committed-transaction count is exact. If the threads ever
-// find no runnable thread before all have finished (a lock-scheduling bug),
-// Run panics on the caller's goroutine, and so does any other panic a body
-// or policy raises. Either way no thread coroutine outlives Run; after a
-// panic the Runner must not be used again.
+// commit, so the committed-transaction count is exact. Every step runs on
+// the caller's goroutine. If no thread is runnable before all have
+// finished (a lock-scheduling bug), Run panics, and so does the MaxRetries
+// livelock guard; after a panic the Runner must not be used again.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
 		panic(fmt.Sprintf("cc: %d sources for %d threads", len(sources), n))
 	}
-	quota := make([]int, n)
-	for i := 0; i < totalTxs; i++ {
-		quota[i%n]++
-	}
-	defer r.stopThreads()
 	for i, t := range r.threads {
 		t.status = statusReady
 		t.wounded = false
 		t.committing = false
 		t.inTx = false
-		if quota[i] == 0 {
+		t.src = sources[i]
+		t.left = totalTxs / n
+		if i < totalTxs%n {
+			t.left++
+		}
+		if t.left == 0 {
 			t.status = statusFinished
 			continue
 		}
-		t.next, t.stop = iter.Pull(func(park func(struct{}) bool) {
-			t.loop(park, sources[i], quota[i])
-		})
+		t.prog, t.attempt = t.src.Next(), 0
 	}
-	// A coroutine runs from its first resume until it parks or finishes,
-	// and leaves in r.handoff the thread it picked to step next.
-	for cur := r.pick(); cur != nil; cur = r.handoff {
-		r.handoff = nil
-		cur.next()
+	for t := r.pick(); t != nil; t = r.pick() {
+		t.step()
 	}
 	for _, t := range r.threads {
 		if t.status != statusFinished {
 			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
 		}
-	}
-}
-
-// stopThreads ends every thread's coroutine and drops it. A finished
-// coroutine has ended already; one still parked (Run is panicking) unwinds
-// from its step boundary.
-func (r *Runner) stopThreads() {
-	for _, t := range r.threads {
-		if t.stop != nil {
-			t.stop()
-		}
-		t.next, t.stop, t.park = nil, nil, nil
 	}
 }
 
@@ -308,40 +274,28 @@ func (r *Runner) pick() *thread {
 	return best
 }
 
-// loop is one thread's coroutine: commit `quota` transactions, retrying
-// aborted attempts with the same body, then pick the thread to step after
-// it.
-func (t *thread) loop(park func(struct{}) bool, src TxSource, quota int) {
-	defer func() {
-		if e := recover(); e != nil && e != (stopSignal{}) {
-			panic(e)
-		}
-	}()
-	t.park = park
-	for done := 0; done < quota; done++ {
-		t.runToCommit(src.Next())
-	}
-	t.status = statusFinished
-	t.r.handoff = t.r.pick()
-}
-
-// runToCommit executes body until one attempt commits.
-func (t *thread) runToCommit(body TxFunc) {
-	for t.attempt = 0; ; t.attempt++ {
-		if t.attempt > t.r.cfg.MaxRetries {
-			panic(fmt.Sprintf("cc: thread %d exceeded %d retries (livelock?)", t.id, t.r.cfg.MaxRetries))
-		}
-		if t.tryOnce(body) {
-			return
-		}
+// step executes the thread's next step: the begin of an attempt, one
+// operation of its program, or the commit. A pending wound is consumed
+// first: the step lands as an abort.
+func (t *thread) step() {
+	t.status = statusReady
+	switch {
+	case t.wounded:
+		t.wounded = false
+		t.abort()
+	case !t.inTx:
+		t.begin()
+	case t.pc < len(t.prog):
+		t.op()
+	case t.r.policy.commit(t):
+		t.commit()
+	default:
+		t.abort()
 	}
 }
 
-// tryOnce is one attempt: begin, body, commit. It reports whether the
-// attempt committed; a wound or validation failure aborts the engine
-// transaction and returns false.
-func (t *thread) tryOnce(body TxFunc) (committed bool) {
-	t.yield(statusReady) // the begin step
+// begin opens an attempt of the current program.
+func (t *thread) begin() {
 	if t.attempt == 0 {
 		// A fresh transaction draws a new wound-wait priority; retries
 		// keep the old one, so a repeatedly-wounded transaction ages into
@@ -351,29 +305,43 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 		t.prio = t.r.prioSeq
 	}
 	t.ops = t.ops[:0]
-	t.committing = false
+	t.pc, t.reg = 0, 0
 	t.r.policy.begin(t)
 	t.inTx = true
-	defer func() {
-		if e := recover(); e != nil {
-			if _, ok := e.(abortSignal); !ok {
-				panic(e)
-			}
-			t.r.policy.abort(t)
-			t.inTx = false
-			t.committing = false
-			if t.r.cfg.Record {
-				t.r.history.Aborts++
-			}
-			committed = false
-		}
-	}()
-	body(t)
-	t.committing = true
-	t.yield(statusReady) // the commit step
-	if !t.r.policy.commit(t) {
-		panic(abortSignal{})
+	t.committing = len(t.prog) == 0
+}
+
+// op executes the program's next step, or blocks the thread on it if the
+// policy cannot grant its lock. Once the last step has run the attempt
+// waits at its commit step, where it can no longer be wounded.
+func (t *thread) op() {
+	s := &t.prog[t.pc]
+	var v uint64
+	var ok bool
+	if s.Kind == OpRead {
+		v, ok = t.r.policy.read(t, s.Addr)
+	} else {
+		v = t.reg + s.Add
+		ok = t.r.policy.write(t, s.Addr, v)
 	}
+	if !ok {
+		t.blockEpoch = t.r.lockEpoch
+		t.status = statusBlocked
+		return
+	}
+	if s.Kind == OpRead {
+		t.reg = v
+	}
+	if t.r.cfg.Record {
+		t.ops = append(t.ops, Op{Kind: s.Kind, Addr: s.Addr, Val: v})
+	}
+	t.pc++
+	t.committing = t.pc == len(t.prog)
+}
+
+// commit closes a committed attempt and takes the thread's next program,
+// or finishes the thread when its quota is done.
+func (t *thread) commit() {
 	t.inTx = false
 	t.committing = false
 	if t.r.cfg.Record {
@@ -383,53 +351,24 @@ func (t *thread) tryOnce(body TxFunc) (committed bool) {
 			Ops:     append([]Op(nil), t.ops...),
 		})
 	}
-	return true
-}
-
-// yield is a step boundary: the thread picks the next step's owner and, if
-// that is another thread (or none), parks until Run resumes it (not at
-// all, if it picks itself). A pending wound is consumed here: the resumed
-// step lands as an abort.
-func (t *thread) yield(status int) {
-	t.status = status
-	if next := t.r.pick(); next != t {
-		t.r.handoff = next
-		if !t.park(struct{}{}) {
-			panic(stopSignal{})
-		}
+	if t.left--; t.left == 0 {
+		t.status = statusFinished
+		return
 	}
-	t.status = statusReady
-	if t.wounded {
-		t.wounded = false
-		panic(abortSignal{})
-	}
+	t.prog, t.attempt = t.src.Next(), 0
 }
 
-// yieldBlocked parks the thread as blocked on line until a lock releases.
-func (t *thread) yieldBlocked(line uint64) {
-	t.blockLine = line
-	t.blockEpoch = t.r.lockEpoch
-	t.yield(statusBlocked)
-}
-
-// Tx interface: ReadWord/WriteWord are the yield points.
-
-// ReadWord implements Tx.
-func (t *thread) ReadWord(addr mem.PAddr) uint64 {
-	t.yield(statusReady)
-	v := t.r.policy.read(t, addr)
+// abort rolls back the open attempt; the thread's next step begins the
+// retry.
+func (t *thread) abort() {
+	t.r.policy.abort(t)
+	t.inTx = false
+	t.committing = false
 	if t.r.cfg.Record {
-		t.ops = append(t.ops, Op{Kind: OpRead, Addr: addr, Val: v})
+		t.r.history.Aborts++
 	}
-	return v
-}
-
-// WriteWord implements Tx.
-func (t *thread) WriteWord(addr mem.PAddr, v uint64) {
-	t.yield(statusReady)
-	t.r.policy.write(t, addr, v)
-	if t.r.cfg.Record {
-		t.ops = append(t.ops, Op{Kind: OpWrite, Addr: addr, Val: v})
+	if t.attempt++; t.attempt > t.r.cfg.MaxRetries {
+		panic(fmt.Sprintf("cc: thread %d exceeded %d retries (livelock?)", t.id, t.r.cfg.MaxRetries))
 	}
 }
 

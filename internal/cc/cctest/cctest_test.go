@@ -115,7 +115,7 @@ func TestBrokenPolicyRejected(t *testing.T) {
 	}
 }
 
-// TestDeterministicHistories: the runner's coroutine step scheduler must
+// TestDeterministicHistories: the runner's step loop must
 // be invisible to results — the same Config yields a byte-identical
 // history every run.
 func TestDeterministicHistories(t *testing.T) {

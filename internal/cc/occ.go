@@ -48,12 +48,12 @@ func (p *occPolicy) begin(t *thread) {
 	t.occ.rset.Clear()
 }
 
-func (p *occPolicy) read(t *thread, addr mem.PAddr) uint64 {
+func (p *occPolicy) read(t *thread, addr mem.PAddr) (uint64, bool) {
 	w := uint64(addr)
 	if v, ok := t.occ.wbuf.Get(w); ok {
 		// Read-your-own-write: forwarded from the store buffer.
 		t.advance(occBufferCost)
-		return v
+		return v, true
 	}
 	v := t.env.ReadWord(addr)
 	line := mem.LineIndex(addr)
@@ -62,16 +62,17 @@ func (p *occPolicy) read(t *thread, addr mem.PAddr) uint64 {
 		t.occ.rset.Put(line, ver)
 		t.advance(occProbeCost)
 	}
-	return v
+	return v, true
 }
 
-func (p *occPolicy) write(t *thread, addr mem.PAddr, v uint64) {
+func (p *occPolicy) write(t *thread, addr mem.PAddr, v uint64) bool {
 	w := uint64(addr)
 	if !t.occ.wbuf.Contains(w) {
 		t.occ.order = append(t.occ.order, w)
 	}
 	t.occ.wbuf.Put(w, v)
 	t.advance(occBufferCost)
+	return true
 }
 
 func (p *occPolicy) commit(t *thread) bool {

@@ -14,17 +14,11 @@ import (
 // runnable threads.
 type stuckPolicy struct{}
 
-func (stuckPolicy) begin(*thread) {}
-
-func (stuckPolicy) read(t *thread, _ mem.PAddr) uint64 {
-	for {
-		t.yieldBlocked(0)
-	}
-}
-
-func (stuckPolicy) write(*thread, mem.PAddr, uint64) {}
-func (stuckPolicy) commit(*thread) bool              { return true }
-func (stuckPolicy) abort(*thread)                    {}
+func (stuckPolicy) begin(*thread)                          {}
+func (stuckPolicy) read(*thread, mem.PAddr) (uint64, bool) { return 0, false }
+func (stuckPolicy) write(*thread, mem.PAddr, uint64) bool  { return true }
+func (stuckPolicy) commit(*thread) bool                    { return true }
+func (stuckPolicy) abort(*thread)                          {}
 
 // runRecover runs r and returns the value Run panicked with, if any.
 func runRecover(r *Runner, srcs []TxSource, txs int) (p any) {
@@ -33,31 +27,36 @@ func runRecover(r *Runner, srcs []TxSource, txs int) (p any) {
 	return nil
 }
 
+// constSources returns one source per program, each returning its program
+// for every transaction.
+func constSources(progs ...[]Step) []TxSource {
+	srcs := make([]TxSource, len(progs))
+	for i, prog := range progs {
+		srcs[i] = TxSourceFunc(func() []Step { return prog })
+	}
+	return srcs
+}
+
 // TestStuckScheduleReported checks that a schedule with no runnable thread
-// panics on Run's caller's goroutine with the stuck-schedule message and
-// that the panic is recoverable (a panic on a thread goroutine would crash
-// the test binary instead). The cases cover the stuck state being found by
-// a blocking thread (one and two blocked threads) and by a thread
-// finishing its quota while the other is blocked.
+// panics with the stuck-schedule message and that the panic is
+// recoverable on Run's caller's goroutine. The cases cover the stuck state
+// being reached by a blocking thread (one and two blocked threads) and by
+// a thread finishing its quota while the other is blocked.
 func TestStuckScheduleReported(t *testing.T) {
-	read := func(tx Tx) { tx.ReadWord(0) }
-	empty := func(Tx) {}
+	read := []Step{{Kind: OpRead}}
+	var empty []Step
 	for _, tc := range []struct {
-		name   string
-		bodies []TxFunc
+		name  string
+		progs [][]Step
 	}{
-		{"one-blocked", []TxFunc{read}},
-		{"all-blocked", []TxFunc{read, read}},
-		{"last-finisher", []TxFunc{read, empty}},
+		{"one-blocked", [][]Step{read}},
+		{"all-blocked", [][]Step{read, read}},
+		{"last-finisher", [][]Step{read, empty}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newTestRunner(t, PolicyOCC, len(tc.bodies))
+			r := newTestRunner(t, PolicyOCC, len(tc.progs))
 			r.policy = stuckPolicy{}
-			srcs := make([]TxSource, len(tc.bodies))
-			for i, body := range tc.bodies {
-				srcs[i] = TxSourceFunc(func() TxFunc { return body })
-			}
-			p := runRecover(r, srcs, len(tc.bodies))
+			p := runRecover(r, constSources(tc.progs...), len(tc.progs))
 			if msg, _ := p.(string); !strings.Contains(msg, "no runnable thread") {
 				t.Fatalf("Run panicked with %v, want the no-runnable-thread message", p)
 			}
@@ -69,81 +68,74 @@ func TestStuckScheduleReported(t *testing.T) {
 // retries until Config.MaxRetries trips the livelock panic.
 type failCommitPolicy struct{}
 
-func (failCommitPolicy) begin(*thread)                    {}
-func (failCommitPolicy) read(*thread, mem.PAddr) uint64   { return 0 }
-func (failCommitPolicy) write(*thread, mem.PAddr, uint64) {}
-func (failCommitPolicy) commit(*thread) bool              { return false }
-func (failCommitPolicy) abort(*thread)                    {}
+func (failCommitPolicy) begin(*thread)                          {}
+func (failCommitPolicy) read(*thread, mem.PAddr) (uint64, bool) { return 0, true }
+func (failCommitPolicy) write(*thread, mem.PAddr, uint64) bool  { return true }
+func (failCommitPolicy) commit(*thread) bool                    { return false }
+func (failCommitPolicy) abort(*thread)                          {}
 
-// checkNoThreadCoroutines fails if any goroutine is still inside a thread
-// coroutine: Run must have ended every one by the time it returns or
-// panics. It inspects stacks rather than comparing runtime.NumGoroutine
-// with a count taken before Run, which a previous (sub)test's goroutine
-// still on its way out can lower in between.
-func checkNoThreadCoroutines(t *testing.T) {
-	t.Helper()
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-	if got := strings.Count(string(buf), "cc.(*thread).loop("); got != 0 {
-		t.Fatalf("%d thread coroutines outlive Run:\n%s", got, buf)
-	}
+// boomPolicy wraps a real policy and panics at its third write.
+type boomPolicy struct {
+	policy
+	writes *int
 }
 
-// TestRunPanicsAreRecoverable checks that a panic other than an abort,
-// raised on a thread's coroutine, surfaces on Run's caller's goroutine with
-// its own value and can be recovered there, and that Run still ends the
-// coroutine of every other thread, parked mid-transaction. The cases are
-// the MaxRetries livelock panic (under a policy whose commit always fails)
-// and a panic from the body itself.
-func TestRunPanicsAreRecoverable(t *testing.T) {
-	rmw := func(tx Tx) { tx.WriteWord(0, tx.ReadWord(0)+1) }
-	calls := 0
-	boom := func(tx Tx) {
-		if calls++; calls == 3 {
-			panic("boom")
-		}
-		rmw(tx)
+func (p boomPolicy) write(t *thread, addr mem.PAddr, v uint64) bool {
+	if *p.writes++; *p.writes == 3 {
+		panic("boom")
 	}
+	return p.policy.write(t, addr, v)
+}
+
+// TestRunPanicsAreRecoverable checks that a panic raised inside a step
+// surfaces from Run with its own value and can be recovered by Run's
+// caller while other threads are mid-transaction. The cases are the
+// MaxRetries livelock panic (under a policy whose commit always fails)
+// and a panic from the policy itself.
+func TestRunPanicsAreRecoverable(t *testing.T) {
+	rmw := []Step{{Kind: OpRead}, {Kind: OpWrite, Add: 1}}
 	for _, tc := range []struct {
 		name string
-		fail bool
-		body TxFunc
+		wrap func(policy) policy
 		want string
 	}{
-		{"livelock", true, rmw, "exceeded 5 retries (livelock?)"},
-		{"body", false, boom, "boom"},
+		{"livelock", func(policy) policy { return failCommitPolicy{} }, "exceeded 5 retries (livelock?)"},
+		{"policy", func(p policy) policy { return boomPolicy{p, new(int)} }, "boom"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newTestRunner(t, PolicyOCC, 2)
 			r.cfg.MaxRetries = 5
-			if tc.fail {
-				r.policy = failCommitPolicy{}
-			}
-			srcs := []TxSource{
-				TxSourceFunc(func() TxFunc { return tc.body }),
-				TxSourceFunc(func() TxFunc { return rmw }),
-			}
-			p := runRecover(r, srcs, 8)
+			r.policy = tc.wrap(r.policy)
+			p := runRecover(r, constSources(rmw, rmw), 8)
 			if msg, _ := p.(string); !strings.Contains(msg, tc.want) {
 				t.Fatalf("Run panicked with %v, want %q", p, tc.want)
 			}
-			checkNoThreadCoroutines(t)
 		})
 	}
 }
 
+// callerPolicy wraps a real policy and checks at every begin that the step
+// runs on Run's caller's goroutine: Run itself must be on the stack. A
+// step run on a coroutine or on a goroutine Run started would have a
+// stack of its own, without Run's frame.
+type callerPolicy struct {
+	policy
+	t *testing.T
+}
+
+func (p callerPolicy) begin(t *thread) {
+	buf := make([]byte, 1<<16)
+	if stack := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(stack, "cc.(*Runner).Run(") {
+		p.t.Fatalf("thread %d began a transaction off Run's goroutine:\n%s", t.id, stack)
+	}
+	p.policy.begin(t)
+}
+
 // TestRunGoroutineHygiene runs both policies at several thread counts over
 // conflicting read-modify-writes, including runs where some or all threads
-// have a zero quota. Every transaction must commit exactly once, no thread
-// coroutine may outlive Run, and a second Run on the same Runner must
-// complete too.
+// have a zero quota. Every transaction must commit exactly once, every
+// step must run on Run's caller's goroutine (Run starts no goroutine), and
+// a second Run on the same Runner must complete too.
 func TestRunGoroutineHygiene(t *testing.T) {
 	for _, policy := range Policies {
 		for _, n := range []int{1, 2, 4, 8} {
@@ -155,8 +147,9 @@ func TestRunGoroutineHygiene(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/threads=%d/txs=%d", policy, n, txs), func(t *testing.T) {
 					r := newTestRunner(t, policy, n)
 					r.cfg.Record = true
-					srcs := make([]TxSource, n)
-					for i := range srcs {
+					r.policy = callerPolicy{r.policy, t}
+					progs := make([][]Step, n)
+					for i := range progs {
 						// Every thread increments the same two words, in an
 						// order that depends on the thread, so transactions
 						// conflict and abort under both policies.
@@ -164,15 +157,14 @@ func TestRunGoroutineHygiene(t *testing.T) {
 						if i%2 == 1 {
 							a, b = b, a
 						}
-						body := func(tx Tx) {
-							tx.WriteWord(a, tx.ReadWord(a)+1)
-							tx.WriteWord(b, tx.ReadWord(b)+1)
+						progs[i] = []Step{
+							{Kind: OpRead, Addr: a}, {Kind: OpWrite, Addr: a, Add: 1},
+							{Kind: OpRead, Addr: b}, {Kind: OpWrite, Addr: b, Add: 1},
 						}
-						srcs[i] = TxSourceFunc(func() TxFunc { return body })
 					}
+					srcs := constSources(progs...)
 					for run := 1; run <= 2; run++ {
 						r.Run(srcs, txs)
-						checkNoThreadCoroutines(t)
 						if got := len(r.History().Commits); got != run*txs {
 							t.Fatalf("run %d: %d commits recorded, want %d", run, got, run*txs)
 						}

@@ -72,16 +72,19 @@ func (p *lockPolicy) begin(t *thread) {
 	t.lock.order = t.lock.order[:0]
 }
 
-func (p *lockPolicy) read(t *thread, addr mem.PAddr) uint64 {
-	if p.readLocks {
-		p.acquire(t, mem.LineIndex(addr), false)
+func (p *lockPolicy) read(t *thread, addr mem.PAddr) (uint64, bool) {
+	if p.readLocks && !p.tryAcquire(t, mem.LineIndex(addr), false) {
+		return 0, false
 	}
-	return t.env.ReadWord(addr)
+	return t.env.ReadWord(addr), true
 }
 
-func (p *lockPolicy) write(t *thread, addr mem.PAddr, v uint64) {
-	p.acquire(t, mem.LineIndex(addr), true)
+func (p *lockPolicy) write(t *thread, addr mem.PAddr, v uint64) bool {
+	if !p.tryAcquire(t, mem.LineIndex(addr), true) {
+		return false
+	}
 	t.env.WriteWord(addr, v)
+	return true
 }
 
 func (p *lockPolicy) commit(t *thread) bool {
@@ -101,17 +104,11 @@ func (p *lockPolicy) abort(t *thread) {
 	p.releaseAll(t)
 }
 
-// acquire blocks until the thread holds line in the requested mode.
-func (p *lockPolicy) acquire(t *thread, line uint64, excl bool) {
-	for !p.tryAcquire(t, line, excl) {
-		t.yieldBlocked(line)
-	}
-}
-
 // tryAcquire attempts one lock grab. On failure it wounds every younger
 // non-committing conflicting holder, registers the thread in the line's
-// wait queue, and reports false (the caller blocks; wounded holders will
-// release through their abort path and bump the lock epoch).
+// wait queue, and reports false (the thread blocks on the same step and
+// retries once the lock epoch moves; wounded holders release through
+// their abort path and bump it).
 func (p *lockPolicy) tryAcquire(t *thread, line uint64, excl bool) bool {
 	ls := p.table.Ref(line)
 	bit := uint64(1) << uint(t.id)
@@ -193,7 +190,7 @@ func (p *lockPolicy) unregister(t *thread) {
 }
 
 // wound delivers wound-wait: every conflicting holder younger than t is
-// marked wounded (consumed at its next yield as an abort). Holders parked
+// marked wounded (consumed at its next step as an abort). Holders waiting
 // at their commit step are exempt — their locks release in finite time
 // without t's help.
 func (p *lockPolicy) wound(t *thread, ls *lockState, bit uint64, excl bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hoop/internal/engine"
@@ -356,7 +357,8 @@ func ExampleSystem_Recover() {
 // last words of the home and OOP regions through every layer (cache,
 // scheme, store, wear), and the words read back after a drain. A capacity
 // past mem.MaxAddr is rejected. HOOP's slice format holds 40-bit home
-// addresses, so HOOP runs only at 512 GB.
+// addresses, so HOOP runs only at 512 GB, and at 2 TB engine.New must
+// reject it with an error naming that field.
 func TestLayoutAddressesWork(t *testing.T) {
 	for _, tc := range []struct {
 		scheme   string
@@ -395,5 +397,9 @@ func TestLayoutAddressesWork(t *testing.T) {
 	cfg.NVM.Capacity = uint64(mem.MaxAddr) + mem.PageSize
 	if _, err := engine.New(cfg); err == nil {
 		t.Fatal("a capacity past mem.MaxAddr must be rejected")
+	}
+	cfg.NVM.Capacity = 2 << 40
+	if _, err := engine.New(cfg); err == nil || !strings.Contains(err.Error(), "40-bit") {
+		t.Fatalf("HOOP at 2 TB: got error %v, want one naming the 40-bit home-address field", err)
 	}
 }

@@ -124,8 +124,12 @@ func DecodeDataSlice(b []byte) (DataSlice, error) {
 	return s, nil
 }
 
+// maxHomeEnd bounds the home region: a data slice records each word's
+// home address in HomeAddrBytes, so every home address lies below it.
+const maxHomeEnd = mem.PAddr(1) << (8 * HomeAddrBytes)
+
 func putAddr40(b []byte, a mem.PAddr) {
-	if uint64(a) >= 1<<40 {
+	if a >= maxHomeEnd {
 		panic(fmt.Sprintf("hoop: home address %v exceeds 40-bit metadata field", a))
 	}
 	b[0] = byte(a)

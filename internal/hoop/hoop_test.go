@@ -336,7 +336,7 @@ func TestUniformWearAcrossBlocks(t *testing.T) {
 		}
 		s.ForceGC(0)
 	}
-	dataRegion := mem.Region{Base: s.blockBase, Size: uint64(len(s.blocks)) * BlockSize}
+	dataRegion := mem.Region{Base: s.blockBase, Size: uint64(s.nBlocks) * BlockSize}
 	buckets, minW, maxW, total := ctx.Dev.WearInRegion(dataRegion)
 	if buckets < 4 || total == 0 {
 		t.Fatalf("wear did not spread: %d buckets, %d bytes", buckets, total)

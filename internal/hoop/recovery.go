@@ -196,7 +196,7 @@ func (s *Scheme) recoverInternal(threads int) (sim.Duration, RecoveryReport, err
 	s.writeWatermark(maxSeq)
 	headersReset := 0
 	var hdr [mem.LineSize]byte
-	for i := range s.blocks {
+	for i := 0; i < s.nBlocks; i++ {
 		store.Read(blockAddr(s.blockBase, i), hdr[:])
 		h := DecodeBlockHeader(hdr[:])
 		seq := h.Seq
@@ -206,12 +206,17 @@ func (s *Scheme) recoverInternal(threads int) (sim.Duration, RecoveryReport, err
 			store.Write(blockAddr(s.blockBase, i), enc[:])
 			headersReset++
 		}
-		s.blocks[i] = blockInfo{state: BlkUnused, seq: seq}
+		// A block past the table's end with sequence 0 already reads as
+		// unused; any other block keeps its sequence in the table.
+		if i < len(s.blocks) || seq != 0 {
+			s.growBlocks(i)
+			s.blocks[i] = blockInfo{state: BlkUnused, seq: seq}
+		}
 		if seq >= s.nextBlkSeq {
 			s.nextBlkSeq = seq
 		}
 	}
-	s.freeBlocks = len(s.blocks)
+	s.freeBlocks = s.nBlocks
 	for m := range s.active {
 		s.active[m] = -1
 	}
@@ -234,7 +239,7 @@ func (s *Scheme) recoverInternal(threads int) (sim.Duration, RecoveryReport, err
 	bw := s.ctx.Dev.Params().Bandwidth
 	scanBytes := int64(logCapacity)*commitRecSize +
 		int64(totalSlices)*SliceSize +
-		int64(len(s.blocks))*mem.LineSize
+		int64(s.nBlocks)*mem.LineSize
 	applyBytes := int64(len(words))*mem.WordSize +
 		int64(headersReset+1)*mem.LineSize
 	scanBW := minI64(bw, int64(threads)*recoveryPerThreadScanBW)

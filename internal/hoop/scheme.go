@@ -1,6 +1,7 @@
 package hoop
 
 import (
+	"fmt"
 	"math/bits"
 
 	"hoop/internal/cache"
@@ -76,11 +77,15 @@ type Scheme struct {
 	alloc persist.TxnAllocator
 
 	// Durable-layout bookkeeping.
-	nMC        int // memory controllers (1 unless Config.Controllers > 1)
-	wmAddr     mem.PAddr
-	logs       []commitLog // one ring per controller
-	nextSeq    uint64      // global commit sequence (starts at 1)
-	blockBase  mem.PAddr
+	nMC       int // memory controllers (1 unless Config.Controllers > 1)
+	wmAddr    mem.PAddr
+	logs      []commitLog // one ring per controller
+	nextSeq   uint64      // global commit sequence (starts at 1)
+	blockBase mem.PAddr
+	nBlocks   int // data blocks in the OOP region
+	// blocks holds the records of the blocks the stripe scans have
+	// reached, a prefix of the nBlocks; every block past its end is
+	// unused with sequence 0.
 	blocks     []blockInfo
 	active     []int // per-controller active data block (-1 = none yet)
 	nextScan   []int // per-controller round-robin cursor (uniform wear, §III-D)
@@ -246,6 +251,10 @@ func New(ctx persist.Context, cfg Config) (*Scheme, error) {
 	if nMC == 0 {
 		nMC = 1
 	}
+	if end := ctx.Layout.Home.End(); end > maxHomeEnd {
+		return nil, fmt.Errorf("hoop: home region ends at %v, past the %d-bit home-address field of a data slice (at most %v)",
+			end, 8*HomeAddrBytes, maxHomeEnd)
+	}
 	wm, logs, base, nBlocks, err := layoutRegion(ctx.Layout.OOP, cfg.CommitLogBytes, nMC)
 	if err != nil {
 		return nil, err
@@ -258,7 +267,7 @@ func New(ctx persist.Context, cfg Config) (*Scheme, error) {
 		logs:       logs,
 		nextSeq:    1,
 		blockBase:  base,
-		blocks:     make([]blockInfo, nBlocks),
+		nBlocks:    nBlocks,
 		active:     make([]int, nMC),
 		nextScan:   make([]int, nMC),
 		freeBlocks: nBlocks,
@@ -471,20 +480,32 @@ func (s *Scheme) allocSlice(core, m int, now sim.Time) (mem.PAddr, int, sim.Time
 // findFreeBlock scans controller m's block stripe (blocks with index ≡ m
 // mod nMC) round-robin from the last allocation point, implementing the
 // paper's uniform-aging order. nextScan[m] holds a stripe-local position.
+//
+// The scan grows the block table when it first reaches an index past its
+// end: that block is unused with sequence 0, the record an eagerly built
+// table would hold, so growing on demand chooses the same blocks.
 func (s *Scheme) findFreeBlock(m int) (int, bool) {
-	stripe := (len(s.blocks) - m + s.nMC - 1) / s.nMC
+	stripe := (s.nBlocks - m + s.nMC - 1) / s.nMC
 	if stripe == 0 {
 		return 0, false
 	}
 	for i := 0; i < stripe; i++ {
 		p := (s.nextScan[m] + i) % stripe
 		idx := m + p*s.nMC
-		if s.blocks[idx].state == BlkUnused {
+		if idx >= len(s.blocks) || s.blocks[idx].state == BlkUnused {
 			s.nextScan[m] = (p + 1) % stripe
+			s.growBlocks(idx)
 			return idx, true
 		}
 	}
 	return 0, false
+}
+
+// growBlocks extends the block table to cover block idx.
+func (s *Scheme) growBlocks(idx int) {
+	if idx >= len(s.blocks) {
+		s.blocks = append(s.blocks, make([]blockInfo, idx+1-len(s.blocks))...)
+	}
 }
 
 // writeHeader durably updates a block header (posted; ordering with the

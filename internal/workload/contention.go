@@ -49,31 +49,26 @@ func ContentionOf(w Workload) (c Contention, ok bool) {
 	return c, w.Build == nil && w.Name == c.Name()
 }
 
-// Sources builds one cc.TxSource per thread. All randomness is drawn in
-// Next, outside the returned body, so an aborted attempt retries with the
-// same keys and deltas; deterministic given (threads, seed). Each source
-// refills one keys/deltas buffer in place and returns the same body every
-// time, so Next allocates nothing: the Runner is done with a body before
-// it calls Next again.
+// Sources builds one cc.TxSource per thread. Each transaction is a
+// program of OpsPerTx read-modify-write pairs: read a Zipfian-drawn word,
+// then write it back plus a delta. All randomness is drawn in Next and
+// baked into the steps, so an aborted attempt retries with the same keys
+// and deltas; deterministic given (threads, seed). Each source refills one
+// program in place and returns it every time, so Next allocates nothing:
+// the Runner is done with a program before it calls Next again.
 func (c Contention) Sources(threads int, seed uint64) []cc.TxSource {
 	srcs := make([]cc.TxSource, threads)
 	for i := range srcs {
 		rng := sim.NewRand(seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
 		zipf := NewZipf(rng, uint64(c.Keys), c.Theta)
-		keys := make([]mem.PAddr, c.OpsPerTx)
-		deltas := make([]uint64, c.OpsPerTx)
-		body := func(tx cc.Tx) {
-			for j := range keys {
-				v := tx.ReadWord(keys[j])
-				tx.WriteWord(keys[j], v+deltas[j])
+		prog := make([]cc.Step, 2*c.OpsPerTx)
+		srcs[i] = cc.TxSourceFunc(func() []cc.Step {
+			for j := 0; j < len(prog); j += 2 {
+				addr := mem.PAddr(zipf.Next() * mem.WordSize)
+				prog[j] = cc.Step{Kind: cc.OpRead, Addr: addr}
+				prog[j+1] = cc.Step{Kind: cc.OpWrite, Addr: addr, Add: rng.Uint64()%1000 + 1}
 			}
-		}
-		srcs[i] = cc.TxSourceFunc(func() cc.TxFunc {
-			for j := range keys {
-				keys[j] = mem.PAddr(zipf.Next() * mem.WordSize)
-				deltas[j] = rng.Uint64()%1000 + 1
-			}
-			return body
+			return prog
 		})
 	}
 	return srcs
