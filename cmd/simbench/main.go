@@ -140,10 +140,10 @@ func benchmarks() map[string]func(b *testing.B) {
 		},
 		"cache_lookup_l1_hit": func(b *testing.B) {
 			h := cache.New(cache.DefaultConfig(1), sim.NewStats())
-			h.Fill(0, 0, false, false)
+			h.Fill(0, 0, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.Lookup(0, 0, false, false)
+				h.Lookup(0, 0, false)
 			}
 		},
 		"engine_tx_write4": func(b *testing.B) {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -179,17 +178,9 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 }
 
 // Evict implements persist.Scheme. Transactional lines are absorbed by the
-// controller queue (already captured at store time); other dirty lines
-// write back in place.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	if ev.Persistent {
-		return now
-	}
-	lineAddr := mem.LineAddr(ev.Line)
-	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
+// controller queue (already captured at store time), so the eviction
+// writes nothing.
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	return now
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -338,16 +337,8 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 }
 
 // Evict implements persist.Scheme: transactional data lives in the log, so
-// persistent lines are dropped; other dirty lines write back in place.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	if ev.Persistent {
-		return now
-	}
-	lineAddr := mem.LineAddr(ev.Line)
-	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
+// evicted lines are dropped.
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	return now
 }
 

@@ -8,7 +8,6 @@ package native
 import (
 	"fmt"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -78,12 +77,11 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 }
 
 // Evict implements persist.Scheme: ordinary in-place writeback.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	lineAddr := mem.LineAddr(ev.Line)
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
+	s.ctx.View.Read(line, buf[:])
+	s.ctx.Dev.Store().Write(line, buf[:])
+	s.ctx.Ctrl.PostWrite(core, line, mem.LineSize, now)
 	return now
 }
 

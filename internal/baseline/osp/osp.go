@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -312,17 +311,11 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 }
 
 // Evict implements persist.Scheme. A transactional line evicted mid-
-// transaction performs its copy-on-write early (to the inactive copy);
-// other dirty lines write back to the current copy.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	line := mem.LineIndex(ev.Line)
-	lineAddr := mem.LineAddr(ev.Line)
+// transaction performs its copy-on-write early, to the inactive copy.
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	target := s.currentAddr(line)
-	if ev.Persistent {
-		target = s.inactiveAddr(line)
-	}
+	s.ctx.View.Read(line, buf[:])
+	target := s.inactiveAddr(mem.LineIndex(line))
 	s.ctx.Dev.Store().Write(target, buf[:])
 	s.ctx.Ctrl.PostWrite(core, target, mem.LineSize, now)
 	return now

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"hoop/internal/baseline/logring"
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -215,15 +214,7 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 // Evict implements persist.Scheme. Transactional lines must not reach the
 // home region before their redo entries (in-place update is deferred), so
 // they are dropped; committed values reach home via the checkpointer.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	if ev.Persistent {
-		return now
-	}
-	lineAddr := mem.LineAddr(ev.Line)
-	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	return now
 }
 

@@ -15,7 +15,6 @@ import (
 	"hoop/internal/baseline/osp"
 	"hoop/internal/baseline/redo"
 	"hoop/internal/baseline/undo"
-	"hoop/internal/cache"
 	"hoop/internal/hoop"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
@@ -102,7 +101,7 @@ func TestUncommittedIsRolledBack(t *testing.T) {
 			buf[0] = 0xAB
 			now = s.Store(0, tx, 0x100, buf[:], now)
 			ctx.View.Write(0x100, buf[:])
-			s.Evict(0, cache.Eviction{Line: 0x100, Persistent: true}, now)
+			s.Evict(0, 0x100, now)
 			s.Crash()
 			if _, err := s.Recover(1); err != nil {
 				t.Fatal(err)
@@ -189,7 +188,7 @@ func TestQuickRandomCrashAllSchemes(t *testing.T) {
 					}
 					if r.Bool(0.2) {
 						line := mem.PAddr(r.Intn(512)) * 8
-						s.Evict(0, cache.Eviction{Line: mem.LineAddr(line), Persistent: r.Bool(0.7)}, 0)
+						s.Evict(0, mem.LineAddr(line), 0)
 					}
 				}
 				s.Crash()

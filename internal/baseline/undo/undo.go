@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"hoop/internal/baseline/logring"
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -280,12 +279,11 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 // Evict implements persist.Scheme. Undo logging is a STEAL policy: an
 // uncommitted dirty line may be written in place because its old image is
 // already in the log.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	lineAddr := mem.LineAddr(ev.Line)
+func (s *Scheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
 	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
+	s.ctx.View.Read(line, buf[:])
+	s.ctx.Dev.Store().Write(line, buf[:])
+	s.ctx.Ctrl.PostWrite(core, line, mem.LineSize, now)
 	return now
 }
 

@@ -13,14 +13,14 @@ import (
 func TestLookupZeroAlloc(t *testing.T) {
 	h := New(DefaultConfig(2), sim.NewStats())
 	for i := 0; i < 16; i++ {
-		h.Fill(0, mem.PAddr(i*mem.LineSize), i%2 == 0, false)
+		h.Fill(0, mem.PAddr(i*mem.LineSize), i%2 == 0)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
 		a := mem.PAddr((i % 16) * mem.LineSize)
-		h.Lookup(0, a, i%2 == 0, i%4 == 0)
-		h.Lookup(0, mem.PAddr(1<<30)+a, false, false) // guaranteed miss
+		h.Lookup(0, a, i%2 == 0)
+		h.Lookup(0, mem.PAddr(1<<30)+a, false) // guaranteed miss
 	})
 	if allocs != 0 {
 		t.Fatalf("Lookup allocates %v/run, want 0", allocs)
@@ -35,12 +35,12 @@ func TestFillSteadyStateZeroAlloc(t *testing.T) {
 	// so the steady state exercises the back-invalidate + eviction path.
 	sets := h.llc.sets
 	for i := 0; i < 64; i++ {
-		h.Fill(i%2, mem.PAddr(i*sets*mem.LineSize), true, true)
+		h.Fill(i%2, mem.PAddr(i*sets*mem.LineSize), true)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
-		h.Fill(i%2, mem.PAddr((i%64)*sets*mem.LineSize), true, i%2 == 0)
+		h.Fill(i%2, mem.PAddr((i%64)*sets*mem.LineSize), true)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Fill allocates %v/run, want 0", allocs)

@@ -5,13 +5,16 @@
 // The model is tag-only (no data bytes): functional memory contents live in
 // the persistence scheme and the NVM store, which is exactly the separation
 // a crash needs — everything in this package is volatile and vanishes on
-// power failure. What the hierarchy does carry, faithfully to the paper, is
-// the per-line dirty bit and HOOP's extra "persistent bit" marking lines
-// modified inside a transaction (§III-G), because where an evicted line must
-// be written (home region vs OOP region) depends on that bit.
+// power failure. What the hierarchy does carry is the per-line dirty bit.
+// The paper's HOOP cache adds a "persistent bit" marking lines modified
+// inside a transaction (§III-G), so an eviction can tell transactional
+// lines (out of place) from plain stores (in place). This simulator has no
+// plain stores — a store outside a transaction panics in the engine — so
+// every dirty line is transactional and the dirty bit alone decides: a
+// dirty line leaving the LLC goes to the persistence scheme.
 //
 // Host representation: each level keeps one packed 8-byte tag word per way
-// (line index plus valid, dirty and persistent bits) and a parallel array
+// (line index plus valid and dirty bits) and a parallel array
 // of LRU stamps, so a set probe reads only tag words (a 16-way LLC set is
 // 128 B, an 8-way L2 set one host cache line). The per-line core-presence
 // masks live in a mem.Dir radix page directory; no access path hashes.
@@ -58,23 +61,14 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// A way's tag word packs the line index (addr >> 6) above three flag
-// bits: valid, dirty, and HOOP's per-line persistent (transaction) bit. A
-// zero word is an invalid way, so a set probe compares tag words only.
+// A way's tag word packs the line index (addr >> 6) above two flag bits:
+// valid and dirty. A zero word is an invalid way, so a set probe compares
+// tag words only.
 const (
-	tagValid      = 1 << 0
-	tagDirty      = 1 << 1
-	tagPersistent = 1 << 2
-	tagFlagBits   = 3
+	tagValid    = 1 << 0
+	tagDirty    = 1 << 1
+	tagFlagBits = 2
 )
-
-// persistentBit is tagPersistent when persistent is set, else 0.
-func persistentBit(persistent bool) uint64 {
-	if persistent {
-		return tagPersistent
-	}
-	return 0
-}
 
 // tagIndex returns the line index a valid tag word holds.
 func tagIndex(t uint64) uint64 { return t >> tagFlagBits }
@@ -120,7 +114,7 @@ func (l *level) find(idx uint64) int {
 	b := l.setBase(idx)
 	want := idx<<tagFlagBits | tagValid
 	for i, t := range l.tags[b : b+l.ways] {
-		if t&^(tagDirty|tagPersistent) == want {
+		if t&^tagDirty == want {
 			return b + i
 		}
 	}
@@ -138,26 +132,19 @@ func (l *level) lookup(idx uint64) int {
 	return w
 }
 
-// markDirty sets the dirty bit of the way at w, and its persistent bit
-// when persistent.
-func (l *level) markDirty(w int, persistent bool) {
-	l.tags[w] |= tagDirty | persistentBit(persistent)
-}
-
-// fold marks idx's way dirty, and persistent when persistent, if the
-// level holds it (bumping its LRU stamp like any hit). It reports whether
-// the level held idx.
-func (l *level) fold(idx uint64, persistent bool) bool {
+// fold marks idx's way dirty if the level holds it (bumping its LRU stamp
+// like any hit). It reports whether the level held idx.
+func (l *level) fold(idx uint64) bool {
 	w := l.lookup(idx)
 	if w >= 0 {
-		l.markDirty(w, persistent)
+		l.tags[w] |= tagDirty
 	}
 	return w >= 0
 }
 
 // insert places idx into the level, returning the tag word of the victim
 // it evicted, or 0 if the set had an invalid way.
-func (l *level) insert(idx uint64, dirty, persistent bool) (victim uint64) {
+func (l *level) insert(idx uint64, dirty bool) (victim uint64) {
 	b := l.setBase(idx)
 	vi := -1
 	for i, t := range l.tags[b : b+l.ways] {
@@ -176,7 +163,7 @@ func (l *level) insert(idx uint64, dirty, persistent bool) (victim uint64) {
 		}
 		victim = l.tags[vi]
 	}
-	t := idx<<tagFlagBits | tagValid | persistentBit(persistent)
+	t := idx<<tagFlagBits | tagValid
 	if dirty {
 		t |= tagDirty
 	}
@@ -196,13 +183,6 @@ func (l *level) invalidate(idx uint64) uint64 {
 	l.tags[w] = 0
 	l.stamps[w] = 0
 	return old
-}
-
-// Eviction describes a dirty line leaving the LLC toward memory. The
-// persistence scheme decides where it lands (home region, OOP region, log).
-type Eviction struct {
-	Line       mem.PAddr
-	Persistent bool // modified inside a transaction (HOOP persistent bit)
 }
 
 // Hierarchy is the full multi-core cache system.
@@ -226,14 +206,15 @@ type Hierarchy struct {
 	// present maps line index -> bitmask of cores whose private hierarchy
 	// (L1 or L2) may hold the line. Invariant: the mask is a superset of
 	// the cores that hold it, which is what lets write-invalidation, Fill's
-	// back-invalidation, FlushLine and the tests' ClearPersistent probe only those
-	// cores instead of all of them.
+	// back-invalidation and FlushLine probe only those cores instead of all
+	// of them.
 	present presenceIndex
 	// evScratch backs the slice Fill returns; the caller owns the contents
 	// only until the next Fill call.
-	evScratch []Eviction
-	// drainKeys is DirtyEvictions' reused sort scratch.
-	drainKeys []uint64
+	evScratch []mem.PAddr
+	// drainScratch backs the slice DirtyEvictions returns, on the same
+	// terms.
+	drainScratch []mem.PAddr
 
 	tel *telemetry.Hub
 }
@@ -337,10 +318,10 @@ type Result struct {
 }
 
 // Lookup probes the hierarchy for core's access to address a. On a hit the
-// line is promoted (and marked dirty/persistent for writes). On a miss the
-// caller must obtain the data from the persistence scheme / NVM and then
-// call Fill. Write hits invalidate other cores' private copies.
-func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result {
+// line is promoted (and marked dirty for writes). On a miss the caller must
+// obtain the data from the persistence scheme / NVM and then call Fill.
+// Write hits invalidate other cores' private copies.
+func (h *Hierarchy) Lookup(core int, a mem.PAddr, write bool) Result {
 	if h.l1[core] == nil {
 		h.allocPrivate(core)
 	}
@@ -349,8 +330,8 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	l1 := h.l1[core]
 	if w := l1.lookup(idx); w >= 0 {
 		if write {
-			l1.markDirty(w, persistent)
-			h.markL2Dirty(core, idx, persistent)
+			l1.tags[w] |= tagDirty
+			h.markL2Dirty(core, idx)
 			h.invalidateOthers(core, idx)
 		}
 		h.l1Hits.Inc()
@@ -360,9 +341,9 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	l2 := h.l2[core]
 	if w := l2.lookup(idx); w >= 0 {
 		// Promote into L1.
-		h.fillL1(core, idx, write, write && persistent || l2.tags[w]&tagPersistent != 0)
+		h.fillL1(core, idx, write)
 		if write {
-			l2.markDirty(w, persistent)
+			l2.tags[w] |= tagDirty
 			h.invalidateOthers(core, idx)
 		}
 		h.l2Hits.Inc()
@@ -370,9 +351,9 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	}
 	lat += h.cfg.LLCLatency
 	if w := h.llc.lookup(idx); w >= 0 {
-		h.fillPrivate(core, idx, write, write && persistent || h.llc.tags[w]&tagPersistent != 0)
+		h.fillPrivate(core, idx, write)
 		if write {
-			h.llc.markDirty(w, persistent)
+			h.llc.tags[w] |= tagDirty
 			h.invalidateOthers(core, idx)
 		}
 		h.llcHits.Inc()
@@ -395,13 +376,13 @@ func (h *Hierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result
 	return Result{Latency: lat, HitLevel: 0}
 }
 
-// markL2Dirty keeps the inclusive L2 copy's dirty/persistent bits in sync
+// markL2Dirty keeps the inclusive L2 and LLC copies' dirty bits in sync
 // when an L1 write hit occurs. (Real hardware defers this to L1 writeback;
 // folding it early is equivalent for our accounting because only LLC
 // evictions reach memory.)
-func (h *Hierarchy) markL2Dirty(core int, idx uint64, persistent bool) {
-	h.l2[core].fold(idx, persistent)
-	h.llc.fold(idx, persistent)
+func (h *Hierarchy) markL2Dirty(core int, idx uint64) {
+	h.l2[core].fold(idx)
+	h.llc.fold(idx)
 }
 
 // invalidateOthers removes the line from every other core's private levels
@@ -419,10 +400,10 @@ func (h *Hierarchy) invalidateOthers(core int, idx uint64) {
 		}
 		// Fold dirtiness into the shared LLC copy.
 		if old := h.l1[c].invalidate(idx); old&tagDirty != 0 {
-			h.llc.fold(idx, old&tagPersistent != 0)
+			h.llc.fold(idx)
 		}
 		if old := h.l2[c].invalidate(idx); old&tagDirty != 0 {
-			h.llc.fold(idx, old&tagPersistent != 0)
+			h.llc.fold(idx)
 		}
 		mask &^= 1 << uint(c)
 	}
@@ -431,33 +412,33 @@ func (h *Hierarchy) invalidateOthers(core int, idx uint64) {
 }
 
 // fillL1 installs a line into core's L1 only (it is already in L2/LLC).
-func (h *Hierarchy) fillL1(core int, idx uint64, dirty, persistent bool) {
-	v := h.l1[core].insert(idx, dirty, persistent)
+func (h *Hierarchy) fillL1(core int, idx uint64, dirty bool) {
+	v := h.l1[core].insert(idx, dirty)
 	if v&tagDirty != 0 {
 		// Victim folds into L2 (inclusive: it is there).
-		vidx, vpers := tagIndex(v), v&tagPersistent != 0
-		if !h.l2[core].fold(vidx, vpers) {
+		vidx := tagIndex(v)
+		if !h.l2[core].fold(vidx) {
 			// L2 copy was itself evicted earlier; fold into LLC.
-			h.llc.fold(vidx, vpers)
+			h.llc.fold(vidx)
 		}
 	}
 }
 
 // fillPrivate installs a line into core's L2 and L1 (already in LLC).
-func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) {
-	if v := h.l2[core].insert(idx, dirty, persistent); v != 0 {
+func (h *Hierarchy) fillPrivate(core int, idx uint64, dirty bool) {
+	if v := h.l2[core].insert(idx, dirty); v != 0 {
 		vidx := tagIndex(v)
 		if v&tagDirty != 0 {
-			h.llc.fold(vidx, v&tagPersistent != 0)
+			h.llc.fold(vidx)
 		}
 		// The victim leaves this core's private hierarchy entirely
 		// (its L1 copy, if any, is dropped to preserve inclusion).
 		if old := h.l1[core].invalidate(vidx); old&tagDirty != 0 {
-			h.llc.fold(vidx, old&tagPersistent != 0)
+			h.llc.fold(vidx)
 		}
 		h.dropPresence(core, vidx)
 	}
-	h.fillL1(core, idx, dirty, persistent)
+	h.fillL1(core, idx, dirty)
 	h.addPresence(core, idx)
 }
 
@@ -472,15 +453,16 @@ func (h *Hierarchy) dropPresence(core int, idx uint64) {
 }
 
 // Fill installs the line containing a into the shared LLC and core's
-// private levels after a miss has been serviced by memory. Dirty LLC
-// victims are returned so the persistence scheme can write them to NVM.
-func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Eviction {
+// private levels after a miss has been serviced by memory. The addresses
+// of dirty LLC victims are returned so the persistence scheme can write
+// them to NVM.
+func (h *Hierarchy) Fill(core int, a mem.PAddr, write bool) []mem.PAddr {
 	if h.l1[core] == nil {
 		h.allocPrivate(core)
 	}
 	idx := mem.LineIndex(a)
 	out := h.evScratch[:0]
-	if v := h.llc.insert(idx, write, persistent); v != 0 {
+	if v := h.llc.insert(idx, write); v != 0 {
 		vidx := tagIndex(v)
 		flags := v
 		// Inclusive LLC: back-invalidate every private copy.
@@ -489,21 +471,17 @@ func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Evicti
 				if mask&(1<<uint(c)) == 0 {
 					continue
 				}
-				if old := h.l1[c].invalidate(vidx); old&tagDirty != 0 {
-					flags |= old
-				}
-				if old := h.l2[c].invalidate(vidx); old&tagDirty != 0 {
-					flags |= old
-				}
+				// Every copy holds vidx, so only the dirty bit can add.
+				flags |= h.l1[c].invalidate(vidx) | h.l2[c].invalidate(vidx)
 			}
 			h.present.set(vidx, 0)
 		}
 		if flags&tagDirty != 0 {
 			h.evictions.Inc()
-			out = append(out, Eviction{Line: mem.PAddr(vidx << mem.LineShift), Persistent: flags&tagPersistent != 0})
+			out = append(out, mem.PAddr(vidx<<mem.LineShift))
 		}
 	}
-	h.fillPrivate(core, idx, write, persistent)
+	h.fillPrivate(core, idx, write)
 	if write {
 		h.invalidateOthers(core, idx)
 	}
@@ -513,23 +491,16 @@ func (h *Hierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Evicti
 
 // FlushLine writes back and optionally invalidates the line containing a
 // across the whole hierarchy (clwb/clflush semantics used by the logging
-// baselines). It reports whether the line was dirty anywhere (in which case
-// the caller must perform the NVM write) and whether it carried the
-// persistent bit. Only the cores in the line's presence mask can hold it
-// privately, so only their levels are probed.
-func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+// baselines): every copy comes out clean, or absent when invalidate. The
+// caller performs the NVM write. Only the cores in the line's presence
+// mask can hold it privately, so only their levels are probed.
+func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) {
 	idx := mem.LineIndex(a)
-	var flags uint64
 	drain := func(l *level) {
-		var old uint64
 		if invalidate {
-			old = l.invalidate(idx)
+			l.invalidate(idx)
 		} else if w := l.lookup(idx); w >= 0 {
-			old = l.tags[w]
 			l.tags[w] &^= tagDirty
-		}
-		if old&tagDirty != 0 {
-			flags |= old
 		}
 	}
 	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
@@ -541,33 +512,23 @@ func (h *Hierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent b
 	if invalidate {
 		h.present.set(idx, 0)
 	}
-	return flags&tagDirty != 0, flags&tagPersistent != 0
 }
 
-// DirtyEvictions returns the eviction records (address + persistent bit) a
-// full writeback of the LLC would produce, in ascending address order. The
-// harness uses it to close measurement windows so that every scheme —
-// including the native baseline — accounts the traffic its still-cached
-// dirty data will eventually cost.
-func (h *Hierarchy) DirtyEvictions() []Eviction {
-	// A line address has its low LineShift bits free, so the persistent
-	// bit rides in bit 0 and a plain integer sort orders by address.
-	keys := h.drainKeys[:0]
+// DirtyEvictions returns the addresses of the dirty lines a full writeback
+// of the LLC would evict, in ascending order. The harness uses it to close
+// measurement windows so that every scheme — including the native
+// baseline — accounts the traffic its still-cached dirty data will
+// eventually cost. The caller owns the slice only until the next
+// DirtyEvictions call.
+func (h *Hierarchy) DirtyEvictions() []mem.PAddr {
+	out := h.drainScratch[:0]
 	for _, t := range h.llc.tags {
 		if t&tagDirty != 0 {
-			k := tagIndex(t) << mem.LineShift
-			if t&tagPersistent != 0 {
-				k |= 1
-			}
-			keys = append(keys, k)
+			out = append(out, mem.PAddr(tagIndex(t)<<mem.LineShift))
 		}
 	}
-	slices.Sort(keys)
-	h.drainKeys = keys
-	out := make([]Eviction, len(keys))
-	for i, k := range keys {
-		out[i] = Eviction{Line: mem.PAddr(k &^ 1), Persistent: k&1 != 0}
-	}
+	slices.Sort(out)
+	h.drainScratch = out
 	return out
 }
 

@@ -14,11 +14,11 @@ import (
 
 func BenchmarkLookupWriteHit(b *testing.B) {
 	h := New(DefaultConfig(1), sim.NewStats())
-	h.Fill(0, 0, true, true)
+	h.Fill(0, 0, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Lookup(0, 0, true, true)
+		h.Lookup(0, 0, true)
 	}
 }
 
@@ -29,7 +29,7 @@ func BenchmarkMissFillCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := mem.PAddr(uint64(i) * mem.LineSize)
-		h.Lookup(0, a, true, true)
-		h.Fill(0, a, true, true)
+		h.Lookup(0, a, true)
+		h.Fill(0, a, true)
 	}
 }

@@ -1,9 +1,7 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -22,12 +20,12 @@ func addr(line int) mem.PAddr { return mem.PAddr(line * mem.LineSize) }
 
 func TestMissThenHitLadder(t *testing.T) {
 	h, st := newHier(t, 2)
-	r := h.Lookup(0, addr(1), false, false)
+	r := h.Lookup(0, addr(1), false)
 	if r.HitLevel != 0 {
 		t.Fatal("cold access must miss")
 	}
-	h.Fill(0, addr(1), false, false)
-	r = h.Lookup(0, addr(1), false, false)
+	h.Fill(0, addr(1), false)
+	r = h.Lookup(0, addr(1), false)
 	if r.HitLevel != 1 {
 		t.Fatalf("after fill, hit level = %d", r.HitLevel)
 	}
@@ -41,26 +39,26 @@ func TestMissThenHitLadder(t *testing.T) {
 
 func TestOtherCoreHitsSharedLLC(t *testing.T) {
 	h, _ := newHier(t, 2)
-	h.Fill(0, addr(7), false, false)
-	r := h.Lookup(1, addr(7), false, false)
+	h.Fill(0, addr(7), false)
+	r := h.Lookup(1, addr(7), false)
 	if r.HitLevel != 3 {
 		t.Fatalf("core 1 should hit the shared LLC, got level %d", r.HitLevel)
 	}
 	// And now it is in core 1's private levels too.
-	if r := h.Lookup(1, addr(7), false, false); r.HitLevel != 1 {
+	if r := h.Lookup(1, addr(7), false); r.HitLevel != 1 {
 		t.Fatalf("promotion failed, level %d", r.HitLevel)
 	}
 }
 
 func TestWriteInvalidatesOtherCores(t *testing.T) {
 	h, _ := newHier(t, 2)
-	h.Fill(0, addr(3), false, false)
-	h.Fill(1, addr(3), false, false)
+	h.Fill(0, addr(3), false)
+	h.Fill(1, addr(3), false)
 	// Core 0 writes: core 1's private copies must go.
-	if r := h.Lookup(0, addr(3), true, true); r.HitLevel != 1 {
+	if r := h.Lookup(0, addr(3), true); r.HitLevel != 1 {
 		t.Fatalf("write should hit L1, level %d", r.HitLevel)
 	}
-	if r := h.Lookup(1, addr(3), false, false); r.HitLevel == 1 || r.HitLevel == 2 {
+	if r := h.Lookup(1, addr(3), false); r.HitLevel == 1 || r.HitLevel == 2 {
 		t.Fatalf("core 1 should have been invalidated, hit level %d", r.HitLevel)
 	}
 }
@@ -75,37 +73,30 @@ func TestLLCEvictionReturnsDirtyPersistent(t *testing.T) {
 	cfg.L2Size = 8 * mem.LineSize
 	cfg.L2Ways = 2
 	h := New(cfg, sim.NewStats())
-	// Dirty+persistent line 0, then displace it with same-set fills.
-	h.Fill(0, addr(0), true, true)
-	var evs []Eviction
+	// Dirty (transactional) line 0, then displace it with clean same-set
+	// fills.
+	h.Fill(0, addr(0), true)
+	var evs []mem.PAddr
 	for i := 1; i < 16; i++ {
-		evs = append(evs, h.Fill(0, addr(i*2), false, false)...) // stride hits set 0
+		evs = append(evs, h.Fill(0, addr(i*2), false)...) // stride hits set 0
 	}
-	found := false
-	for _, e := range evs {
-		if e.Line == addr(0) {
-			found = true
-			if !e.Persistent {
-				t.Fatal("persistent bit lost on eviction")
-			}
-		}
-	}
-	if !found {
+	if !slices.Contains(evs, addr(0)) {
 		t.Fatal("dirty line was never evicted")
+	}
+	if !slices.Equal(evs, []mem.PAddr{addr(0)}) {
+		t.Fatalf("evictions %v, want only the dirty line %v", evs, addr(0))
 	}
 }
 
 func TestFlushLine(t *testing.T) {
 	h, _ := newHier(t, 1)
-	h.Fill(0, addr(9), true, true)
-	dirty, pers := h.FlushLine(addr(9), false)
-	if !dirty || !pers {
-		t.Fatal("flush should report dirty+persistent")
+	h.Fill(0, addr(9), true)
+	if evs := h.DirtyEvictions(); !slices.Equal(evs, []mem.PAddr{addr(9)}) {
+		t.Fatalf("dirty lines before flush = %v, want %v", evs, addr(9))
 	}
-	// Second flush: clean now.
-	dirty, _ = h.FlushLine(addr(9), false)
-	if dirty {
-		t.Fatal("line should be clean after flush")
+	h.FlushLine(addr(9), false)
+	if evs := h.DirtyEvictions(); len(evs) != 0 {
+		t.Fatalf("line should be clean after flush, dirty lines %v", evs)
 	}
 	if !h.Contains(addr(9)) {
 		t.Fatal("non-invalidating flush must keep the line")
@@ -116,20 +107,10 @@ func TestFlushLine(t *testing.T) {
 	}
 }
 
-func TestClearPersistent(t *testing.T) {
-	h, _ := newHier(t, 1)
-	h.Fill(0, addr(5), true, true)
-	h.ClearPersistent(addr(5))
-	_, pers := h.FlushLine(addr(5), false)
-	if pers {
-		t.Fatal("persistent bit should have been cleared")
-	}
-}
-
 func TestDropAll(t *testing.T) {
 	h, _ := newHier(t, 2)
 	for i := 0; i < 50; i++ {
-		h.Fill(i%2, addr(i), true, false)
+		h.Fill(i%2, addr(i), true)
 	}
 	if len(h.DirtyEvictions()) == 0 {
 		t.Fatal("expected dirty lines")
@@ -142,28 +123,25 @@ func TestDropAll(t *testing.T) {
 
 func TestDirtyEvictionsSortedAndFlagged(t *testing.T) {
 	h, _ := newHier(t, 1)
-	h.Fill(0, addr(30), true, true)
-	h.Fill(0, addr(10), true, false)
-	h.Fill(0, addr(20), false, false)
+	h.Fill(0, addr(30), true)
+	h.Fill(0, addr(10), true)
+	h.Fill(0, addr(20), false)
 	evs := h.DirtyEvictions()
 	if len(evs) != 2 {
 		t.Fatalf("want 2 dirty lines, got %d", len(evs))
 	}
-	if evs[0].Line != addr(10) || evs[1].Line != addr(30) {
-		t.Fatalf("not sorted: %+v", evs)
-	}
-	if evs[0].Persistent || !evs[1].Persistent {
-		t.Fatalf("persistent flags wrong: %+v", evs)
+	if evs[0] != addr(10) || evs[1] != addr(30) {
+		t.Fatalf("not sorted: %v", evs)
 	}
 }
 
 func TestLRUWithinSet(t *testing.T) {
 	l := newLevel(4*mem.LineSize, 4, 0) // one set, 4 ways
 	for i := uint64(0); i < 4; i++ {
-		l.insert(i, false, false)
+		l.insert(i, false)
 	}
 	l.lookup(0) // touch 0 -> victim should be 1
-	v := l.insert(99, false, false)
+	v := l.insert(99, false)
 	if v == 0 || tagIndex(v) != 1 {
 		t.Fatalf("victim = %#x, want idx 1", v)
 	}
@@ -192,10 +170,28 @@ func privateLevels(h *Hierarchy, c int) (l1, l2 *level) {
 	return h.l1[c], h.l2[c]
 }
 
+// dirtyAnywhere reports whether any level of any core holds the line
+// containing a dirty, without touching LRU state or the presence index.
+func dirtyAnywhere(h *Hierarchy, a mem.PAddr) bool {
+	idx := mem.LineIndex(a)
+	levels := []*level{h.llc}
+	for c := 0; c < h.cfg.Cores; c++ {
+		if h.l1[c] != nil {
+			levels = append(levels, h.l1[c], h.l2[c])
+		}
+	}
+	for _, l := range levels {
+		if w := l.find(idx); w >= 0 && l.tags[w]&tagDirty != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // refFlushLine is FlushLine probing every core's private levels rather
 // than only the cores in the presence mask: the oracle the masked version
-// must match bit for bit.
-func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+// must match bit for bit. It reports whether the line was dirty anywhere.
+func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty bool) {
 	idx := mem.LineIndex(a)
 	fold := func(l *level) {
 		var old uint64
@@ -205,10 +201,7 @@ func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent
 			old = l.tags[w]
 			l.tags[w] &^= tagDirty
 		}
-		if old&tagDirty != 0 {
-			dirty = true
-			persistent = persistent || old&tagPersistent != 0
-		}
+		dirty = dirty || old&tagDirty != 0
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		l1, l2 := privateLevels(h, c)
@@ -219,23 +212,7 @@ func refFlushLine(h *Hierarchy, a mem.PAddr, invalidate bool) (dirty, persistent
 	if invalidate {
 		h.present.set(idx, 0)
 	}
-	return dirty, persistent
-}
-
-// refClearPersistent is ClearPersistent probing every core.
-func refClearPersistent(h *Hierarchy, a mem.PAddr) {
-	idx := mem.LineIndex(a)
-	for c := 0; c < h.cfg.Cores; c++ {
-		l1, l2 := privateLevels(h, c)
-		for _, l := range []*level{l1, l2} {
-			if w := l.lookup(idx); w >= 0 {
-				l.tags[w] &^= tagPersistent
-			}
-		}
-	}
-	if w := h.llc.lookup(idx); w >= 0 {
-		h.llc.tags[w] &^= tagPersistent
-	}
+	return dirty
 }
 
 // checkHierarchy asserts the structural invariants the masked flush relies
@@ -281,7 +258,7 @@ func checkHierarchy(t *testing.T, h *Hierarchy, step int) {
 }
 
 // sameState asserts two hierarchies hold identical tag state: the tag word
-// (line index, valid, dirty and persistent bits) and stamp of every way,
+// (line index, valid and dirty bits) and stamp of every way,
 // every level's LRU clock, and every presence mask.
 func sameState(t *testing.T, got, want *Hierarchy, lines, step int) {
 	t.Helper()
@@ -304,29 +281,26 @@ func sameState(t *testing.T, got, want *Hierarchy, lines, step int) {
 	}
 }
 
-// driveSeeded runs a seeded Lookup/Fill/FlushLine/ClearPersistent stream
-// over the given cores and 64 lines, returning a transcript of every
-// result so two runs can be compared.
+// driveSeeded runs a seeded Lookup/Fill/FlushLine stream over the given
+// cores and 64 lines, returning a transcript of every result (and of each
+// flushed line's dirtiness) so two runs can be compared.
 func driveSeeded(h *Hierarchy, cores []int, seed uint64) []string {
 	rng := rand.New(rand.NewPCG(seed, 19))
 	var out []string
 	for step := 0; step < 4000; step++ {
 		core := cores[rng.IntN(len(cores))]
 		a := addr(rng.IntN(64))
-		switch op := rng.IntN(10); {
-		case op < 7:
-			write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
-			r := h.Lookup(core, a, write, pers)
+		if rng.IntN(10) < 7 {
+			write := rng.IntN(2) == 0
+			r := h.Lookup(core, a, write)
 			out = append(out, fmt.Sprint(r))
 			if r.HitLevel == 0 {
-				out = append(out, fmt.Sprint(h.Fill(core, a, write, pers)))
+				out = append(out, fmt.Sprint(h.Fill(core, a, write)))
 			}
-		case op < 9:
-			d, p := h.FlushLine(a, rng.IntN(2) == 0)
-			out = append(out, fmt.Sprint(d, p))
-		default:
-			h.ClearPersistent(a)
+			continue
 		}
+		out = append(out, fmt.Sprint(dirtyAnywhere(h, a)))
+		h.FlushLine(a, rng.IntN(2) == 0)
 	}
 	return append(out, fmt.Sprint(h.DirtyEvictions()))
 }
@@ -373,9 +347,9 @@ func TestPrivateLevelsOnFirstTouch(t *testing.T) {
 
 // TestMaskedFlushMatchesAllCores drives a seeded random access stream over
 // a small 16-core hierarchy and, after every step, checks the structural
-// invariants and that FlushLine/ClearPersistent (which probe only the cores
-// in the presence mask) leave exactly the state and return exactly the
-// result of probing every core.
+// invariants and that FlushLine (which probes only the cores in the
+// presence mask) leaves exactly the state of probing every core, with no
+// dirty copy left behind.
 func TestMaskedFlushMatchesAllCores(t *testing.T) {
 	cfg := DefaultConfig(16)
 	cfg.L1Size, cfg.L1Ways = 4*mem.LineSize, 2    // 2 sets
@@ -388,33 +362,32 @@ func TestMaskedFlushMatchesAllCores(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		core := rng.IntN(cfg.Cores)
 		a := addr(rng.IntN(lines))
-		switch op := rng.IntN(10); {
-		case op < 6:
-			write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
-			r, rr := h.Lookup(core, a, write, pers), ref.Lookup(core, a, write, pers)
+		if rng.IntN(10) < 6 {
+			write := rng.IntN(2) == 0
+			r, rr := h.Lookup(core, a, write), ref.Lookup(core, a, write)
 			if r != rr {
 				t.Fatalf("step %d: Lookup %+v, reference %+v", step, r, rr)
 			}
 			if r.HitLevel == 0 {
-				ev := slices.Clone(h.Fill(core, a, write, pers))
-				if rev := ref.Fill(core, a, write, pers); !slices.Equal(ev, rev) {
+				ev := slices.Clone(h.Fill(core, a, write))
+				if rev := ref.Fill(core, a, write); !slices.Equal(ev, rev) {
 					t.Fatalf("step %d: Fill evicted %v, reference %v", step, ev, rev)
 				}
 			}
-		case op < 9:
+		} else {
 			inv := rng.IntN(2) == 0
-			d, p := h.FlushLine(a, inv)
-			rd, rp := refFlushLine(ref, a, inv)
-			if d != rd || p != rp {
-				t.Fatalf("step %d: FlushLine(%v) = (%v,%v), reference (%v,%v)", step, inv, d, p, rd, rp)
+			d := dirtyAnywhere(h, a)
+			h.FlushLine(a, inv)
+			if rd := refFlushLine(ref, a, inv); d != rd {
+				t.Fatalf("step %d: line dirty before FlushLine(%v) = %v, reference %v", step, inv, d, rd)
+			}
+			if dirtyAnywhere(h, a) {
+				t.Fatalf("step %d: FlushLine(%v) left a dirty copy", step, inv)
 			}
 			flushes++
 			if d {
 				dirtyFlushes++
 			}
-		default:
-			h.ClearPersistent(a)
-			refClearPersistent(ref, a)
 		}
 		checkHierarchy(t, h, step)
 		sameState(t, h, ref, lines, step)
@@ -431,25 +404,6 @@ func TestLevelRejectsNonPowerOfTwoSets(t *testing.T) {
 		}
 	}()
 	newLevel(3*mem.LineSize, 1, 0)
-}
-
-// ClearPersistent clears the persistent bit on the line containing a
-// everywhere it is cached. Like FlushLine, it probes only the cores in the
-// line's presence mask; no scheme calls it, and the seeded tests keep it to
-// check that probe against refClearPersistent.
-func (h *Hierarchy) ClearPersistent(a mem.PAddr) {
-	idx := mem.LineIndex(a)
-	clear := func(l *level) {
-		if w := l.lookup(idx); w >= 0 {
-			l.tags[w] &^= tagPersistent
-		}
-	}
-	for mask := h.present.get(idx); mask != 0; mask &= mask - 1 {
-		c := bits.TrailingZeros32(mask)
-		clear(h.l1[c])
-		clear(h.l2[c])
-	}
-	clear(h.llc)
 }
 
 // Contains reports whether the line holding a is present anywhere in the
@@ -474,11 +428,10 @@ func (h *Hierarchy) Contains(a mem.PAddr) bool {
 // refLine is the 24-byte tag entry the packed tag words replaced; the
 // reference model below keeps it.
 type refLine struct {
-	idx        uint64
-	valid      bool
-	dirty      bool
-	persistent bool
-	stamp      uint64
+	idx   uint64
+	valid bool
+	dirty bool
+	stamp uint64
 }
 
 // refLevel is a set-associative level over refLine entries: the set is
@@ -511,7 +464,7 @@ func (l *refLevel) lookup(idx uint64) *refLine {
 	return nil
 }
 
-func (l *refLevel) insert(idx uint64, dirty, persistent bool) (victim refLine) {
+func (l *refLevel) insert(idx uint64, dirty bool) (victim refLine) {
 	set := l.set(idx)
 	vi := -1
 	oldest := ^uint64(0)
@@ -529,7 +482,7 @@ func (l *refLevel) insert(idx uint64, dirty, persistent bool) (victim refLine) {
 		victim = set[vi]
 	}
 	l.tick++
-	set[vi] = refLine{idx: idx, valid: true, dirty: dirty, persistent: persistent, stamp: l.tick}
+	set[vi] = refLine{idx: idx, valid: true, dirty: dirty, stamp: l.tick}
 	return victim
 }
 
@@ -545,11 +498,10 @@ func (l *refLevel) invalidate(idx uint64) (refLine, bool) {
 	return refLine{}, false
 }
 
-// fold marks idx dirty (and persistent when persistent) if l holds it.
-func (l *refLevel) fold(idx uint64, persistent bool) bool {
+// fold marks idx dirty if l holds it.
+func (l *refLevel) fold(idx uint64) bool {
 	if ln := l.lookup(idx); ln != nil {
 		ln.dirty = true
-		ln.persistent = ln.persistent || persistent
 		return true
 	}
 	return false
@@ -580,15 +532,14 @@ func (h *refHierarchy) DropAll() {
 	}
 }
 
-func (h *refHierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Result {
+func (h *refHierarchy) Lookup(core int, a mem.PAddr, write bool) Result {
 	idx := mem.LineIndex(a)
 	lat := h.cfg.L1Latency
 	if ln := h.l1[core].lookup(idx); ln != nil {
 		if write {
 			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
-			h.l2[core].fold(idx, persistent)
-			h.llc.fold(idx, persistent)
+			h.l2[core].fold(idx)
+			h.llc.fold(idx)
 			h.invalidateOthers(core, idx)
 		}
 		h.stats.Add(sim.StatL1Hits, 1)
@@ -596,10 +547,9 @@ func (h *refHierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Res
 	}
 	lat += h.cfg.L2Latency
 	if ln := h.l2[core].lookup(idx); ln != nil {
-		h.fillL1(core, idx, write, write && persistent || ln.persistent)
+		h.fillL1(core, idx, write)
 		if write {
 			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
 			h.invalidateOthers(core, idx)
 		}
 		h.stats.Add(sim.StatL2Hits, 1)
@@ -607,10 +557,9 @@ func (h *refHierarchy) Lookup(core int, a mem.PAddr, write, persistent bool) Res
 	}
 	lat += h.cfg.LLCLatency
 	if ln := h.llc.lookup(idx); ln != nil {
-		h.fillPrivate(core, idx, write, write && persistent || ln.persistent)
+		h.fillPrivate(core, idx, write)
 		if write {
 			ln.dirty = true
-			ln.persistent = ln.persistent || persistent
 			h.invalidateOthers(core, idx)
 		}
 		h.stats.Add(sim.StatLLCHits, 1)
@@ -626,60 +575,60 @@ func (h *refHierarchy) invalidateOthers(core int, idx uint64) {
 			continue
 		}
 		if old, ok := h.l1[c].invalidate(idx); ok && old.dirty {
-			h.llc.fold(idx, old.persistent)
+			h.llc.fold(idx)
 		}
 		if old, ok := h.l2[c].invalidate(idx); ok && old.dirty {
-			h.llc.fold(idx, old.persistent)
+			h.llc.fold(idx)
 		}
 	}
 }
 
-func (h *refHierarchy) fillL1(core int, idx uint64, dirty, persistent bool) {
-	if v := h.l1[core].insert(idx, dirty, persistent); v.valid && v.dirty {
-		if !h.l2[core].fold(v.idx, v.persistent) {
-			h.llc.fold(v.idx, v.persistent)
+func (h *refHierarchy) fillL1(core int, idx uint64, dirty bool) {
+	if v := h.l1[core].insert(idx, dirty); v.valid && v.dirty {
+		if !h.l2[core].fold(v.idx) {
+			h.llc.fold(v.idx)
 		}
 	}
 }
 
-func (h *refHierarchy) fillPrivate(core int, idx uint64, dirty, persistent bool) {
-	if v := h.l2[core].insert(idx, dirty, persistent); v.valid {
+func (h *refHierarchy) fillPrivate(core int, idx uint64, dirty bool) {
+	if v := h.l2[core].insert(idx, dirty); v.valid {
 		if v.dirty {
-			h.llc.fold(v.idx, v.persistent)
+			h.llc.fold(v.idx)
 		}
 		if old, ok := h.l1[core].invalidate(v.idx); ok && old.dirty {
-			h.llc.fold(v.idx, old.persistent)
+			h.llc.fold(v.idx)
 		}
 	}
-	h.fillL1(core, idx, dirty, persistent)
+	h.fillL1(core, idx, dirty)
 }
 
-func (h *refHierarchy) Fill(core int, a mem.PAddr, write, persistent bool) []Eviction {
+func (h *refHierarchy) Fill(core int, a mem.PAddr, write bool) []mem.PAddr {
 	idx := mem.LineIndex(a)
-	var out []Eviction
-	if v := h.llc.insert(idx, write, persistent); v.valid {
-		dirty, pers := v.dirty, v.persistent
+	var out []mem.PAddr
+	if v := h.llc.insert(idx, write); v.valid {
+		dirty := v.dirty
 		for c := 0; c < h.cfg.Cores; c++ {
 			for _, l := range []*refLevel{h.l1[c], h.l2[c]} {
 				if old, ok := l.invalidate(v.idx); ok && old.dirty {
 					dirty = true
-					pers = pers || old.persistent
 				}
 			}
 		}
 		if dirty {
 			h.stats.Add(sim.StatEvictions, 1)
-			out = append(out, Eviction{Line: mem.PAddr(v.idx << mem.LineShift), Persistent: pers})
+			out = append(out, mem.PAddr(v.idx<<mem.LineShift))
 		}
 	}
-	h.fillPrivate(core, idx, write, persistent)
+	h.fillPrivate(core, idx, write)
 	if write {
 		h.invalidateOthers(core, idx)
 	}
 	return out
 }
 
-func (h *refHierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persistent bool) {
+// FlushLine reports whether the line was dirty anywhere.
+func (h *refHierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty bool) {
 	idx := mem.LineIndex(a)
 	drain := func(l *refLevel) {
 		var old refLine
@@ -690,33 +639,30 @@ func (h *refHierarchy) FlushLine(a mem.PAddr, invalidate bool) (dirty, persisten
 			old, ok = *ln, true
 			ln.dirty = false
 		}
-		if ok && old.dirty {
-			dirty = true
-			persistent = persistent || old.persistent
-		}
+		dirty = dirty || ok && old.dirty
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		drain(h.l1[c])
 		drain(h.l2[c])
 	}
 	drain(h.llc)
-	return dirty, persistent
+	return dirty
 }
 
-func (h *refHierarchy) DirtyEvictions() []Eviction {
-	var out []Eviction
+func (h *refHierarchy) DirtyEvictions() []mem.PAddr {
+	var out []mem.PAddr
 	for _, ln := range h.llc.meta {
 		if ln.valid && ln.dirty {
-			out = append(out, Eviction{Line: mem.PAddr(ln.idx << mem.LineShift), Persistent: ln.persistent})
+			out = append(out, mem.PAddr(ln.idx<<mem.LineShift))
 		}
 	}
-	slices.SortFunc(out, func(a, b Eviction) int { return cmp.Compare(a.Line, b.Line) })
+	slices.Sort(out)
 	return out
 }
 
 // sameAsReference fails unless every way of every level holds what the
-// reference holds: line index, valid, dirty and persistent bits and LRU
-// stamp, with the same LRU clock per level.
+// reference holds: line index, valid and dirty bits and LRU stamp, with
+// the same LRU clock per level.
 func sameAsReference(t *testing.T, h *Hierarchy, ref *refHierarchy, step int) {
 	t.Helper()
 	same := func(name string, l *level, r *refLevel) {
@@ -730,9 +676,6 @@ func sameAsReference(t *testing.T, h *Hierarchy, ref *refHierarchy, step int) {
 				want = ln.idx<<tagFlagBits | tagValid
 				if ln.dirty {
 					want |= tagDirty
-				}
-				if ln.persistent {
-					want |= tagPersistent
 				}
 			}
 			if l.tags[i] != want || l.stamps[i] != ln.stamp {
@@ -790,13 +733,13 @@ func TestHierarchyMatchesReferenceLevels(t *testing.T) {
 				a := pick(core)
 				switch op := rng.IntN(1000); {
 				case op < 800:
-					write, pers := rng.IntN(2) == 0, rng.IntN(3) == 0
-					r, rr := h.Lookup(core, a, write, pers), ref.Lookup(core, a, write, pers)
+					write := rng.IntN(2) == 0
+					r, rr := h.Lookup(core, a, write), ref.Lookup(core, a, write)
 					if r != rr {
 						t.Fatalf("step %d: Lookup %+v, reference %+v", step, r, rr)
 					}
 					if r.HitLevel == 0 {
-						ev, rev := h.Fill(core, a, write, pers), ref.Fill(core, a, write, pers)
+						ev, rev := h.Fill(core, a, write), ref.Fill(core, a, write)
 						if !slices.Equal(ev, rev) {
 							t.Fatalf("step %d: Fill evicted %v, reference %v", step, ev, rev)
 						}
@@ -804,9 +747,13 @@ func TestHierarchyMatchesReferenceLevels(t *testing.T) {
 					}
 				case op < 990:
 					inv := rng.IntN(2) == 0
-					d, p := h.FlushLine(a, inv)
-					if rd, rp := ref.FlushLine(a, inv); d != rd || p != rp {
-						t.Fatalf("step %d: FlushLine(%v) = (%v,%v), reference (%v,%v)", step, inv, d, p, rd, rp)
+					d := dirtyAnywhere(h, a)
+					h.FlushLine(a, inv)
+					if rd := ref.FlushLine(a, inv); d != rd {
+						t.Fatalf("step %d: line dirty before FlushLine(%v) = %v, reference %v", step, inv, d, rd)
+					}
+					if dirtyAnywhere(h, a) {
+						t.Fatalf("step %d: FlushLine(%v) left a dirty copy", step, inv)
 					}
 					if d {
 						flushes++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hoop/internal/baseline/logring"
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -150,16 +149,8 @@ func (s *buggyScheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time
 	return s.ctx.Ctrl.Read(mem.LineAddr(addr), mem.LineSize, now), false
 }
 
-func (s *buggyScheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	if ev.Persistent {
-		return now // transactional data lives in the log until recovery
-	}
-	lineAddr := mem.LineAddr(ev.Line)
-	var buf [mem.LineSize]byte
-	s.ctx.View.Read(lineAddr, buf[:])
-	s.ctx.Dev.Store().Write(lineAddr, buf[:])
-	s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
-	return now
+func (s *buggyScheme) Evict(core int, line mem.PAddr, now sim.Time) sim.Time {
+	return now // transactional data lives in the log until recovery
 }
 
 func (s *buggyScheme) Tick(now sim.Time) {}

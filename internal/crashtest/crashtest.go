@@ -22,7 +22,6 @@ import (
 	"hoop/internal/baseline/osp"
 	"hoop/internal/baseline/redo"
 	"hoop/internal/baseline/undo"
-	"hoop/internal/cache"
 	"hoop/internal/hoop"
 	"hoop/internal/mem"
 	"hoop/internal/nvm"
@@ -163,7 +162,7 @@ func Execute(scheme string, w Workload) (*Run, error) {
 		s.Tick(sim.Time(i+1) * sim.Microsecond)
 		if r.Bool(w.EvictProb) {
 			a := mem.PAddr(r.Intn(w.AddrWords)) * mem.WordSize
-			s.Evict(i%w.Cores, cache.Eviction{Line: mem.LineAddr(a), Persistent: r.Bool(0.7)}, 0)
+			s.Evict(i%w.Cores, mem.LineAddr(a), 0)
 		}
 	}
 	for a := range seen {

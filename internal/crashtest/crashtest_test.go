@@ -5,10 +5,28 @@ import (
 	"testing"
 )
 
+// defaultPoints and abortPoints pin each scheme's exact crash-point count
+// under DefaultWorkload(1) and AbortWorkload(1) (what `hoopcrash -mode
+// exhaustive` and its `-txs 9 -abortevery 3` form print). A scheme that
+// stops journaling some durable write, or starts journaling more, changes
+// its count; a change to a scheme's persist path must update these on
+// purpose.
+var (
+	defaultPoints = map[string]int{
+		"HOOP": 228, "Opt-Redo": 476, "Opt-Undo": 500, "OSP": 201,
+		"LSM": 192, "LAD": 9, "Ideal": 25,
+	}
+	abortPoints = map[string]int{
+		"HOOP": 184, "Opt-Redo": 362, "Opt-Undo": 538, "OSP": 159,
+		"LSM": 185, "LAD": 7, "Ideal": 25,
+	}
+)
+
 // TestEnumerateAllSchemes is the exhaustive tentpole check: every scheme
 // must pass the prefix-consistency oracle at every single crash point of
 // the default workload — every torn slice, torn commit record, half-flipped
-// bitmap, and half-applied GC migration the journal can express.
+// bitmap, and half-applied GC migration the journal can express — and
+// enumerate exactly its pinned number of crash points.
 func TestEnumerateAllSchemes(t *testing.T) {
 	for _, scheme := range Schemes() {
 		scheme := scheme
@@ -19,8 +37,8 @@ func TestEnumerateAllSchemes(t *testing.T) {
 			if v != nil {
 				t.Fatalf("%v\nrepro: go run ./cmd/hoopcrash -scheme %s -mode exhaustive -seed %d", v, scheme, w.Seed)
 			}
-			if points < w.Txs {
-				t.Fatalf("only %d crash points enumerated; journal not recording?", points)
+			if want, ok := defaultPoints[scheme]; !ok || points != want {
+				t.Fatalf("%d crash points enumerated, want %d (pinned: %v)", points, want, ok)
 			}
 			t.Logf("%d crash points, all consistent", points)
 		})
@@ -68,7 +86,8 @@ func TestBuggySchemeRejected(t *testing.T) {
 // points inside aborts: every third transaction aborts after its writes,
 // so the journal records each scheme's abort-path windows (undo images
 // rolling home, log neutralization, OOP slice discard) and every crash
-// point in them must recover to an image without the aborted writes.
+// point in them must recover to an image without the aborted writes. Each
+// scheme must enumerate exactly its pinned number of crash points.
 func TestEnumerateAbortsAllSchemes(t *testing.T) {
 	for _, scheme := range Schemes() {
 		scheme := scheme
@@ -78,6 +97,9 @@ func TestEnumerateAbortsAllSchemes(t *testing.T) {
 			points, v := Enumerate(scheme, w)
 			if v != nil {
 				t.Fatalf("%v\nrepro: go run ./cmd/hoopcrash -scheme %s -mode exhaustive -seed %d -txs %d -abortevery %d", v, scheme, w.Seed, w.Txs, w.AbortEvery)
+			}
+			if want, ok := abortPoints[scheme]; !ok || points != want {
+				t.Fatalf("%d crash points enumerated, want %d (pinned: %v)", points, want, ok)
 			}
 			t.Logf("%d crash points with injected aborts, all consistent", points)
 		})

@@ -256,18 +256,16 @@ func (e *Env) NoteScan(items, bytes int) {
 func (e *Env) access(addr mem.PAddr, size int, write bool) {
 	s := e.sys
 	clk := s.clocks[e.thread]
-	persistent := write && s.txOpen[e.thread]
 	for a := mem.LineAddr(addr); a < addr+mem.PAddr(size); a += mem.LineSize {
-		r := s.hier.Lookup(e.core, a, write, persistent)
+		r := s.hier.Lookup(e.core, a, write)
 		clk.Advance(r.Latency)
 		if r.HitLevel != 0 {
 			continue
 		}
 		done, fillDirty := s.scheme.ReadMiss(e.core, a, clk.Now())
 		clk.AdvanceTo(done)
-		evs := s.hier.Fill(e.core, a, write || fillDirty, persistent || fillDirty)
-		for _, ev := range evs {
-			t := s.scheme.Evict(e.core, ev, clk.Now())
+		for _, line := range s.hier.Fill(e.core, a, write || fillDirty) {
+			t := s.scheme.Evict(e.core, line, clk.Now())
 			clk.AdvanceTo(t)
 		}
 	}

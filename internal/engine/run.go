@@ -69,9 +69,9 @@ func (s *System) ResetMemoryQueues() {
 // windows fairly across schemes.
 func (s *System) DrainCache() {
 	now := s.MaxClock()
-	for _, ev := range s.hier.DirtyEvictions() {
-		s.hier.FlushLine(ev.Line, false)
-		s.scheme.Evict(0, ev, now)
+	for _, line := range s.hier.DirtyEvictions() {
+		s.hier.FlushLine(line, false)
+		s.scheme.Evict(0, line, now)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/persisttest"
@@ -351,8 +350,7 @@ func TestReadMissRouting(t *testing.T) {
 	// A committed write followed by an eviction creates a mapping entry;
 	// the read must hit it and remove it.
 	writeTx(s, ctx, 0, map[mem.PAddr]uint64{0x40: 1, 0x48: 2})
-	ev := cache.Eviction{Line: 0x40, Persistent: true}
-	s.Evict(0, ev, 0)
+	s.Evict(0, 0x40, 0)
 	if s.MappingTableLen() != 1 {
 		t.Fatalf("mapping entries = %d, want 1", s.MappingTableLen())
 	}
@@ -381,7 +379,7 @@ func TestEvictionOfMigratedLineIsDropped(t *testing.T) {
 	writeTx(s, ctx, 0, map[mem.PAddr]uint64{0x40: 1})
 	s.ForceGC(0)
 	before := ctx.Stats.Get(sim.StatNVMBytesWritten)
-	s.Evict(0, cache.Eviction{Line: 0x40, Persistent: true}, 0)
+	s.Evict(0, 0x40, 0)
 	if got := ctx.Stats.Get(sim.StatNVMBytesWritten); got != before {
 		t.Fatalf("eviction of a migrated line wrote %d bytes", got-before)
 	}

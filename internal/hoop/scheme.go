@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"hoop/internal/cache"
 	"hoop/internal/mem"
 	"hoop/internal/persist"
 	"hoop/internal/sim"
@@ -695,23 +694,15 @@ func (s *Scheme) ReadMiss(core int, addr mem.PAddr, now sim.Time) (sim.Time, boo
 	return s.ctx.Ctrl.Read(mem.LineAddr(addr), mem.LineSize, now), false
 }
 
-// Evict implements persist.Scheme. A transactional (persistent-bit) line
-// whose words are newer than the home region is indexed in the mapping
-// table, pointing reads at the memory slice already holding its newest
-// words — the line's data is out-of-place by construction, so the eviction
-// itself writes nothing. A transactional line whose words have all been
-// migrated home is dropped silently. Non-transactional dirty lines write
-// back in place.
-func (s *Scheme) Evict(core int, ev cache.Eviction, now sim.Time) sim.Time {
-	lineAddr := mem.LineAddr(ev.Line)
-	line := mem.LineIndex(ev.Line)
-	if !ev.Persistent {
-		var buf [mem.LineSize]byte
-		s.ctx.View.Read(lineAddr, buf[:])
-		s.ctx.Dev.Store().Write(lineAddr, buf[:])
-		s.ctx.Ctrl.PostWrite(core, lineAddr, mem.LineSize, now)
-		return now
-	}
+// Evict implements persist.Scheme. Every dirty line is transactional (the
+// engine has no plain stores, so no line needs the paper's persistent bit
+// to tell it apart). A line whose words are newer than the home region is
+// indexed in the mapping table, pointing reads at the memory slice already
+// holding its newest words — the line's data is out-of-place by
+// construction, so the eviction itself writes nothing. A line whose words
+// have all been migrated home is dropped silently.
+func (s *Scheme) Evict(core int, lineAddr mem.PAddr, now sim.Time) sim.Time {
+	line := mem.LineIndex(lineAddr)
 	ls, tracked := s.lines.Get(line)
 	if !tracked || ls.mask == 0 {
 		// Every word of this line has been migrated home since its last

@@ -18,22 +18,16 @@ type Config struct {
 	// Overhead is the fixed controller processing time added to every
 	// request (queue slot, scheduling decision).
 	Overhead sim.Duration
-	// DRAMLatency is the cost of one access to the DRAM side of the
-	// system (used by software schemes such as LSNVMM whose index lives
-	// in DRAM).
-	DRAMLatency sim.Duration
 	// Agents is the number of independent request sources tracked for
 	// posted-write draining (one per core plus background agents).
 	Agents int
 }
 
-// DefaultConfig returns sensible defaults: 4 ns controller overhead and
-// 60 ns DRAM access.
+// DefaultConfig returns sensible defaults: 4 ns controller overhead.
 func DefaultConfig(agents int) Config {
 	return Config{
-		Overhead:    4 * sim.Nanosecond,
-		DRAMLatency: 60 * sim.Nanosecond,
-		Agents:      agents,
+		Overhead: 4 * sim.Nanosecond,
+		Agents:   agents,
 	}
 }
 

@@ -17,11 +17,11 @@ func newCtrl(t *testing.T) *Controller {
 func TestSyncAccessesAddOverhead(t *testing.T) {
 	c := newCtrl(t)
 	done := c.Read(0, mem.LineSize, 0)
-	if done < c.Config().Overhead+50*sim.Nanosecond {
+	if done < c.cfg.Overhead+50*sim.Nanosecond {
 		t.Fatalf("read %v below overhead+latency", done)
 	}
 	done = c.Write(mem.LineSize, mem.LineSize, 0)
-	if done < c.Config().Overhead+150*sim.Nanosecond {
+	if done < c.cfg.Overhead+150*sim.Nanosecond {
 		t.Fatalf("write %v below overhead+latency", done)
 	}
 }
@@ -52,13 +52,6 @@ func TestPostedWritesAndDrain(t *testing.T) {
 	}
 }
 
-func TestDRAMAccess(t *testing.T) {
-	c := newCtrl(t)
-	if got := c.DRAMAccess(100); got != 100+c.Config().DRAMLatency {
-		t.Fatalf("DRAM access = %v", got)
-	}
-}
-
 func TestDevice(t *testing.T) {
 	c := newCtrl(t)
 	if c.Device() == nil {
@@ -69,15 +62,5 @@ func TestDevice(t *testing.T) {
 // Device exposes the underlying NVM device.
 func (c *Controller) Device() *nvm.Device { return c.dev }
 
-// Config reports the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Pending reports the completion time of agent's latest posted write.
 func (c *Controller) Pending(agent int) sim.Time { return c.pending[agent] }
-
-// DRAMAccess models one access to DRAM-side metadata (index structures,
-// shadow tables) and returns its completion time. DRAM is modeled as a
-// fixed latency with effectively unlimited bandwidth relative to NVM.
-func (c *Controller) DRAMAccess(now sim.Time) sim.Time {
-	return now + c.cfg.DRAMLatency
-}

@@ -87,15 +87,15 @@ type Scheme interface {
 	// ReadMiss services an LLC miss for the line containing addr: the
 	// scheme routes the fill (home region, OOP region, log, shadow
 	// copy...) and returns the fill completion time. fillDirty reports
-	// whether the line must be installed dirty+persistent (true when the
+	// whether the line must be installed dirty (true when the
 	// newest version only exists out-of-place, so a future eviction must
 	// re-persist it out-of-place).
 	ReadMiss(core int, addr mem.PAddr, now sim.Time) (done sim.Time, fillDirty bool)
 
-	// Evict handles a dirty line leaving the LLC on behalf of core (the
-	// core whose fill displaced it). ev.Persistent reports whether the
-	// line was modified by a transaction.
-	Evict(core int, ev cache.Eviction, now sim.Time) sim.Time
+	// Evict handles the dirty line at address line leaving the LLC on
+	// behalf of core (the core whose fill displaced it). Every dirty line
+	// was modified by a transaction: the engine has no plain stores.
+	Evict(core int, line mem.PAddr, now sim.Time) sim.Time
 
 	// Tick lets background machinery (GC, checkpointing, log truncation)
 	// run up to now. The engine calls it between operations.
