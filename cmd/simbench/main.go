@@ -312,7 +312,7 @@ var sinkU64 uint64
 func ccRunnerForBench(b *testing.B, policy cc.Policy, threads int) (*cc.Runner, []cc.TxSource) {
 	cfg := engine.DefaultConfig(engine.SchemeNative)
 	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
-	cfg.Ctrl.Agents = 3
+	cfg.Ctrl.Agents = threads + 2
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
 	cfg.Abortable = true

@@ -23,6 +23,7 @@ package cache
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"hoop/internal/mem"
 	"hoop/internal/sim"
@@ -100,10 +101,42 @@ func levelSets(size, ways int) int {
 	return sets
 }
 
+// levelGeom keys the free lists of levelPools.
+type levelGeom struct{ sets, ways int }
+
+// levelPools holds a free list (a *sync.Pool) of cleared levels per
+// geometry, so a run that builds many hierarchies one after another
+// reuses the tag arrays of the ones it released instead of allocating
+// about 0.8 MB per simulated machine.
+var levelPools sync.Map
+
+func levelPool(g levelGeom) *sync.Pool {
+	if p, ok := levelPools.Load(g); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := levelPools.LoadOrStore(g, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// newLevel returns an empty level, recycled from the free list of its
+// geometry when one is there.
 func newLevel(size, ways int, lat sim.Duration) *level {
 	sets := levelSets(size, ways)
+	if l, _ := levelPool(levelGeom{sets, ways}).Get().(*level); l != nil {
+		l.latency = lat
+		return l
+	}
 	return &level{sets: sets, setMask: uint64(sets - 1), ways: ways, latency: lat,
 		tags: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
+}
+
+// release clears l and puts it on its geometry's free list. The caller
+// must drop every reference to l.
+func (l *level) release() {
+	clear(l.tags)
+	clear(l.stamps)
+	l.tick = 0
+	levelPool(levelGeom{l.sets, l.ways}).Put(l)
 }
 
 // setBase returns the position of the first way of idx's set.
@@ -533,14 +566,34 @@ func (h *Hierarchy) DirtyEvictions() []mem.PAddr {
 }
 
 // DropAll models power loss: every cached line vanishes and the hierarchy
-// is back in its freshly built state. The private levels go back to
-// untouched, so a core allocates them again only if it runs after the
-// crash.
+// is back in its freshly built state. The private levels return to the
+// free list, so a core takes a cleared pair again only if it runs after
+// the crash.
 func (h *Hierarchy) DropAll() {
-	clear(h.l1)
-	clear(h.l2)
+	h.releasePrivate()
 	clear(h.llc.tags)
 	clear(h.llc.stamps)
 	h.llc.tick = 0
 	h.present.reset()
+}
+
+// Release returns every tag array to the free list for the next
+// hierarchy of the same geometry. The hierarchy must not be used again.
+func (h *Hierarchy) Release() {
+	h.releasePrivate()
+	h.llc.release()
+	h.llc = nil
+}
+
+// releasePrivate returns every core's private levels to the free list and
+// leaves the cores untouched.
+func (h *Hierarchy) releasePrivate() {
+	for c, l := range h.l1 {
+		if l != nil {
+			l.release()
+			h.l2[c].release()
+		}
+	}
+	clear(h.l1)
+	clear(h.l2)
 }

@@ -345,6 +345,38 @@ func TestPrivateLevelsOnFirstTouch(t *testing.T) {
 	sameState(t, h, fresh, 64, -1)
 }
 
+// TestReleaseRecyclesClearedLevels releases a used hierarchy and builds
+// the next one of the same geometry from its levels: the new hierarchy
+// must start in the freshly built state and replay the same seeded stream
+// to the same results, and across a few rounds (sync.Pool may drop an
+// item) some round must really reuse the released LLC.
+func TestReleaseRecyclesClearedLevels(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.L1Size, cfg.L1Ways = 8*mem.LineSize, 2
+	cfg.L2Size, cfg.L2Ways = 16*mem.LineSize, 2
+	cfg.LLCSize, cfg.LLCWays = 64*mem.LineSize, 4
+	cores := []int{1, 5}
+	h := New(cfg, sim.NewStats())
+	first := driveSeeded(h, cores, 11)
+	reused := false
+	for round := 0; round < 8; round++ {
+		llc := h.llc
+		h.Release()
+		h = New(cfg, sim.NewStats())
+		reused = reused || h.llc == llc
+		driveSeeded(h, []int{0}, 12) // touches core 0's private levels, which then get released too
+		h.Release()
+		h = New(cfg, sim.NewStats())
+		sameState(t, h, New(cfg, sim.NewStats()), 64, -1)
+		if again := driveSeeded(h, cores, 11); !slices.Equal(again, first) {
+			t.Fatalf("round %d: the stream on recycled levels diverged from the first run", round)
+		}
+	}
+	if !reused {
+		t.Fatal("no round reused a released LLC")
+	}
+}
+
 // TestMaskedFlushMatchesAllCores drives a seeded random access stream over
 // a small 16-core hierarchy and, after every step, checks the structural
 // invariants and that FlushLine (which probes only the cores in the

@@ -5,6 +5,7 @@ import (
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
+	"hoop/internal/sim"
 )
 
 // newTestRunner builds an abortable Native system with the given thread
@@ -13,7 +14,7 @@ func newTestRunner(tb testing.TB, policy Policy, threads int) *Runner {
 	tb.Helper()
 	cfg := engine.DefaultConfig(engine.SchemeNative)
 	cfg.Cores, cfg.Threads, cfg.Cache.Cores = threads, threads, threads
-	cfg.Ctrl.Agents = 3
+	cfg.Ctrl.Agents = threads + 2
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
 	cfg.Abortable = true
@@ -46,6 +47,46 @@ func benchRunner(tb testing.TB, policy Policy, threads int) (*Runner, []TxSource
 		srcs[i] = TxSourceFunc(func() []Step { return prog })
 	}
 	return r, srcs
+}
+
+// contendedRunner builds an 8-thread Runner whose threads all run
+// two-pair read-modify-write transactions over one hot 16-word pool (two
+// cache lines), so nearly every transaction conflicts: 2PL threads block,
+// wound and retry, and OCC validations fail. Each source draws its words
+// from its own seeded generator and refills one program in place, so
+// Next allocates nothing.
+func contendedRunner(tb testing.TB, policy Policy) (*Runner, []TxSource) {
+	tb.Helper()
+	const threads, poolWords, pairs = 8, 16, 2
+	r := newTestRunner(tb, policy, threads)
+	srcs := make([]TxSource, threads)
+	for i := range srcs {
+		rng := sim.NewRand(uint64(i) + 1)
+		prog := make([]Step, 2*pairs)
+		srcs[i] = TxSourceFunc(func() []Step {
+			for j := 0; j < len(prog); j += 2 {
+				a := mem.PAddr(rng.Intn(poolWords) * mem.WordSize)
+				prog[j] = Step{Kind: OpRead, Addr: a}
+				prog[j+1] = Step{Kind: OpWrite, Addr: a, Add: 1}
+			}
+			return prog
+		})
+	}
+	return r, srcs
+}
+
+// TestContendedRunAlloc locks a whole contended Run at zero allocations
+// under both policies once a warmup run has grown every reused structure:
+// blocking, wounding, aborting and retrying reuse the same state as the
+// conflict-free path.
+func TestContendedRunAlloc(t *testing.T) {
+	for _, policy := range Policies {
+		r, srcs := contendedRunner(t, policy)
+		r.Run(srcs, 400)
+		if got := testing.AllocsPerRun(5, func() { r.Run(srcs, 200) }); got != 0 {
+			t.Errorf("%s: %.1f allocs per contended Run of 200 transactions, budget is 0", policy, got)
+		}
+	}
 }
 
 // checkRunAllocs locks a whole Run at zero allocations once a warmup run

@@ -17,9 +17,10 @@
 // runnable thread with the smallest simulated clock (ties to the lowest
 // thread id) and executes one step of it — the begin, one operation, or
 // the commit — then picks again. A lock that cannot be granted leaves the
-// thread blocked on the same step; a wound or a failed validation runs the
-// abort path within the step. Nothing parks and nothing unwinds, so the
-// interleaving is deterministic, race-free, and reproducible bit-for-bit —
+// thread blocked on the same step until it is wounded or its line's lock
+// word changes; a wound or a failed validation runs the abort path within
+// the step. Nothing parks and nothing unwinds, so the interleaving is
+// deterministic, race-free, and reproducible bit-for-bit —
 // yet transactions are genuinely concurrent in simulated time, so a lock
 // request can find its line held by another thread's open transaction and
 // wound-wait has someone to wound.
@@ -27,6 +28,7 @@ package cc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
@@ -105,32 +107,37 @@ type Runner struct {
 	policy  policy
 	threads []*thread
 
-	// lockEpoch increments whenever any lock is released (or a holder is
-	// wounded); blocked threads only become runnable again when the epoch
-	// has moved past the one they blocked under, so a failed re-check
-	// cannot spin.
-	lockEpoch uint64
+	// Scheduler state, one bit per thread id. A thread is ready (at a step
+	// boundary), blocked (waiting on a lock) or, in neither mask, finished.
+	ready   uint64
+	blocked uint64
+	// wounded marks threads an older conflicting requester has wounded;
+	// the wound is consumed at the thread's next step as an abort, so a
+	// wounded blocked thread is runnable at once.
+	wounded uint64
+	// A blocked thread's retry re-reads only its own line's lock word, so
+	// it is runnable again only when both masks have its bit: epochMoved
+	// (some lock was released, or a waiter left a queue, since it blocked)
+	// and lineMoved (its own line's word changed since it blocked: a
+	// grant, a release, or a waiter leaving the queue). A retry skipped by
+	// this rule would have failed again without wounding anyone.
+	epochMoved uint64
+	lineMoved  uint64
+
+	// clocks mirrors the thread clocks for pick. A step moves only its
+	// own thread's clock, so step refreshes that one entry.
+	clocks []sim.Time
 
 	prioSeq uint64 // first-begin timestamps for wound-wait priorities
 
 	history History
 }
 
-// thread run states (thread.status).
-const (
-	statusReady    = iota // at a step boundary, runnable
-	statusBlocked         // waiting on a lock
-	statusFinished        // quota done
-)
-
 type thread struct {
 	r   *Runner
 	id  int
+	bit uint64 // 1 << id, the thread's bit in the scheduler masks
 	env *engine.Env
-
-	status int
-	// blockEpoch is the lockEpoch observed when the thread blocked.
-	blockEpoch uint64
 
 	// The thread's work in the current Run: src supplies programs, left
 	// counts the transactions still to commit, prog is the current one,
@@ -143,10 +150,8 @@ type thread struct {
 
 	// Wound-wait state: prio is the first-begin timestamp (kept across
 	// retries so a repeatedly-wounded transaction ages into the oldest and
-	// must eventually win); wounded is set by an older conflicting
-	// requester and consumed at the thread's next step.
+	// must eventually win). Runner.wounded holds the wound itself.
 	prio       uint64
-	wounded    bool
 	committing bool
 	inTx       bool
 
@@ -185,8 +190,9 @@ func New(sys *engine.System, cfg Config) (*Runner, error) {
 	}
 	r.threads = make([]*thread, n)
 	for i := range r.threads {
-		r.threads[i] = &thread{r: r, id: i, env: sys.NewEnv(i)}
+		r.threads[i] = &thread{r: r, id: i, bit: uint64(1) << uint(i), env: sys.NewEnv(i)}
 	}
+	r.clocks = make([]sim.Time, n)
 	return r, nil
 }
 
@@ -222,13 +228,24 @@ type policy interface {
 // finished (a lock-scheduling bug), Run panics, and so does the MaxRetries
 // livelock guard; after a panic the Runner must not be used again.
 func (r *Runner) Run(sources []TxSource, totalTxs int) {
+	r.start(sources, totalTxs)
+	for i := r.pick(); i >= 0; i = r.pick() {
+		r.step(i)
+	}
+	if r.ready|r.blocked != 0 {
+		panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
+	}
+}
+
+// start hands each thread its source and its share of totalTxs and makes
+// every thread with a nonzero share ready.
+func (r *Runner) start(sources []TxSource, totalTxs int) {
 	n := len(r.threads)
 	if len(sources) != n {
 		panic(fmt.Sprintf("cc: %d sources for %d threads", len(sources), n))
 	}
+	r.ready, r.blocked, r.wounded, r.epochMoved, r.lineMoved = 0, 0, 0, 0, 0
 	for i, t := range r.threads {
-		t.status = statusReady
-		t.wounded = false
 		t.committing = false
 		t.inTx = false
 		t.src = sources[i]
@@ -236,62 +253,61 @@ func (r *Runner) Run(sources []TxSource, totalTxs int) {
 		if i < totalTxs%n {
 			t.left++
 		}
+		r.clocks[i] = r.sys.Clock(i)
 		if t.left == 0 {
-			t.status = statusFinished
 			continue
 		}
+		r.ready |= t.bit
 		t.prog, t.attempt = t.src.Next(), 0
-	}
-	for t := r.pick(); t != nil; t = r.pick() {
-		t.step()
-	}
-	for _, t := range r.threads {
-		if t.status != statusFinished {
-			panic("cc: no runnable thread (lock scheduler stuck — wound-wait must prevent deadlock)")
-		}
 	}
 }
 
-// pick selects the next thread to step: the smallest-clock thread that is
-// ready, or blocked-but-wakeable (the lock epoch moved, or it was wounded).
-func (r *Runner) pick() *thread {
-	var best *thread
-	var bestClock sim.Time
-	for _, t := range r.threads {
-		switch t.status {
-		case statusReady:
-		case statusBlocked:
-			if !t.wounded && t.blockEpoch == r.lockEpoch {
-				continue
-			}
-		default:
-			continue
-		}
-		if c := r.sys.Clock(t.id); best == nil || c < bestClock {
-			best, bestClock = t, c
+// pick returns the id of the next thread to step, or -1 if none can.
+func (r *Runner) pick() int { return r.pickFrom(r.runnable()) }
+
+// runnable returns the threads that may step: the ready ones, the wounded
+// blocked ones, and the blocked ones the wake rule lets retry.
+func (r *Runner) runnable() uint64 {
+	return r.ready | r.blocked&(r.wounded|r.epochMoved&r.lineMoved)
+}
+
+// pickFrom returns the smallest-clock thread in cand, ties to the lowest
+// id, or -1 if cand is empty.
+func (r *Runner) pickFrom(cand uint64) int {
+	if cand == 0 {
+		return -1
+	}
+	best := bits.TrailingZeros64(cand)
+	bestClock := r.clocks[best]
+	for cand &= cand - 1; cand != 0; cand &= cand - 1 {
+		if i := bits.TrailingZeros64(cand); r.clocks[i] < bestClock {
+			best, bestClock = i, r.clocks[i]
 		}
 	}
 	return best
 }
 
-// step executes the thread's next step: the begin of an attempt, one
+// step executes thread i's next step: the begin of an attempt, one
 // operation of its program, or the commit. A pending wound is consumed
 // first: the step lands as an abort.
-func (t *thread) step() {
-	t.status = statusReady
+func (r *Runner) step(i int) {
+	t := r.threads[i]
+	r.blocked &^= t.bit
+	r.ready |= t.bit
 	switch {
-	case t.wounded:
-		t.wounded = false
+	case r.wounded&t.bit != 0:
+		r.wounded &^= t.bit
 		t.abort()
 	case !t.inTx:
 		t.begin()
 	case t.pc < len(t.prog):
 		t.op()
-	case t.r.policy.commit(t):
+	case r.policy.commit(t):
 		t.commit()
 	default:
 		t.abort()
 	}
+	r.clocks[i] = t.env.Now()
 }
 
 // begin opens an attempt of the current program.
@@ -325,8 +341,11 @@ func (t *thread) op() {
 		ok = t.r.policy.write(t, s.Addr, v)
 	}
 	if !ok {
-		t.blockEpoch = t.r.lockEpoch
-		t.status = statusBlocked
+		r := t.r
+		r.ready &^= t.bit
+		r.blocked |= t.bit
+		r.epochMoved &^= t.bit
+		r.lineMoved &^= t.bit
 		return
 	}
 	if s.Kind == OpRead {
@@ -352,7 +371,7 @@ func (t *thread) commit() {
 		})
 	}
 	if t.left--; t.left == 0 {
-		t.status = statusFinished
+		t.r.ready &^= t.bit
 		return
 	}
 	t.prog, t.attempt = t.src.Next(), 0

@@ -174,3 +174,141 @@ func TestRunGoroutineHygiene(t *testing.T) {
 		}
 	}
 }
+
+// TestPickLowestClockThenLowestID checks pick's order: the smallest clock
+// wins, and equal clocks go to the lowest thread id.
+func TestPickLowestClockThenLowestID(t *testing.T) {
+	r := newTestRunner(t, PolicyOCC, 4)
+	r.ready = 0b1110
+	for i := range r.clocks {
+		r.clocks[i] = 100
+	}
+	if got := r.pick(); got != 1 {
+		t.Fatalf("equal clocks: picked thread %d, want the lowest ready id 1", got)
+	}
+	r.clocks[3] = 99
+	if got := r.pick(); got != 3 {
+		t.Fatalf("picked thread %d, want 3, the smallest clock", got)
+	}
+	r.ready = 0
+	if got := r.pick(); got != -1 {
+		t.Fatalf("nothing runnable: picked thread %d, want -1", got)
+	}
+}
+
+// wakeRunner starts a 2PL Runner whose threads each run one transaction
+// of the given program, and begins every attempt in id order, so thread 0
+// is the oldest.
+func wakeRunner(t *testing.T, progs ...[]Step) *Runner {
+	t.Helper()
+	r := newTestRunner(t, Policy2PL, len(progs))
+	r.start(constSources(progs...), len(progs))
+	for i := range progs {
+		r.step(i)
+	}
+	return r
+}
+
+// stepTo steps thread i and checks that it ends ready or blocked.
+func stepTo(t *testing.T, r *Runner, i int, blocked bool) {
+	t.Helper()
+	r.step(i)
+	if got := r.blocked&r.threads[i].bit != 0; got != blocked {
+		t.Fatalf("thread %d: blocked=%v after its step, want %v", i, got, blocked)
+	}
+}
+
+// TestBlockedThreadWakesOnItsOwnLine checks the wake rule: a thread
+// blocked on a line sleeps through a release of an unrelated line (which
+// the epoch-only rule would wake it for) and wakes when its own line is
+// released.
+func TestBlockedThreadWakesOnItsOwnLine(t *testing.T) {
+	a, b := mem.PAddr(0), mem.PAddr(mem.LineSize)
+	r := wakeRunner(t,
+		[]Step{{Kind: OpWrite, Addr: a}},
+		[]Step{{Kind: OpWrite, Addr: a}},
+		[]Step{{Kind: OpWrite, Addr: b}},
+	)
+	stepTo(t, r, 0, false) // thread 0 (oldest) takes line a
+	stepTo(t, r, 2, false) // thread 2 takes line b
+	stepTo(t, r, 1, true)  // thread 1 waits on a behind the older thread 0
+	bit := r.threads[1].bit
+	if r.runnable()&bit != 0 {
+		t.Fatal("thread 1 is runnable right after blocking")
+	}
+	stepTo(t, r, 2, false) // thread 2 commits, releasing line b
+	if r.epochMoved&bit == 0 {
+		t.Fatal("releasing line b did not move thread 1's lock epoch")
+	}
+	if r.runnable()&bit != 0 {
+		t.Fatal("a release of an unrelated line woke thread 1")
+	}
+	stepTo(t, r, 0, false) // thread 0 commits, releasing line a
+	if r.runnable()&bit == 0 {
+		t.Fatal("the release of thread 1's own line left it asleep")
+	}
+	if got := r.pick(); got != 1 {
+		t.Fatalf("picked thread %d, want the woken thread 1", got)
+	}
+}
+
+// TestWoundWakesBlockedThread checks that a wound makes a blocked thread
+// runnable at once, though no lock was released since it blocked, and
+// that its next step is the abort.
+func TestWoundWakesBlockedThread(t *testing.T) {
+	a, b, c := mem.PAddr(0), mem.PAddr(mem.LineSize), mem.PAddr(2*mem.LineSize)
+	r := wakeRunner(t,
+		[]Step{{Kind: OpWrite, Addr: a}},
+		[]Step{{Kind: OpWrite, Addr: b}, {Kind: OpWrite, Addr: c}},
+		[]Step{{Kind: OpWrite, Addr: a}, {Kind: OpWrite, Addr: b}},
+	)
+	stepTo(t, r, 2, false) // thread 2 (youngest) takes line a
+	stepTo(t, r, 1, false) // thread 1 takes line b
+	stepTo(t, r, 2, true)  // thread 2 waits on b behind the older thread 1
+	stepTo(t, r, 0, true)  // thread 0 (oldest) wants a: wounds thread 2 and waits
+	bit := r.threads[2].bit
+	if r.epochMoved&bit != 0 || r.wounded&bit == 0 {
+		t.Fatalf("thread 2: epochMoved=%v wounded=%v, want a wound with no release", r.epochMoved&bit != 0, r.wounded&bit != 0)
+	}
+	if r.runnable()&bit == 0 {
+		t.Fatal("the wound left thread 2 asleep")
+	}
+	stepTo(t, r, 2, false) // the abort releases line a
+	if r.threads[2].attempt != 1 || r.threads[2].inTx {
+		t.Fatalf("thread 2's step after the wound: attempt %d, inTx %v; want the aborted first attempt", r.threads[2].attempt, r.threads[2].inTx)
+	}
+	if r.runnable()&r.threads[0].bit == 0 {
+		t.Fatal("thread 2's abort released line a but left thread 0 asleep")
+	}
+}
+
+// TestWaiterLeavingWakesQueueBehindIt checks the third kind of change to
+// a line's lock word: an older waiter that leaves the queue without a
+// grant (it is wounded and aborts) wakes the younger waiter queued behind
+// it, which can now take the free line.
+func TestWaiterLeavingWakesQueueBehindIt(t *testing.T) {
+	l, b, x := mem.PAddr(0), mem.PAddr(mem.LineSize), mem.PAddr(2*mem.LineSize)
+	r := wakeRunner(t,
+		[]Step{{Kind: OpWrite, Addr: b}},
+		[]Step{{Kind: OpWrite, Addr: l}, {Kind: OpWrite, Addr: x}},
+		[]Step{{Kind: OpWrite, Addr: b}, {Kind: OpWrite, Addr: l}},
+		[]Step{{Kind: OpWrite, Addr: l}},
+	)
+	stepTo(t, r, 1, false) // thread 1 takes l
+	stepTo(t, r, 2, false) // thread 2 takes b
+	stepTo(t, r, 2, true)  // thread 2 waits on l behind the older thread 1
+	stepTo(t, r, 3, true)  // thread 3 waits on l behind threads 1 and 2
+	stepTo(t, r, 1, false) // thread 1 takes x
+	stepTo(t, r, 1, false) // thread 1 commits, releasing l
+	stepTo(t, r, 3, true)  // thread 3 retries: l is free, but the older thread 2 waits
+	stepTo(t, r, 0, true)  // thread 0 (oldest) wants b: wounds thread 2 and waits
+	bit := r.threads[3].bit
+	if r.runnable()&bit != 0 {
+		t.Fatal("thread 3 is runnable before thread 2 leaves the queue")
+	}
+	stepTo(t, r, 2, false) // thread 2 aborts and leaves l's queue
+	if r.runnable()&bit == 0 {
+		t.Fatal("thread 2 left l's queue, but thread 3 behind it stays asleep")
+	}
+	stepTo(t, r, 3, false) // thread 3 takes l
+}

@@ -107,11 +107,10 @@ func (p *lockPolicy) abort(t *thread) {
 // tryAcquire attempts one lock grab. On failure it wounds every younger
 // non-committing conflicting holder, registers the thread in the line's
 // wait queue, and reports false (the thread blocks on the same step and
-// retries once the lock epoch moves; wounded holders release through
-// their abort path and bump it).
+// retries under the Runner's wake rule; wounded holders release through
+// their abort path, which changes the line's word).
 func (p *lockPolicy) tryAcquire(t *thread, line uint64, excl bool) bool {
 	ls := p.table.Ref(line)
-	bit := uint64(1) << uint(t.id)
 	mode, heldBefore := t.lock.held.Get(line)
 	if excl && mode == lockX {
 		return true
@@ -125,26 +124,28 @@ func (p *lockPolicy) tryAcquire(t *thread, line uint64, excl bool) bool {
 	// restarted young transaction (small clock, never waited) re-takes the
 	// hot line before the old waiter — whose clock froze while blocked —
 	// ever gets a grant, and the old transaction wounds it again, forever.
-	if !p.olderWaiter(t, ls, bit) {
+	if !p.olderWaiter(t, ls) {
 		if excl {
 			// X is grantable when no one else holds anything — including
 			// the upgrade case, where the requester is the sole sharer.
-			if ls.x == 0 && ls.sharers&^bit == 0 {
-				ls.sharers &^= bit
+			if ls.x == 0 && ls.sharers&^t.bit == 0 {
+				ls.sharers &^= t.bit
 				ls.x = int32(t.id) + 1
 				t.lock.held.Put(line, lockX)
 				if !heldBefore {
 					t.lock.order = append(t.lock.order, line)
 				}
+				p.r.lineMoved |= ls.waiters
 				p.unregister(t)
 				t.env.AdvanceTo(sim.MaxTime(ls.xFreeAt, ls.sFreeAt))
 				t.advance(lockAcquireCost)
 				return true
 			}
 		} else if ls.x == 0 {
-			ls.sharers |= bit
+			ls.sharers |= t.bit
 			t.lock.held.Put(line, lockS)
 			t.lock.order = append(t.lock.order, line)
+			p.r.lineMoved |= ls.waiters
 			p.unregister(t)
 			t.env.AdvanceTo(ls.xFreeAt) // S only waits for past X holders
 			t.advance(lockAcquireCost)
@@ -154,9 +155,9 @@ func (p *lockPolicy) tryAcquire(t *thread, line uint64, excl bool) bool {
 	// Wound regardless of why the grant failed: even queued behind an
 	// older waiter, t must not silently wait on a younger holder — that
 	// edge could close a deadlock cycle the older waiter never breaks.
-	p.wound(t, ls, bit, excl)
+	p.wound(t, ls, excl)
 	if !t.lock.waiting {
-		ls.waiters |= bit
+		ls.waiters |= t.bit
 		t.lock.waiting = true
 		t.lock.waitLine = line
 	}
@@ -165,8 +166,8 @@ func (p *lockPolicy) tryAcquire(t *thread, line uint64, excl bool) bool {
 
 // olderWaiter reports whether a strictly older transaction is queued on
 // the line (excluding t itself).
-func (p *lockPolicy) olderWaiter(t *thread, ls *lockState, bit uint64) bool {
-	for s := ls.waiters &^ bit; s != 0; {
+func (p *lockPolicy) olderWaiter(t *thread, ls *lockState) bool {
+	for s := ls.waiters &^ t.bit; s != 0; {
 		id := bits.TrailingZeros64(s)
 		s &^= uint64(1) << uint(id)
 		if p.r.threads[id].prio < t.prio {
@@ -177,28 +178,29 @@ func (p *lockPolicy) olderWaiter(t *thread, ls *lockState, bit uint64) bool {
 }
 
 // unregister clears t's wait-queue slot (after a successful acquire or an
-// abort) and wakes blocked threads: a younger requester may have been
-// queue-blocked solely behind t.
+// abort) and wakes the line's other waiters: a younger requester may have
+// been queue-blocked solely behind t.
 func (p *lockPolicy) unregister(t *thread) {
 	if !t.lock.waiting {
 		return
 	}
 	ls := p.table.Ref(t.lock.waitLine)
-	ls.waiters &^= uint64(1) << uint(t.id)
+	ls.waiters &^= t.bit
 	t.lock.waiting = false
-	p.r.lockEpoch++
+	p.r.lineMoved |= ls.waiters
+	p.r.epochMoved |= p.r.blocked
 }
 
 // wound delivers wound-wait: every conflicting holder younger than t is
 // marked wounded (consumed at its next step as an abort). Holders waiting
 // at their commit step are exempt — their locks release in finite time
 // without t's help.
-func (p *lockPolicy) wound(t *thread, ls *lockState, bit uint64, excl bool) {
+func (p *lockPolicy) wound(t *thread, ls *lockState, excl bool) {
 	if ls.x != 0 {
 		p.woundOne(t, int(ls.x)-1)
 	}
 	if excl {
-		for s := ls.sharers &^ bit; s != 0; {
+		for s := ls.sharers &^ t.bit; s != 0; {
 			id := bits.TrailingZeros64(s)
 			s &^= uint64(1) << uint(id)
 			p.woundOne(t, id)
@@ -208,30 +210,29 @@ func (p *lockPolicy) wound(t *thread, ls *lockState, bit uint64, excl bool) {
 
 func (p *lockPolicy) woundOne(t *thread, id int) {
 	h := p.r.threads[id]
-	if h == t || !h.inTx || h.committing || h.wounded {
+	if h == t || !h.inTx || h.committing || p.r.wounded&h.bit != 0 {
 		return
 	}
 	if t.prio < h.prio {
-		h.wounded = true
+		p.r.wounded |= h.bit
 	}
 }
 
 // releaseAll frees every lock the attempt holds at the thread's current
-// time (post-commit or post-abort) and wakes blocked requesters by
-// bumping the lock epoch.
+// time (post-commit or post-abort) and wakes the released lines' waiters.
 func (p *lockPolicy) releaseAll(t *thread) {
 	if len(t.lock.order) == 0 {
 		return
 	}
 	t.advance(sim.Duration(len(t.lock.order)) * lockReleaseCost)
 	now := t.env.Now()
-	bit := uint64(1) << uint(t.id)
 	for _, line := range t.lock.order {
 		mode, ok := t.lock.held.Get(line)
 		if !ok {
 			continue
 		}
 		ls := p.table.Ref(line)
+		p.r.lineMoved |= ls.waiters
 		switch mode {
 		case lockX:
 			if ls.x == int32(t.id)+1 {
@@ -241,7 +242,7 @@ func (p *lockPolicy) releaseAll(t *thread) {
 				}
 			}
 		case lockS:
-			ls.sharers &^= bit
+			ls.sharers &^= t.bit
 			if now > ls.sFreeAt {
 				ls.sFreeAt = now
 			}
@@ -249,5 +250,5 @@ func (p *lockPolicy) releaseAll(t *thread) {
 	}
 	t.lock.held.Clear()
 	t.lock.order = t.lock.order[:0]
-	p.r.lockEpoch++
+	p.r.epochMoved |= p.r.blocked
 }

@@ -195,6 +195,12 @@ func New(cfg Config) (*System, error) {
 	if cfg.Threads < 1 || cfg.Threads > cfg.Cores {
 		return nil, fmt.Errorf("engine: threads must be in [1, cores=%d], got %d", cfg.Cores, cfg.Threads)
 	}
+	if cfg.Cache.Cores < cfg.Cores {
+		return nil, fmt.Errorf("engine: cache sized for %d cores, system has %d", cfg.Cache.Cores, cfg.Cores)
+	}
+	if cfg.Ctrl.Agents < cfg.Cores+2 {
+		return nil, fmt.Errorf("engine: memory controller tracks %d agents, %d cores need %d (cores + GC + checkpoint agents)", cfg.Ctrl.Agents, cfg.Cores, cfg.Cores+2)
+	}
 	if cfg.NVM.Capacity > uint64(mem.MaxAddr) {
 		return nil, fmt.Errorf("engine: capacity %d exceeds the %d-bit simulated address space", cfg.NVM.Capacity, mem.AddrBits)
 	}
@@ -270,6 +276,12 @@ func New(cfg Config) (*System, error) {
 	}
 	return s, nil
 }
+
+// Release returns the system's cache tag arrays for reuse by the next
+// system built, so a harness that runs many systems one after another
+// does not allocate a fresh hierarchy for each. The system must not be
+// used again.
+func (s *System) Release() { s.hier.Release() }
 
 // Accessors used by the harness and tests.
 

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strings"
 	"testing"
 
 	"hoop/internal/engine"
@@ -195,6 +196,24 @@ func TestBadConfigsRejected(t *testing.T) {
 	cfg.OOPBytes = cfg.NVM.Capacity
 	if _, err := engine.New(cfg); err == nil {
 		t.Fatal("OOP region >= capacity must fail")
+	}
+	// A machine with more cores than its cache or memory controller was
+	// sized for would index past their per-core arrays at the first
+	// access or posted write.
+	for _, scheme := range []string{engine.SchemeHOOP, engine.SchemeOSP} {
+		cfg = engine.DefaultConfig(scheme)
+		cfg.Cores, cfg.Threads = 20, 20
+		if _, err := engine.New(cfg); err == nil || !strings.Contains(err.Error(), "cache sized for 16 cores") {
+			t.Fatalf("%s: cores above Cache.Cores: err %v, want the cache-size error", scheme, err)
+		}
+		cfg.Cache.Cores = 20
+		if _, err := engine.New(cfg); err == nil || !strings.Contains(err.Error(), "tracks 18 agents") {
+			t.Fatalf("%s: Ctrl.Agents below cores+2: err %v, want the agent-count error", scheme, err)
+		}
+		cfg.Ctrl.Agents = 22
+		if _, err := engine.New(cfg); err != nil {
+			t.Fatalf("%s: 20 cores with a cache and controller sized for them: %v", scheme, err)
+		}
 	}
 }
 

@@ -230,26 +230,37 @@ func buildSystem(scheme string, mut func(*engine.Config)) (*engine.System, error
 var phaseMask = telemetry.MaskPhases | telemetry.MaskOf(telemetry.KindTxCommit)
 
 // runCell executes the cell's transactions on a fresh system and returns
-// the measurement window.
+// the measurement window. The system is released when the cell ends, so
+// the next cell reuses its cache tag arrays.
 func runCell(c Cell) (Metrics, error) {
+	m, sys, err := runCellSystem(c)
+	if sys != nil {
+		sys.Release()
+	}
+	return m, err
+}
+
+// runCellSystem is runCell without the release: it also returns the
+// system, so tests can compare durable images.
+func runCellSystem(c Cell) (Metrics, *engine.System, error) {
 	sys, err := buildSystem(c.Scheme, c.mut())
 	if err != nil {
-		return Metrics{}, err
+		return Metrics{}, nil, err
 	}
 	if c.Policy == "" {
 		runners := c.Workload.Runners(sys, c.Seed)
-		return measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) }), nil
+		return measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) }), sys, nil
 	}
 	con, ok := workload.ContentionOf(c.Workload)
 	if !ok {
-		return Metrics{}, fmt.Errorf("cc policy %s needs a contention workload", c.Policy)
+		return Metrics{}, sys, fmt.Errorf("cc policy %s needs a contention workload", c.Policy)
 	}
 	r, err := cc.New(sys, cc.Config{Policy: c.Policy})
 	if err != nil {
-		return Metrics{}, err
+		return Metrics{}, sys, err
 	}
 	srcs := con.Sources(sys.Config().Threads, c.Seed)
-	return measureWindow(sys, c.Txs, c.Sink, func(txs int) { r.Run(srcs, txs) }), nil
+	return measureWindow(sys, c.Txs, c.Sink, func(txs int) { r.Run(srcs, txs) }), sys, nil
 }
 
 // quiesceTicks bounds the Tick catch-up loop that lets epoch-driven

@@ -43,12 +43,7 @@ func contentionPoint(scheme string, pol cc.Policy, theta float64, threads int, o
 		Txs:      contentionTxs(opts),
 		Seed:     opts.Seed,
 		Policy:   pol,
-		Mut: func(cfg *engine.Config) {
-			cfg.Threads = threads
-			if threads > cfg.Cores {
-				cfg.Cores = threads
-			}
-		},
+		Mut:      func(cfg *engine.Config) { cfg.Threads = threads },
 	}
 }
 

@@ -196,7 +196,7 @@ func fuzzSystem(t *testing.T, scheme string) *engine.System {
 	t.Helper()
 	cfg := engine.DefaultConfig(scheme)
 	cfg.Cores, cfg.Threads, cfg.Cache.Cores = fuzzThreads, fuzzThreads, fuzzThreads
-	cfg.Ctrl.Agents = 4
+	cfg.Ctrl.Agents = fuzzThreads + 2
 	cfg.NVM.Capacity = 1 << 30
 	cfg.OOPBytes = 64 << 20
 	cfg.Hoop.CommitLogBytes = 1 << 20
