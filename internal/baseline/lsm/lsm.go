@@ -241,14 +241,11 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 		l.first = int32(len(s.records) - 1) // the record just appended
 	}
 	l.n++
-	var hops int
+	// One index insertion per word, charged at the deepest one's hops.
+	words := (len(val) + mem.WordSize - 1) / mem.WordSize
+	hops := s.index.SetSeq(uint64(addr), uint64(at+recHdrSize), mem.WordSize, words)
 	for off := 0; off < len(val); off += mem.WordSize {
-		w := addr + mem.PAddr(off)
-		h := s.index.Set(uint64(w), uint64(at+recHdrSize+mem.PAddr(off)))
-		if h > hops {
-			hops = h
-		}
-		*s.lineWords.Ref(mem.LineIndex(w))++
+		*s.lineWords.Ref(mem.LineIndex(addr + mem.PAddr(off)))++
 	}
 	return now + indexInsertBase + sim.Duration(hops)*indexHopCost
 }

@@ -8,6 +8,7 @@ import (
 	"hoop/internal/persist"
 	"hoop/internal/persisttest"
 	"hoop/internal/sim"
+	"hoop/internal/skiplist"
 )
 
 func testScheme(t *testing.T) *Scheme {
@@ -114,5 +115,45 @@ func TestGCSteadyCadenceZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, epoch); allocs != 0 {
 		t.Fatalf("steady GC epoch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestStoreMatchesPerWordIndex holds Store's one-call index insertion to
+// the per-word loop it replaces: a twin skip list gets one Set per word,
+// and every Store must return the time those hops charge. Stores span one
+// to several lines, odd lengths included, and GC passes clear the index
+// between bursts. The per-line word counts must match a plain map.
+func TestStoreMatchesPerWordIndex(t *testing.T) {
+	s := testScheme(t)
+	twin := skiplist.New(0xBEEF)
+	lineWords := map[uint64]int32{}
+	rng := sim.NewRand(3)
+	now := sim.Time(0)
+	for i := 0; i < 3000; i++ {
+		tx, _ := s.TxBegin(0, now)
+		n := 1 + rng.Intn(200)
+		addr := mem.PAddr(0x1000 + rng.Intn(4096)*mem.WordSize)
+		got := s.Store(0, tx, addr, make([]byte, n), now)
+		at := s.records[len(s.records)-1].at
+		hops := 0
+		for off := 0; off < n; off += mem.WordSize {
+			w := addr + mem.PAddr(off)
+			hops = max(hops, twin.Set(uint64(w), uint64(at+recHdrSize+mem.PAddr(off))))
+			lineWords[mem.LineIndex(w)]++
+		}
+		if want := now + indexInsertBase + sim.Duration(hops)*indexHopCost; got != want {
+			t.Fatalf("store %d (%d bytes at %#x): Store returned %v, per-word loop %v", i, n, addr, got, want)
+		}
+		now = s.TxEnd(0, tx, got)
+		if rng.Intn(500) == 0 {
+			s.ForceGC(now)
+			twin.Clear()
+			clear(lineWords)
+		}
+	}
+	for line, want := range lineWords {
+		if got, _ := s.lineWords.Get(line); got != want {
+			t.Fatalf("line %#x: %d log-resident words, want %d", line, got, want)
+		}
 	}
 }

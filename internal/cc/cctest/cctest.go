@@ -61,12 +61,16 @@ func (c Config) withDefaults() Config {
 // NewSystem builds an abortable engine system for scheme with the given
 // thread count, sized for the harness's small workloads: a 256 MiB device
 // keeps recovery scans (proportional to log-region capacity) fast enough
-// for exhaustive crash/recover drivers.
+// for exhaustive crash/recover drivers. More threads than the default
+// core count get a core each, with the cache and the memory controller
+// sized to match.
 func NewSystem(scheme string, threads int) (*engine.System, error) {
 	cfg := engine.DefaultConfig(scheme)
 	cfg.Threads = threads
 	if threads > cfg.Cores {
 		cfg.Cores = threads
+		cfg.Cache.Cores = max(cfg.Cache.Cores, threads)
+		cfg.Ctrl.Agents = max(cfg.Ctrl.Agents, threads+2)
 	}
 	cfg.Abortable = true
 	cfg.NVM.Capacity = 256 << 20

@@ -35,6 +35,27 @@ func TestSerializableAllSchemes(t *testing.T) {
 	}
 }
 
+// TestManyThreads runs more threads than the default core count: the
+// system grows its cores, cache and memory controller to match, and the
+// history must still be serializable under every sound policy.
+func TestManyThreads(t *testing.T) {
+	for _, policy := range cc.Policies {
+		h, sys, err := Run(Config{Scheme: engine.SchemeHOOP, Policy: policy, Seed: 1, Threads: 20, Txs: 80})
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if got := sys.Config().Threads; got != 20 {
+			t.Fatalf("%s: system runs %d threads, want 20", policy, got)
+		}
+		if err := Check(h); err != nil {
+			t.Errorf("%s: %v", policy, err)
+		}
+		if err := CheckFinalState(h, sys); err != nil {
+			t.Errorf("%s: %v", policy, err)
+		}
+	}
+}
+
 // TestRandomizedHistories is the randomized driver: larger, hotter
 // workloads with more threads, seeds drawn from a seeded generator so the
 // run is reproducible yet covers fresh interleavings when the grid grows.

@@ -127,9 +127,9 @@ func cacheKey(kind, scheme string, mut func(*engine.Config), fields string) stri
 
 // cellKey keys one Cell. Direct, capture, and replay execution of a cell
 // are bit-identical, so every section shares this key. Cells with a sink
-// or a custom Exec are not cached.
+// are not cached.
 func cellKey(c Cell) string {
-	if c.Sink != nil || c.Exec != nil {
+	if c.Sink != nil {
 		return ""
 	}
 	return cacheKey(kindCell, c.Scheme, c.mut(), fmt.Sprintf("workload=%s\nseed=%d\ntxs=%d\nopts=%+v\npolicy=%s",

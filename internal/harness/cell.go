@@ -37,10 +37,6 @@ type Cell struct {
 	// cell owns its sink exclusively (one worker runs one cell), so sinks
 	// need no locking even under parallel RunCells.
 	Sink telemetry.Sink
-	// Exec, when non-nil, replaces the default direct execution (build a
-	// system, run the workload, measure). The matrix pipeline uses it to
-	// run capture and replay cells through the same worker pool.
-	Exec func(Cell) (Metrics, error)
 }
 
 // mut returns the cell's effective config mutator: the caller's Mut, plus
@@ -73,22 +69,6 @@ type CellStats struct {
 	// instead of executing (included in Cells, excluded from the timing
 	// fields).
 	Cached int
-}
-
-// merge folds a second batch's pool stats into s (the matrix pipeline runs
-// captures and replays as separate batches).
-func (s CellStats) merge(o CellStats) CellStats {
-	s.Cells += o.Cells
-	s.Cached += o.Cached
-	s.Wall += o.Wall
-	s.CellSum += o.CellSum
-	if o.MaxCell > s.MaxCell {
-		s.MaxCell = o.MaxCell
-	}
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	return s
 }
 
 // Speedup reports CellSum / Wall — how much faster the batch ran than a
@@ -143,13 +123,8 @@ func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
 				if i >= len(cells) {
 					return
 				}
-				c := cells[i]
 				cellStart := time.Now()
-				if c.Exec != nil {
-					results[i], errs[i] = c.Exec(c)
-				} else {
-					results[i], errs[i] = runCell(c)
-				}
+				results[i], errs[i] = runCell(cells[i])
 				walls[i] = time.Since(cellStart)
 			}
 		}()

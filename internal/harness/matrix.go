@@ -2,6 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"time"
 
 	"hoop/internal/engine"
 	"hoop/internal/sim"
@@ -41,10 +45,10 @@ func RunMatrix(opts Options) (*Matrix, error) {
 // in the cell cache first (opts.CacheDir). Among the misses, each
 // workload column executes once — its first missing cell runs with a
 // recorder subscribed — and the column's other missing cells replay that
-// in-memory capture (see replay.go). opts.DirectMatrix runs every missing
-// cell by direct execution instead. Direct, capture, and replay cells
-// share one cache key because they are bit-identical, at every worker
-// count.
+// in-memory capture (see replay.go), all on one worker pool
+// (captureAndReplay). opts.DirectMatrix runs every missing cell by direct
+// execution instead. Direct, capture, and replay cells share one cache
+// key because they are bit-identical, at every worker count.
 func RunMatrixOn(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
 	return runMatrix(opts, "matrix", workloads, schemes)
 }
@@ -80,70 +84,141 @@ func runMatrix(opts Options, section string, workloads []workload.Workload, sche
 	return m, nil
 }
 
+// matrixTask is one cell of a captureAndReplay pool: k indexes miss, and
+// col is the column a replay cell replays (nil for a capture).
+type matrixTask struct {
+	k   int
+	col *matrixColumn
+}
+
 // captureAndReplay runs the matrix cells at the indices in miss
 // (workload-major, ns schemes per column) as the record-once/replay-many
-// pipeline: stage 1 runs each column's first missing cell as a capture;
-// stage 2 replays the column's capture for its remaining missing cells.
-// Both stages go through the RunCells worker pool; columns are finalized
-// on this goroutine between the stages, so workers share them read-only.
-// Returns the results in miss order, the merged pool stats, and the
-// number of captures run.
+// pipeline on one pool of workers: each column's first missing cell runs
+// as a capture, and the column's other missing cells replay it. No stage
+// barrier stands between the two. The ready queue holds the captures
+// first, in column order; when a capture finishes, its column's replays
+// join the queue behind any pending capture, heaviest column first. Each
+// replay task carries its column, so a column is freed once its last
+// replay ends. The first error stops further dispatch. Returns the results
+// in miss order, the pool stats, and the number of captures run.
 func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, CellStats, int, error) {
-	res := make([]Metrics, len(miss))
-	caps := make([]*workload.Captured, len(cells)/ns)
-	cols := make([]*matrixColumn, len(caps))
-	capturing := make([]bool, len(caps))
-	var capBatch []Cell
-	var capIdx, repIdx []int
+	var queue []matrixTask // ready tasks: captures, then replays heaviest column first
+	capturing := make([]bool, len(cells)/ns)
+	replays := make([][]int, len(capturing)) // column -> its replay cells' k
 	for k, i := range miss {
 		col := i / ns
 		if capturing[col] {
-			repIdx = append(repIdx, k)
+			replays[col] = append(replays[col], k)
 			continue
 		}
 		capturing[col] = true
-		c := cells[i]
-		c.Exec = func(cell Cell) (Metrics, error) {
-			met, cap, _, err := captureCellRun(cell)
-			caps[col] = cap
-			return met, err
-		}
-		capBatch = append(capBatch, c)
-		capIdx = append(capIdx, k)
+		queue = append(queue, matrixTask{k: k})
 	}
-	capRes, stats, err := RunCells(capBatch, workers)
+	captures := len(queue)
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(miss))
+	stats := CellStats{Cells: len(miss), Workers: workers}
+	if len(miss) == 0 {
+		return nil, stats, 0, nil
+	}
+	res := make([]Metrics, len(miss))
+	walls := make([]time.Duration, len(miss))
+	var (
+		mu      sync.Mutex
+		wake    = sync.NewCond(&mu)
+		running int
+		failed  error
+	)
+	// next blocks until a task is ready and returns it, or returns false
+	// once the queue is drained with nothing running, or after an error.
+	next := func() (matrixTask, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for failed == nil && len(queue) == 0 && running > 0 {
+			wake.Wait()
+		}
+		if failed != nil || len(queue) == 0 {
+			return matrixTask{}, false
+		}
+		running++
+		t := queue[0]
+		queue[0] = matrixTask{} // the queue must not keep a finished column alive
+		queue = queue[1:]
+		return t, true
+	}
+	// done records a finished task and, for a capture, queues its column's
+	// replays.
+	done := func(t matrixTask, col *matrixColumn, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		running--
+		switch {
+		case err != nil:
+			if failed == nil {
+				c := cells[miss[t.k]]
+				failed = fmt.Errorf("harness: %s on %s: %w", c.Workload.Name, c.Scheme, err)
+			}
+		case col != nil:
+			at, w := 0, col.weight()
+			for at < len(queue) && (queue[at].col == nil || queue[at].col.weight() >= w) {
+				at++
+			}
+			ks := replays[miss[t.k]/ns]
+			batch := make([]matrixTask, len(ks))
+			for j, k := range ks {
+				batch[j] = matrixTask{k: k, col: col}
+			}
+			queue = slices.Insert(queue, at, batch...)
+		}
+		wake.Broadcast()
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t, ok := next(); ok; t, ok = next() {
+				cellStart := time.Now()
+				met, col, err := runMatrixTask(cells[miss[t.k]], t.col)
+				res[t.k], walls[t.k] = met, time.Since(cellStart)
+				done(t, col, err)
+			}
+		}()
+	}
+	wg.Wait()
+	stats.Wall = time.Since(start)
+	for _, d := range walls {
+		stats.CellSum += d
+		stats.MaxCell = max(stats.MaxCell, d)
+	}
+	if failed != nil {
+		return nil, stats, 0, failed
+	}
+	return res, stats, captures, nil
+}
+
+// runMatrixTask runs one cell of the pipeline: a capture when col is nil,
+// returning the column it records, or else a replay of col. A panic comes
+// back as an error, so one bad cell cannot take the pool down.
+func runMatrixTask(c Cell, col *matrixColumn) (met Metrics, captured *matrixColumn, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	if col != nil {
+		met, _, err := replayCellRun(c, col)
+		return met, nil, err
+	}
+	met, cap, _, err := captureCellRun(c)
 	if err != nil {
-		return nil, stats, 0, err
+		return Metrics{}, nil, err
 	}
-	for j, k := range capIdx {
-		res[k] = capRes[j]
-	}
-	for col, cap := range caps {
-		if cap == nil {
-			continue
-		}
-		if cols[col], err = columnFromCapture(cap); err != nil {
-			return nil, stats, 0, err
-		}
-	}
-	repBatch := make([]Cell, len(repIdx))
-	for j, k := range repIdx {
-		col := cols[miss[k]/ns]
-		c := cells[miss[k]]
-		c.Exec = func(cell Cell) (Metrics, error) {
-			met, _, err := replayCellRun(cell, col)
-			return met, err
-		}
-		repBatch[j] = c
-	}
-	repRes, stats2, err := RunCells(repBatch, workers)
-	if err != nil {
-		return nil, stats, 0, err
-	}
-	for j, k := range repIdx {
-		res[k] = repRes[j]
-	}
-	return res, stats.merge(stats2), len(capBatch), nil
+	captured, err = columnFromCapture(cap)
+	return met, captured, err
 }
 
 // assembleMatrix indexes per-cell metrics into the workload × scheme map.

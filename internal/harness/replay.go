@@ -38,6 +38,10 @@ type matrixColumn struct {
 	payload []byte
 }
 
+// weight orders ready replays, heaviest column first: replaying the setup
+// stream and storing the payload dominate a replay cell's host time.
+func (c *matrixColumn) weight() int { return len(c.setup) + len(c.payload)/8 }
+
 // columnFromCapture derives the replay inputs from a capture.
 func columnFromCapture(cap *workload.Captured) (*matrixColumn, error) {
 	measured, err := trace.SplitTxs(cap.Ops[cap.SetupOps:], cap.Threads)
@@ -100,19 +104,14 @@ var cursorPool = sync.Pool{New: func() any { return new(trace.Cursor) }}
 // replayCellRun executes one replay cell: the column's setup stream in
 // recorded order, then the standard measurement window driven by replay
 // runners. Returns the system so tests can compare durable images.
-func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, err error) {
-	sys, err = buildSystem(c.Scheme, c.mut())
+func replayCellRun(c Cell, col *matrixColumn) (Metrics, *engine.System, error) {
+	sys, err := buildSystem(c.Scheme, c.mut())
 	if err != nil {
 		return Metrics{}, nil, err
 	}
 	if got := sys.Config().Threads; got != col.threads {
 		return Metrics{}, nil, fmt.Errorf("harness: %s capture has %d threads but %s system has %d", col.workload, col.threads, c.Scheme, got)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("harness: replaying %s on %s: %v", col.workload, c.Scheme, p)
-		}
-	}()
 	if _, err := trace.ReplayOps(sys, col.setup, col.payload); err != nil {
 		return Metrics{}, nil, err
 	}
@@ -125,7 +124,7 @@ func replayCellRun(c Cell, col *matrixColumn) (met Metrics, sys *engine.System, 
 		cursors[t] = cur
 		runners[t] = cur
 	}
-	met = measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) })
+	met := measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) })
 	for _, cur := range cursors {
 		cur.Reset("", 0, nil, nil)
 		cursorPool.Put(cur)

@@ -7,7 +7,14 @@
 // node hops performed), which the LSM scheme converts into index-lookup
 // latency — the O(log N) read penalty that Table I calls "High" read
 // latency.
+//
+// SetSeq inserts a run of evenly spaced keys (the words of one store) with
+// one head descent: each following key is reached from the node just set,
+// and its hop count is derived from that node's, so the run reports
+// exactly the hops that one Set per key would.
 package skiplist
+
+import "slices"
 
 const maxLevel = 24
 
@@ -145,23 +152,88 @@ func (l *List) Get(key uint64) (val uint64, ok bool, hops int) {
 // Set inserts or updates key, returning the hop count.
 func (l *List) Set(key, val uint64) (hops int) {
 	var update [maxLevel]uint32
-	x, hops := l.descend(key, &update)
-	if nx := l.nodes[x].next[0]; nx != 0 && l.nodes[nx].key == key {
+	_, hops = l.descend(key, &update)
+	l.put(key, val, &update)
+	return hops
+}
+
+// put inserts or updates key at the position update records (update[i]
+// is the last node at level i whose key is below key). It returns key's
+// node and, if the node is new, its height; an updated node reports 0.
+func (l *List) put(key, val uint64, update *[maxLevel]uint32) (n uint32, lvl int) {
+	if nx := l.nodes[update[0]].next[0]; nx != 0 && l.nodes[nx].key == key {
 		l.nodes[nx].val = val
-		return hops
+		return nx, 0
 	}
-	lvl := l.randLevel()
+	lvl = l.randLevel()
 	if lvl > l.level {
 		// update[l.level:lvl] is already 0, the head.
 		l.level = lvl
 	}
-	n := l.newNode(key, val, lvl)
+	n = l.newNode(key, val, lvl)
 	for i := 0; i < lvl; i++ {
 		l.setLink(n, i, l.link(update[i], i))
 		l.setLink(update[i], i, n)
 	}
 	l.length++
-	return hops
+	return n, lvl
+}
+
+// SetSeq sets the n keys key, key+stride, ..., key+(n-1)*stride to val,
+// val+stride, ..., val+(n-1)*stride. It leaves the list and the level
+// generator exactly as n calls to Set would, and returns the largest hop
+// count among those calls.
+//
+// It descends from the head once, then reaches each following key from
+// the node x just set (finger insertion). If x has height h and no key
+// lies between x's key and the next one, the next search path is x's
+// own path down to level h-1, one more link to x there, and no link on
+// the h-1 levels below. So its hop count is x's minus the links x's path
+// took below level h-1, plus one, plus any levels x added to the list.
+// A key inside the gap, or a run that wraps, takes a full descent.
+func (l *List) SetSeq(key, val, stride uint64, n int) (maxHops int) {
+	if n <= 1 {
+		if n == 1 {
+			return l.Set(key, val)
+		}
+		return 0
+	}
+	var update [maxLevel]uint32
+	_, hops := l.descend(key, &update)
+	for j := 0; ; j++ {
+		under := l.level
+		x, h := l.put(key, val, &update)
+		maxHops = max(maxHops, hops)
+		if j == n-1 {
+			return maxHops
+		}
+		next := key + stride
+		if succ := l.nodes[x].next[0]; next <= key || succ != 0 && l.nodes[succ].key < next {
+			_, hops = l.descend(next, &update)
+		} else {
+			if h == 0 {
+				for h = 1; h < l.level && l.link(update[h], h) == x; h++ {
+				}
+			}
+			hops += max(h-under, 0) + 1
+			for i := 0; i < h-1; i++ {
+				hops -= l.links(update[i+1], update[i], i)
+			}
+			for i := 0; i < h; i++ {
+				update[i] = x
+			}
+		}
+		key, val = next, val+stride
+	}
+}
+
+// links counts the level-i links from node from to node to, which the
+// search path reaches from from at that level.
+func (l *List) links(from, to uint32, i int) (n int) {
+	for ; from != to; n++ {
+		from = l.link(from, i)
+	}
+	return n
 }
 
 // newNode appends a node of height lvl, taking its links above
@@ -178,6 +250,13 @@ func (l *List) newNode(key, val uint64, lvl int) uint32 {
 		for i := inlineLevels; i < lvl; i++ {
 			l.tower = append(l.tower, 0)
 		}
+	}
+	if n == cap(l.nodes) {
+		// Double: append grows a large slice by about a quarter, so a list
+		// filled from empty (one per LSM scheme built) would copy its
+		// nodes about four times over.
+		l.nodes = slices.Grow(l.nodes, n)
+		l.more = slices.Grow(l.more, n)
 	}
 	l.nodes = append(l.nodes, node{key: key, val: val})
 	l.more = append(l.more, more)

@@ -282,3 +282,125 @@ func (l *List) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 		}
 	}
 }
+
+// TestSetSeqMatchesSet holds SetSeq to its contract on seeded random
+// histories: a twin list gets one Set per key, and after every call both
+// must report the same maximum hop count. Runs mix fresh keys, overwrites
+// of existing keys and existing keys inside the stride gap; Deletes,
+// Clears and towers above inlineLevels mix in. At the end every key must
+// read back the same value with the same hops from both lists.
+func TestSetSeqMatchesSet(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seq, twin := New(uint64(seed)), New(uint64(seed))
+		span := uint64(64 + rng.Intn(4000))
+		for op := 0; op < 600; op++ {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				seq.Clear()
+				twin.Clear()
+			case r < 8:
+				k := uint64(rng.Int63n(int64(span)))
+				f1, h1 := seq.Delete(k)
+				f2, h2 := twin.Delete(k)
+				if f1 != f2 || h1 != h2 {
+					t.Fatalf("seed %d op %d: Delete(%d) = %v,%d, twin %v,%d", seed, op, k, f1, h1, f2, h2)
+				}
+			default:
+				key := uint64(rng.Int63n(int64(span)))
+				stride := []uint64{1, 2, 8, 8, 8, 16, 64}[rng.Intn(7)]
+				n := rng.Intn(12)
+				if rng.Intn(8) == 0 {
+					n = 100 + rng.Intn(300)
+				}
+				val := rng.Uint64()
+				got := seq.SetSeq(key, val, stride, n)
+				want := 0
+				for j := 0; j < n; j++ {
+					want = max(want, twin.Set(key+uint64(j)*stride, val+uint64(j)*stride))
+				}
+				if got != want {
+					t.Fatalf("seed %d op %d: SetSeq(%d, stride %d, n %d) = %d hops, Set loop %d", seed, op, key, stride, n, got, want)
+				}
+			}
+		}
+		if seq.Len() != twin.Len() || seq.level != twin.level {
+			t.Fatalf("seed %d: Len %d level %d, twin Len %d level %d", seed, seq.Len(), seq.level, twin.Len(), twin.level)
+		}
+		for k := uint64(0); k < span+400*64; k++ {
+			v1, ok1, h1 := seq.Get(k)
+			v2, ok2, h2 := twin.Get(k)
+			if v1 != v2 || ok1 != ok2 || h1 != h2 {
+				t.Fatalf("seed %d: Get(%d) = %d,%v,%d, twin %d,%v,%d", seed, k, v1, ok1, h1, v2, ok2, h2)
+			}
+		}
+		if seq.rngState != twin.rngState {
+			t.Fatalf("seed %d: level generator diverged", seed)
+		}
+	}
+}
+
+// TestSetSeqTallTowers runs long strided runs into a large list, so nodes
+// and the list itself grow past inlineLevels inside a run.
+func TestSetSeqTallTowers(t *testing.T) {
+	seq, twin := New(9), New(9)
+	key := uint64(0)
+	for run := 0; run < 200; run++ {
+		n := 1 + run%500
+		got := seq.SetSeq(key, key, 8, n)
+		want := 0
+		for j := 0; j < n; j++ {
+			want = max(want, twin.Set(key+uint64(j)*8, key+uint64(j)*8))
+		}
+		if got != want {
+			t.Fatalf("run %d: SetSeq = %d hops, Set loop %d", run, got, want)
+		}
+		key += uint64(n) * 8
+	}
+	if seq.level <= inlineLevels {
+		t.Fatalf("list level %d never passed inlineLevels", seq.level)
+	}
+	for k := uint64(0); k < key; k += 4 {
+		v1, ok1, h1 := seq.Get(k)
+		v2, ok2, h2 := twin.Get(k)
+		if v1 != v2 || ok1 != ok2 || h1 != h2 {
+			t.Fatalf("Get(%d) = %d,%v,%d, twin %d,%v,%d", k, v1, ok1, h1, v2, ok2, h2)
+		}
+	}
+}
+
+func TestSetSeqEdgeCases(t *testing.T) {
+	l := New(4)
+	if h := l.SetSeq(5, 5, 8, 0); h != 0 || l.Len() != 0 {
+		t.Fatalf("n=0: hops %d, Len %d", h, l.Len())
+	}
+	// A zero stride and a run that wraps past 2^64 both fall back to full
+	// descents; the twin sees the same wrapped keys.
+	twin := New(4)
+	for _, c := range []struct{ key, stride uint64 }{{100, 0}, {^uint64(0) - 16, 8}} {
+		got := l.SetSeq(c.key, 1, c.stride, 5)
+		want := 0
+		for j := uint64(0); j < 5; j++ {
+			want = max(want, twin.Set(c.key+j*c.stride, 1+j*c.stride))
+		}
+		if got != want || l.Len() != twin.Len() {
+			t.Fatalf("key %d stride %d: hops %d Len %d, twin %d Len %d", c.key, c.stride, got, l.Len(), want, twin.Len())
+		}
+	}
+}
+
+// BenchmarkSetSeq times line-sized stores into the LSM index: 8 word keys
+// per SetSeq call over 200k word-aligned keys, cleared every 7500 stores as
+// a GC epoch would.
+func BenchmarkSetSeq(b *testing.B) {
+	const stores, keys = 7500, 200000
+	l := New(0xBEEF)
+	x := uint64(1)
+	for i := 0; i < b.N; i++ {
+		if i%stores == 0 {
+			l.Clear()
+		}
+		x = x*6364136223846793005 + 1442695040888963407
+		l.SetSeq((x>>33)%keys*8&^63, x, 8, 8)
+	}
+}
