@@ -283,7 +283,8 @@ func benchmarks() map[string]func(b *testing.B) {
 			if err := sink.Err(); err != nil {
 				b.Fatal(err)
 			}
-			txs, err := trace.SplitTxs(sink.Ops, 1)
+			txs, err := sink.SplitTxs(0, 1)
+			payload := sink.Payload()
 			if err != nil || len(txs[0]) != captured {
 				b.Fatalf("split: %v (%d txs)", err, len(txs))
 			}
@@ -293,7 +294,7 @@ func benchmarks() map[string]func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, op := range txs[0][i%captured] {
-					scratch, err = trace.ApplyOp(denv, op, sink.Payload, scratch)
+					scratch, err = trace.ApplyOp(denv, op, payload, scratch)
 					if err != nil {
 						b.Fatal(err)
 					}

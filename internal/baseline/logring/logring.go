@@ -89,6 +89,10 @@ func (r *Ring) Append(store *mem.Store, payload []byte) (seq uint64, at mem.PAdd
 	return seq, at
 }
 
+// PayloadAddr reports where the payload of the record Append placed at at
+// begins.
+func (r *Ring) PayloadAddr(at mem.PAddr) mem.PAddr { return at + headerSize }
+
 // Truncate durably advances the watermark to seq: records at or below it
 // are dead and their slots may be reused.
 func (r *Ring) Truncate(store *mem.Store, seq uint64) {

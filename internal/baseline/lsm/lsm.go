@@ -244,8 +244,12 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 	// One index insertion per word, charged at the deepest one's hops.
 	words := (len(val) + mem.WordSize - 1) / mem.WordSize
 	hops := s.index.SetSeq(uint64(addr), uint64(at+recHdrSize), mem.WordSize, words)
-	for off := 0; off < len(val); off += mem.WordSize {
-		*s.lineWords.Ref(mem.LineIndex(addr + mem.PAddr(off)))++
+	// One count update per touched line, adding its share of the words.
+	end := addr + mem.PAddr(words*mem.WordSize)
+	for w := addr; w < end; {
+		n := min(mem.PAddr(mem.WordsPerLine-mem.WordInLine(w)), (end-w)/mem.WordSize)
+		*s.lineWords.Ref(mem.LineIndex(w)) += int32(n)
+		w += n * mem.WordSize
 	}
 	return now + indexInsertBase + sim.Duration(hops)*indexHopCost
 }

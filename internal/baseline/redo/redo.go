@@ -24,7 +24,8 @@ import (
 
 // Record payload: [flags|txid u64][home line addr u64][64-byte new image].
 const (
-	payloadSize = 8 + 8 + mem.LineSize
+	imageOff    = 8 + 8
+	payloadSize = imageOff + mem.LineSize
 	commitFlag  = uint64(1) << 63
 )
 
@@ -54,8 +55,8 @@ type Scheme struct {
 	// lines in ckptQueue[ckptHead:], each with its multiplicity there.
 	redirect u64map.Map[redirectEntry]
 
-	// ckptQueue holds committed line images awaiting in-place apply, in
-	// commit order; items before ckptHead are already applied.
+	// ckptQueue holds committed lines awaiting in-place apply, in commit
+	// order; items before ckptHead are already applied.
 	ckptQueue []ckptItem
 	ckptHead  int
 	ckptAgent int
@@ -74,10 +75,15 @@ type redirectEntry struct {
 	pending int32
 }
 
+// ckptItem is one committed line awaiting checkpoint: its image stays in
+// the log record at at, which the ring cannot reuse before the item is
+// applied. The ring truncates only past applied items, and TxEnd
+// checkpoints before it appends to a full ring, so the record outlives
+// the item.
 type ckptItem struct {
 	line uint64
 	seq  uint64
-	data [mem.LineSize]byte
+	at   mem.PAddr
 }
 
 // New builds the scheme; the redo log occupies the layout's OOP region.
@@ -154,7 +160,7 @@ func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
 		var payload [payloadSize]byte
 		binary.LittleEndian.PutUint64(payload[0:], uint64(tx))
 		binary.LittleEndian.PutUint64(payload[8:], uint64(lineAddr))
-		copy(payload[16:], buf[:])
+		copy(payload[imageOff:], buf[:])
 		seq, at := s.ring.Append(s.ctx.Dev.Store(), payload[:])
 		s.ctx.Ctrl.PostWrite(core, at, entryTraffic, now)
 		if s.ctx.Tel.Enabled(telemetry.KindLogWrite) {
@@ -166,11 +172,7 @@ func (s *Scheme) TxEnd(core int, tx persist.TxID, now sim.Time) sim.Time {
 		r := s.redirect.Ref(l)
 		r.at = at
 		r.pending++
-		var item ckptItem
-		item.line = l
-		item.seq = seq
-		copy(item.data[:], buf[:])
-		s.ckptQueue = append(s.ckptQueue, item)
+		s.ckptQueue = append(s.ckptQueue, ckptItem{line: l, seq: seq, at: at})
 	}
 	if len(lines) > 0 {
 		now = s.ctx.Ctrl.Drain(core, now)
@@ -230,8 +232,8 @@ func (s *Scheme) forceCheckpoint(now sim.Time) sim.Time {
 	return s.checkpoint(now, len(s.ckptQueue)-s.ckptHead, true)
 }
 
-// checkpoint applies up to n committed line images in place and truncates
-// the log past them. A checkpoint batch is this scheme's cleanup epoch, so
+// checkpoint applies up to n committed line images in place, reading each
+// back from its log record, and truncates the log past them. A checkpoint batch is this scheme's cleanup epoch, so
 // it brackets the work with GC start/end events; onDemand marks batches
 // forced by a full log ring (truncation on the critical path).
 func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
@@ -255,10 +257,13 @@ func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
 	arr := now
 	done := now
 	var maxSeq uint64
+	var img [mem.LineSize]byte
+	store := s.ctx.Dev.Store()
 	for i := s.ckptHead; i < s.ckptHead+n; i++ {
 		item := &s.ckptQueue[i]
 		lineAddr := mem.PAddr(item.line << mem.LineShift)
-		s.ctx.Dev.Store().Write(lineAddr, item.data[:])
+		store.Read(s.ring.PayloadAddr(item.at)+imageOff, img[:])
+		store.Write(lineAddr, img[:])
 		if d := s.ctx.Ctrl.Write(lineAddr, mem.LineSize, arr); d > done {
 			done = d
 		}
@@ -340,7 +345,7 @@ func (s *Scheme) Recover(threads int) (sim.Duration, error) {
 		var e entry
 		e.tx = word
 		e.addr = mem.PAddr(binary.LittleEndian.Uint64(payload[8:]))
-		copy(e.data[:], payload[16:])
+		copy(e.data[:], payload[imageOff:])
 		entries = append(entries, e)
 	})
 	var applied int64

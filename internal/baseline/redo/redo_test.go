@@ -24,7 +24,7 @@ func ringGeometry(records int) persisttest.Geometry {
 // of the checkpoint queue: its keys are exactly the queued lines, each
 // pending count is that line's multiplicity there, and each redirect — the
 // record a ReadMiss is served from — holds the line's newest queued image.
-func checkRedirects(t *testing.T, s *Scheme, when string) {
+func checkRedirects(t *testing.T, s *Scheme, images map[uint64][mem.LineSize]byte, when string) {
 	t.Helper()
 	count := map[uint64]int32{}
 	newest := map[uint64]*ckptItem{}
@@ -45,17 +45,27 @@ func checkRedirects(t *testing.T, s *Scheme, when string) {
 		if r.pending != n {
 			t.Fatalf("%s: line %d pending %d, queued %d times", when, line, r.pending, n)
 		}
-		var rec [8 + payloadSize]byte
-		store.Read(r.at, rec[:])
 		item := newest[line]
+		if r.at != item.at {
+			t.Fatalf("%s: line %d redirect reads record %#x, its newest queued item %#x", when, line, r.at, item.at)
+		}
+	}
+	// Every queued item's record must still hold its own sequence number,
+	// line and image: the ring may not have reused it before the item is
+	// applied. The image is the one TxEnd read from the view, tracked by
+	// the test in images.
+	for i := s.ckptHead; i < len(s.ckptQueue); i++ {
+		item := &s.ckptQueue[i]
+		var rec [8 + payloadSize]byte
+		store.Read(item.at, rec[:])
 		if seq := binary.LittleEndian.Uint64(rec[0:]); seq != item.seq {
-			t.Fatalf("%s: line %d redirect reads record seq %d, newest is %d", when, line, seq, item.seq)
+			t.Fatalf("%s: item %d (line %d) record holds seq %d, item has %d", when, i, item.line, seq, item.seq)
 		}
-		if a := binary.LittleEndian.Uint64(rec[16:]); a != line<<mem.LineShift {
-			t.Fatalf("%s: line %d redirect reads a record for %#x", when, line, a)
+		if a := binary.LittleEndian.Uint64(rec[16:]); a != item.line<<mem.LineShift {
+			t.Fatalf("%s: item %d (line %d) record is for %#x", when, i, item.line, a)
 		}
-		if !bytes.Equal(rec[24:], item.data[:]) {
-			t.Fatalf("%s: line %d redirect image differs from its newest queued image", when, line)
+		if want, ok := images[item.seq]; !ok || !bytes.Equal(rec[8+imageOff:], want[:]) {
+			t.Fatalf("%s: item %d (line %d) record image differs from the committed image", when, i, item.line)
 		}
 	}
 }
@@ -72,6 +82,9 @@ func TestRedirectsTrackQueue(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(7, 16))
 	var forced, partial, midQueue int
+	// images maps each queued item's seq to the line image its
+	// transaction committed (the view right after the commit).
+	images := map[uint64][mem.LineSize]byte{}
 	for step := 0; step < 6000; step++ {
 		if s.ckptHead > 0 {
 			midQueue++
@@ -87,18 +100,35 @@ func TestRedirectsTrackQueue(t *testing.T) {
 			if len(s.ckptQueue)-s.ckptHead < before+len(words) {
 				forced++
 			}
-			checkRedirects(t, s, "TxEnd")
+			for _, item := range s.ckptQueue[s.ckptHead:] {
+				if _, ok := images[item.seq]; !ok {
+					var img [mem.LineSize]byte
+					ctx.View.Read(mem.PAddr(item.line<<mem.LineShift), img[:])
+					images[item.seq] = img
+				}
+			}
+			checkRedirects(t, s, images, "TxEnd")
 		case op < 39:
 			if len(s.ckptQueue)-s.ckptHead > checkpointBatch {
 				partial++
 			}
 			s.Tick(sim.Time(step))
-			checkRedirects(t, s, "Tick")
+			checkRedirects(t, s, images, "Tick")
 		default:
 			s.forceCheckpoint(sim.Time(step))
-			checkRedirects(t, s, "forceCheckpoint")
+			checkRedirects(t, s, images, "forceCheckpoint")
 			if s.redirect.Len() != 0 || len(s.ckptQueue) != 0 || s.ckptHead != 0 {
 				t.Fatalf("drain left %d redirects, queue %d, head %d", s.redirect.Len(), len(s.ckptQueue), s.ckptHead)
+			}
+			// With the queue drained, home holds every line's newest
+			// committed image, read back from the log.
+			var home, view [mem.LineSize]byte
+			for l := mem.PAddr(0); l < 96; l++ {
+				ctx.Dev.Store().Read(l*mem.LineSize, home[:])
+				ctx.View.Read(l*mem.LineSize, view[:])
+				if home != view {
+					t.Fatalf("step %d: line %d home image differs from its committed image after a drain", step, l)
+				}
 			}
 		}
 	}

@@ -188,6 +188,9 @@ type System struct {
 	loadOps   int64
 	storeOps  int64
 	crashed   bool
+	// detached is set by Detach: Env operations then skip all timing
+	// work (see Detach).
+	detached bool
 }
 
 // New builds a system for cfg.
@@ -276,6 +279,17 @@ func New(cfg Config) (*System, error) {
 	}
 	return s, nil
 }
+
+// Detach switches the system, for good, to functional-only execution.
+// Afterwards Env operations skip the clocks, the cache hierarchy, the
+// persistence scheme and the stats: they still read and update the
+// functional view, still keep the pre-images TxAbort rolls back, and still
+// emit their per-op events, so a trace recorder sees the same op stream a
+// fully simulated run would issue. A capture calls it once its
+// measurement window closes, to record padding transactions without
+// simulating them. Every simulated number is frozen at its value when
+// Detach was called; Run and Snapshot panic on a detached system.
+func (s *System) Detach() { s.detached = true }
 
 // Release returns the system's cache tag arrays for reuse by the next
 // system built, so a harness that runs many systems one after another

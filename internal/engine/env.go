@@ -12,7 +12,9 @@ import (
 // Env is the memory interface handed to workload code. Every access is
 // word-aligned (the pmem layer guarantees this) and is simulated through
 // the cache hierarchy and the persistence scheme before the functional
-// value is returned from the logical view.
+// value is returned from the logical view. On a detached system (see
+// System.Detach) each method skips that timing work and keeps only the
+// functional view, the abort rollback and its per-op event.
 type Env struct {
 	sys    *System
 	thread int
@@ -40,7 +42,11 @@ func (e *Env) Now() sim.Time { return e.sys.clocks[e.thread].Now() }
 // current time — the thread idles until t. The service tier uses it to
 // align a shard with a request's open-loop arrival time; it never moves
 // time backwards.
-func (e *Env) AdvanceTo(t sim.Time) { e.sys.clocks[e.thread].AdvanceTo(t) }
+func (e *Env) AdvanceTo(t sim.Time) {
+	if !e.sys.detached {
+		e.sys.clocks[e.thread].AdvanceTo(t)
+	}
+}
 
 // TxBegin opens a failure-atomic region (the paper's Tx_begin).
 func (e *Env) TxBegin() {
@@ -49,15 +55,17 @@ func (e *Env) TxBegin() {
 		panic("engine: nested transactions are not supported")
 	}
 	clk := s.clocks[e.thread]
-	// Background machinery (GC, checkpointing) catches up between
-	// transactions.
-	s.scheme.Tick(clk.Now())
-	clk.AdvanceCycles(2) // set transaction state bit
-	tx, t := s.scheme.TxBegin(e.core, clk.Now())
-	clk.AdvanceTo(t)
-	s.txID[e.thread] = tx
+	if !s.detached {
+		// Background machinery (GC, checkpointing) catches up between
+		// transactions.
+		s.scheme.Tick(clk.Now())
+		clk.AdvanceCycles(2) // set transaction state bit
+		tx, t := s.scheme.TxBegin(e.core, clk.Now())
+		clk.AdvanceTo(t)
+		s.txID[e.thread] = tx
+		s.txBegan[e.thread] = clk.Now()
+	}
 	s.txOpen[e.thread] = true
-	s.txBegan[e.thread] = clk.Now()
 	if s.undo != nil {
 		s.undo[e.thread].reset()
 	}
@@ -66,7 +74,7 @@ func (e *Env) TxBegin() {
 			Kind: telemetry.KindTxBegin,
 			Time: clk.Now(),
 			Core: int16(e.thread),
-			Tx:   uint64(tx),
+			Tx:   uint64(s.txID[e.thread]),
 		})
 	}
 }
@@ -79,14 +87,17 @@ func (e *Env) TxEnd() {
 		panic("engine: TxEnd without TxBegin")
 	}
 	clk := s.clocks[e.thread]
-	clk.AdvanceCycles(2) // clear transaction state bit / commit barrier
-	t := s.scheme.TxEnd(e.core, s.txID[e.thread], clk.Now())
-	clk.AdvanceTo(t)
+	var lat sim.Duration
+	if !s.detached {
+		clk.AdvanceCycles(2) // clear transaction state bit / commit barrier
+		t := s.scheme.TxEnd(e.core, s.txID[e.thread], clk.Now())
+		clk.AdvanceTo(t)
+		lat = clk.Now() - s.txBegan[e.thread]
+		s.txLatSum += lat
+		s.txLatHist.Observe(lat)
+		s.txCount++
+	}
 	s.txOpen[e.thread] = false
-	lat := clk.Now() - s.txBegan[e.thread]
-	s.txLatSum += lat
-	s.txLatHist.Observe(lat)
-	s.txCount++
 	if s.tel.Enabled(telemetry.KindTxCommit) {
 		s.tel.Emit(telemetry.Event{
 			Kind: telemetry.KindTxCommit,
@@ -118,8 +129,6 @@ func (e *Env) TxAbort() {
 	if s.undo == nil {
 		panic("engine: TxAbort requires Config.Abortable")
 	}
-	clk := s.clocks[e.thread]
-	clk.AdvanceCycles(2) // clear transaction state bit
 	// Roll the view back in reverse write order so the oldest pre-image of
 	// a re-written address wins. This happens before the scheme hook: the
 	// persist.Scheme contract lets abort paths read restored pre-images
@@ -130,10 +139,14 @@ func (e *Env) TxAbort() {
 		s.view.Write(sp.addr, u.buf[sp.off:sp.off+sp.n])
 	}
 	u.reset()
-	t := s.scheme.TxAbort(e.core, s.txID[e.thread], clk.Now())
-	clk.AdvanceTo(t)
+	clk := s.clocks[e.thread]
+	if !s.detached {
+		clk.AdvanceCycles(2) // clear transaction state bit
+		t := s.scheme.TxAbort(e.core, s.txID[e.thread], clk.Now())
+		clk.AdvanceTo(t)
+		s.txAborts++
+	}
 	s.txOpen[e.thread] = false
-	s.txAborts++
 	if s.tel.Enabled(telemetry.KindTxAbort) {
 		s.tel.Emit(telemetry.Event{
 			Kind: telemetry.KindTxAbort,
@@ -152,13 +165,15 @@ func (e *Env) Read(addr mem.PAddr, buf []byte) {
 	checkAligned(addr, len(buf))
 	s := e.sys
 	clk := s.clocks[e.thread]
-	clk.Advance(s.cfg.OpCost)
-	e.access(addr, len(buf), false)
-	if s.hook != nil {
-		clk.AdvanceTo(s.hook.LoadOverhead(e.core, addr, clk.Now()))
+	if !s.detached {
+		clk.Advance(s.cfg.OpCost)
+		e.access(addr, len(buf), false)
+		if s.hook != nil {
+			clk.AdvanceTo(s.hook.LoadOverhead(e.core, addr, clk.Now()))
+		}
+		s.loadOps++
+		s.statTxLoads.Inc()
 	}
-	s.loadOps++
-	s.statTxLoads.Inc()
 	s.view.Read(addr, buf)
 	if s.tel.Enabled(telemetry.KindLoad) {
 		s.tel.Emit(telemetry.Event{
@@ -187,10 +202,14 @@ func (e *Env) Write(addr mem.PAddr, data []byte) {
 		panic("engine: store outside a transaction (wrap updates in TxBegin/TxEnd)")
 	}
 	clk := s.clocks[e.thread]
-	clk.Advance(s.cfg.OpCost)
-	e.access(addr, len(data), true)
-	t := s.scheme.Store(e.core, s.txID[e.thread], addr, data, clk.Now())
-	clk.AdvanceTo(t)
+	if !s.detached {
+		clk.Advance(s.cfg.OpCost)
+		e.access(addr, len(data), true)
+		t := s.scheme.Store(e.core, s.txID[e.thread], addr, data, clk.Now())
+		clk.AdvanceTo(t)
+		s.storeOps++
+		s.statTxStores.Inc()
+	}
 	if s.undo != nil {
 		// Capture the pre-image (the view is written below, after the
 		// scheme hook) so TxAbort can roll the view back. The arena append
@@ -207,8 +226,6 @@ func (e *Env) Write(addr mem.PAddr, data []byte) {
 		s.txWrites[e.thread] = append(s.txWrites[e.thread], writeRec{addr: addr, data: cp})
 	}
 	s.view.Write(addr, data)
-	s.storeOps++
-	s.statTxStores.Inc()
 	if s.tel.Enabled(telemetry.KindStore) {
 		s.tel.Emit(telemetry.Event{
 			Kind:  telemetry.KindStore,
@@ -238,8 +255,10 @@ func (e *Env) WriteWord(addr mem.PAddr, v uint64) {
 // scans without per-item event volume. It advances no clock.
 func (e *Env) NoteScan(items, bytes int) {
 	s := e.sys
-	s.statScanOps.Inc()
-	s.statScanItems.Add(int64(items))
+	if !s.detached {
+		s.statScanOps.Inc()
+		s.statScanItems.Add(int64(items))
+	}
 	if s.tel.Enabled(telemetry.KindScan) {
 		s.tel.Emit(telemetry.Event{
 			Kind:  telemetry.KindScan,

@@ -1,12 +1,16 @@
 package engine_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
 	"hoop/internal/sim"
+	"hoop/internal/telemetry"
 )
 
 func smallSystem(t *testing.T, scheme string) *engine.System {
@@ -234,4 +238,83 @@ func TestSyncClocksAndReset(t *testing.T) {
 	}
 	sys.ResetMemoryQueues() // must not panic and must clear backlog
 	_ = e1
+}
+
+// storeDigest hashes every page of st with its address.
+func storeDigest(st *mem.Store) [sha256.Size]byte {
+	h := sha256.New()
+	st.ForEachPageUntil(func(base mem.PAddr, data []byte) bool {
+		fmt.Fprintf(h, "%x:", uint64(base))
+		h.Write(data)
+		return true
+	})
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// kindCounter counts the events it receives by kind.
+type kindCounter map[telemetry.Kind]int
+
+func (k kindCounter) Emit(e telemetry.Event) { k[e.Kind]++ }
+
+// TestDetachIsFunctionalOnly: after Detach, transactions still read and
+// update the functional view, TxAbort still rolls it back and every op
+// still emits its event, but no clock moves, nothing reaches the durable
+// store, and Run and Snapshot refuse the system.
+func TestDetachIsFunctionalOnly(t *testing.T) {
+	cfg := engine.DefaultConfig(engine.SchemeHOOP)
+	cfg.Cores, cfg.Threads, cfg.Cache.Cores = 2, 2, 2
+	cfg.Ctrl.Agents = 4
+	cfg.NVM.Capacity = 1 << 30
+	cfg.OOPBytes = 64 << 20
+	cfg.Hoop.CommitLogBytes = 1 << 20
+	cfg.Abortable = true
+	sys, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := sys.NewEnv(0)
+	env.TxBegin()
+	env.WriteWord(64, 1)
+	env.TxEnd()
+	clocks := []sim.Time{sys.Clock(0), sys.Clock(1)}
+	durable := storeDigest(sys.Durable())
+
+	sys.Detach()
+	seen := kindCounter{}
+	sys.Subscribe(seen, telemetry.MaskAll)
+	env.TxBegin()
+	env.WriteWord(64, env.ReadWord(64)+1)
+	env.WriteWord(128, 7)
+	env.TxEnd()
+	env.TxBegin()
+	env.WriteWord(64, 99)
+	env.WriteWord(192, 5)
+	env.TxAbort()
+	env.TxBegin()
+	env.NoteScan(2, 16)
+	env.TxEnd()
+	env.AdvanceTo(clocks[0] + sim.Time(sim.Second))
+
+	for a, want := range map[mem.PAddr]uint64{64: 2, 128: 7, 192: 0} {
+		if got := sys.View().ReadWord(a); got != want {
+			t.Fatalf("view word %v = %d, want %d", a, got, want)
+		}
+	}
+	want := kindCounter{telemetry.KindTxBegin: 3, telemetry.KindLoad: 1, telemetry.KindStore: 4,
+		telemetry.KindTxCommit: 2, telemetry.KindTxAbort: 1, telemetry.KindScan: 1}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("detached ops emitted %v, want exactly the per-op events %v", seen, want)
+	}
+	for th, c := range clocks {
+		if sys.Clock(th) != c {
+			t.Fatalf("thread %d clock moved from %v to %v on a detached system", th, c, sys.Clock(th))
+		}
+	}
+	if storeDigest(sys.Durable()) != durable {
+		t.Fatal("detached transactions reached the durable store")
+	}
+	expectPanic(t, "Run on a detached system", func() { sys.Run(make([]engine.TxRunner, 2), 1) })
+	expectPanic(t, "Snapshot of a detached system", func() { sys.Snapshot() })
 }

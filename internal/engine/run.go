@@ -28,6 +28,9 @@ func (s *System) Run(runners []TxRunner, totalTxs int) {
 	if len(runners) != s.cfg.Threads {
 		panic(fmt.Sprintf("engine: %d runners for %d threads", len(runners), s.cfg.Threads))
 	}
+	if s.detached {
+		panic("engine: Run on a detached system")
+	}
 	envs := make([]*Env, len(runners))
 	for i := range runners {
 		envs[i] = s.NewEnv(i)

@@ -45,6 +45,9 @@ type RunSnapshot struct {
 
 // Snapshot captures the system's current totals.
 func (s *System) Snapshot() RunSnapshot {
+	if s.detached {
+		panic("engine: Snapshot of a detached system")
+	}
 	return RunSnapshot{
 		Scheme:        s.scheme.Name(),
 		Threads:       s.cfg.Threads,

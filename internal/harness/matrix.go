@@ -88,7 +88,7 @@ func runMatrix(opts Options, section string, workloads []workload.Workload, sche
 // col is the column a replay cell replays (nil for a capture).
 type matrixTask struct {
 	k   int
-	col *matrixColumn
+	col *workload.Captured
 }
 
 // captureAndReplay runs the matrix cells at the indices in miss
@@ -150,7 +150,7 @@ func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, Cel
 	}
 	// done records a finished task and, for a capture, queues its column's
 	// replays.
-	done := func(t matrixTask, col *matrixColumn, err error) {
+	done := func(t matrixTask, col *workload.Captured, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		running--
@@ -161,8 +161,8 @@ func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, Cel
 				failed = fmt.Errorf("harness: %s on %s: %w", c.Workload.Name, c.Scheme, err)
 			}
 		case col != nil:
-			at, w := 0, col.weight()
-			for at < len(queue) && (queue[at].col == nil || queue[at].col.weight() >= w) {
+			at, w := 0, columnWeight(col)
+			for at < len(queue) && (queue[at].col == nil || columnWeight(queue[at].col) >= w) {
 				at++
 			}
 			ks := replays[miss[t.k]/ns]
@@ -201,23 +201,24 @@ func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, Cel
 }
 
 // runMatrixTask runs one cell of the pipeline: a capture when col is nil,
-// returning the column it records, or else a replay of col. A panic comes
-// back as an error, so one bad cell cannot take the pool down.
-func runMatrixTask(c Cell, col *matrixColumn) (met Metrics, captured *matrixColumn, err error) {
+// returning the column it records, or else a replay of col. Either way the
+// cell's system is released when it ends. A panic comes back as an error,
+// so one bad cell cannot take the pool down.
+func runMatrixTask(c Cell, col *workload.Captured) (met Metrics, captured *workload.Captured, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
+	var sys *engine.System
 	if col != nil {
-		met, _, err := replayCellRun(c, col)
-		return met, nil, err
+		met, sys, err = replayCellRun(c, col)
+	} else {
+		met, captured, sys, err = captureCellRun(c)
 	}
-	met, cap, _, err := captureCellRun(c)
-	if err != nil {
-		return Metrics{}, nil, err
+	if sys != nil {
+		sys.Release()
 	}
-	captured, err = columnFromCapture(cap)
 	return met, captured, err
 }
 

@@ -31,13 +31,9 @@ func TestRegistryRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			capCell := Cell{Scheme: engine.AllSchemes[0], Workload: wl, Txs: txs, Seed: 5, Mut: smallMut}
-			capMet, cap, _, err := captureCellRun(capCell)
+			capMet, col, _, err := captureCellRun(capCell)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
-			}
-			col, err := columnFromCapture(cap)
-			if err != nil {
-				t.Fatal(err)
 			}
 			for _, scheme := range engine.AllSchemes {
 				cell := Cell{Scheme: scheme, Workload: wl, Txs: txs, Seed: 5, Mut: smallMut}

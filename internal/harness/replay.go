@@ -22,34 +22,13 @@ import (
 // reconstructs exactly the run that scheme would have produced directly.
 // The golden grid and trace tests lock this bit for bit.
 
-// matrixColumn is one (workload, seed) capture shared by that workload's
-// replay cells. It is built once from the in-memory capture; the replay
-// stage only reads it, so no locking is needed even with replay cells
-// running on parallel workers.
-type matrixColumn struct {
-	workload string
-	threads  int
-	// setup is the pre-window op stream, replayed in recorded global
-	// order; measured[t][i] is thread t's i-th measured-window transaction
-	// (including padding), fed through the scheme's own scheduling.
-	setup    []trace.Op
-	measured [][][]trace.Op
-	// payload is the capture's store-data buffer both streams index.
-	payload []byte
-}
+// A column is one (workload, seed) capture (workload.Captured) shared by
+// that workload's replay cells. The replay cells only read it, so no
+// locking is needed even with replay cells running on parallel workers.
 
-// weight orders ready replays, heaviest column first: replaying the setup
-// stream and storing the payload dominate a replay cell's host time.
-func (c *matrixColumn) weight() int { return len(c.setup) + len(c.payload)/8 }
-
-// columnFromCapture derives the replay inputs from a capture.
-func columnFromCapture(cap *workload.Captured) (*matrixColumn, error) {
-	measured, err := trace.SplitTxs(cap.Ops[cap.SetupOps:], cap.Threads)
-	if err != nil {
-		return nil, fmt.Errorf("harness: splitting %s capture: %w", cap.Workload, err)
-	}
-	return &matrixColumn{workload: cap.Workload, threads: cap.Threads, setup: cap.Ops[:cap.SetupOps], measured: measured, payload: cap.Payload}, nil
-}
+// columnWeight orders ready replays, heaviest column first: replaying the
+// setup stream and storing the payload dominate a replay cell's host time.
+func columnWeight(c *workload.Captured) int { return len(c.Setup) + len(c.Payload)/8 }
 
 // gatedSink forwards events only while open. The capture cell needs it
 // because telemetry subscriptions are forever: the cell's JSONL sink must
@@ -68,8 +47,8 @@ func (g *gatedSink) Emit(e telemetry.Event) {
 
 // captureCellRun executes one capture cell: a direct run of the cell's
 // scheme with a recorder subscribed from before setup, whose measurement
-// window doubles as the cell's own matrix result. Returns the system so
-// tests can compare durable images.
+// window doubles as the cell's own matrix result. Returns the system,
+// detached by the capture (see workload.Capture).
 func captureCellRun(c Cell) (Metrics, *workload.Captured, *engine.System, error) {
 	sys, err := buildSystem(c.Scheme, c.mut())
 	if err != nil {
@@ -104,23 +83,23 @@ var cursorPool = sync.Pool{New: func() any { return new(trace.Cursor) }}
 // replayCellRun executes one replay cell: the column's setup stream in
 // recorded order, then the standard measurement window driven by replay
 // runners. Returns the system so tests can compare durable images.
-func replayCellRun(c Cell, col *matrixColumn) (Metrics, *engine.System, error) {
+func replayCellRun(c Cell, col *workload.Captured) (Metrics, *engine.System, error) {
 	sys, err := buildSystem(c.Scheme, c.mut())
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	if got := sys.Config().Threads; got != col.threads {
-		return Metrics{}, nil, fmt.Errorf("harness: %s capture has %d threads but %s system has %d", col.workload, col.threads, c.Scheme, got)
+	if got := sys.Config().Threads; got != col.Threads {
+		return Metrics{}, nil, fmt.Errorf("harness: %s capture has %d threads but %s system has %d", col.Workload, col.Threads, c.Scheme, got)
 	}
-	if _, err := trace.ReplayOps(sys, col.setup, col.payload); err != nil {
+	if _, err := trace.ReplayOps(sys, col.Setup, col.Payload); err != nil {
 		return Metrics{}, nil, err
 	}
 	sys.SyncClocks()
-	runners := make([]engine.TxRunner, col.threads)
-	cursors := make([]*trace.Cursor, col.threads)
+	runners := make([]engine.TxRunner, col.Threads)
+	cursors := make([]*trace.Cursor, col.Threads)
 	for t := range runners {
 		cur := cursorPool.Get().(*trace.Cursor)
-		cur.Reset(col.workload, t, col.measured[t], col.payload)
+		cur.Reset(col.Workload, t, col.Measured[t], col.Payload)
 		cursors[t] = cur
 		runners[t] = cur
 	}

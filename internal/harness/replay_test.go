@@ -88,14 +88,14 @@ func TestReplayMatchesDirect(t *testing.T) {
 	hot := workload.MustBuild("hashmap", workload.Options{ValBytes: 64, Keys: 512})
 	for _, wl := range []workload.Workload{hot, abortMixWL()} {
 		capCell := Cell{Scheme: engine.AllSchemes[0], Workload: wl, Txs: txs, Seed: 7, Mut: smallMut}
-		capMet, cap, _, err := captureCellRun(capCell)
+		capMet, col, _, err := captureCellRun(capCell)
 		if err != nil {
 			t.Fatalf("%s: capture: %v", wl.Name, err)
 		}
 		if wl.Name == "abort-mix" {
 			found := false
-			for _, op := range cap.Ops {
-				if op.Kind == trace.OpTxAbort {
+			for _, seg := range col.Measured[0] {
+				if seg[len(seg)-1].Kind == trace.OpTxAbort {
 					found = true
 					break
 				}
@@ -103,10 +103,6 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if !found {
 				t.Fatalf("abort-mix capture carries no abort ops")
 			}
-		}
-		col, err := columnFromCapture(cap)
-		if err != nil {
-			t.Fatal(err)
 		}
 		for _, scheme := range engine.AllSchemes {
 			cell := Cell{Scheme: scheme, Workload: wl, Txs: txs, Seed: 7, Mut: smallMut}

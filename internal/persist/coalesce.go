@@ -2,7 +2,6 @@ package persist
 
 import (
 	"math/bits"
-	"slices"
 
 	"hoop/internal/mem"
 	"hoop/internal/u64map"
@@ -18,13 +17,15 @@ import (
 // smallest address first.
 //
 // Keying by line rather than by word means a pass sorts and looks up one
-// entry per migrated line instead of one per word. Clear is O(1) and keeps
+// entry per migrated line instead of one per word, and the sort is a
+// radix sort (sortLines), not a comparison sort. Clear is O(1) and keeps
 // every backing array, so a steady GC cadence performs no allocation.
 // The zero value is ready to use.
 type Coalescer struct {
 	slot  u64map.Map[int32] // line index -> position in lines
 	lines []coalescedLine
 	order []uint64 // line indices in first-offer order; sorted by Lines
+	spare []uint64 // radix-sort scratch, as long as order
 
 	// last caches the most recent line's position: a record's words are
 	// offered back to back, so consecutive offers usually share a line.
@@ -70,11 +71,68 @@ func (c *Coalescer) Ref(w mem.PAddr) (slot *[mem.WordSize]byte, fresh bool) {
 // words themselves (only the words whose mask bit is set are meaningful).
 // fn must not call Ref.
 func (c *Coalescer) Lines(fn func(line uint64, mask uint8, words *[mem.WordsPerLine][mem.WordSize]byte)) {
-	slices.Sort(c.order)
+	c.sortLines()
 	for _, line := range c.order {
 		p, _ := c.slot.Get(line)
 		e := &c.lines[p]
 		fn(line, e.mask, &e.words)
+	}
+}
+
+// maxRadixBits bounds sortLines' digit width.
+const maxRadixBits = 8
+
+// sortLines sorts order ascending with an LSD radix sort, ping-ponging
+// between order and the reused spare buffer. The digit width grows with
+// the key count, from 2 bits up to maxRadixBits, so a pass's counting
+// costs about as much as its moves. A digit every key shares leaves the
+// order unchanged, so its pass is skipped; a pass's line set spans a few
+// address bits, so most of the 64-bit key's digits are skipped. The keys
+// are distinct line indices, so stability does not matter for the
+// result, which equals slices.Sort's.
+func (c *Coalescer) sortLines() {
+	n := len(c.order)
+	if n < 2 {
+		return
+	}
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range c.order {
+		and &= k
+		or |= k
+	}
+	varying := and ^ or
+	if cap(c.spare) < n {
+		c.spare = make([]uint64, n)
+	}
+	width := min(maxRadixBits, max(2, bits.Len(uint(n))-2))
+	mask := uint64(1)<<width - 1
+	src, dst := c.order, c.spare[:n]
+	var counts [1 << maxRadixBits]int
+	count := counts[:mask+1]
+	for shift := 0; shift < 64; shift += width {
+		if (varying>>shift)&mask == 0 {
+			continue
+		}
+		clear(count)
+		for _, k := range src {
+			count[(k>>shift)&mask]++
+		}
+		sum := 0
+		for d, m := range count {
+			count[d] = sum
+			sum += m
+		}
+		for _, k := range src {
+			d := (k >> shift) & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &c.order[0] {
+		// An odd number of passes left the result in spare: swap roles so
+		// the sorted keys are order and the old order array is scratch.
+		c.order, c.spare = src, c.order
 	}
 }
 

@@ -126,3 +126,48 @@ func TestCoalescerClearRefillZeroAlloc(t *testing.T) {
 		t.Fatalf("Clear+refill allocates %v/run, want 0", allocs)
 	}
 }
+
+// TestSortLinesMatchesSort holds the coalescer's radix sort to slices.Sort
+// over random, clustered and high-bit line sets of many sizes, sorting
+// each set twice so both the order and spare buffers serve as the source.
+// Keys reach the sort through Ref where they are line indices of real
+// addresses, and are set directly for full 64-bit keys.
+func TestSortLinesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	shapes := map[string]func() uint64{
+		"random":    func() uint64 { return uint64(rng.Int63n(int64(mem.MaxAddr >> mem.LineShift))) },
+		"clustered": func() uint64 { return 1<<30 + uint64(rng.Intn(1<<14)) },
+		"highbit":   func() uint64 { return rng.Uint64() | 1<<63 },
+		// Two varying digits in random places, every other digit zero.
+		"sparse": func() uint64 {
+			return uint64(rng.Intn(256))<<(8*uint(rng.Intn(8))) | uint64(rng.Intn(256))<<(8*uint(rng.Intn(8)))
+		},
+	}
+	var c Coalescer
+	for name, draw := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 17, 255, 256, 257, 1000, 5000} {
+			for pass := 0; pass < 2; pass++ {
+				c.Clear()
+				seen := map[uint64]bool{}
+				for len(c.order) < n {
+					k := draw()
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					if name == "highbit" || name == "sparse" {
+						c.order = append(c.order, k)
+					} else {
+						c.Ref(mem.PAddr(k<<mem.LineShift) + mem.PAddr(rng.Intn(mem.WordsPerLine))*mem.WordSize)
+					}
+				}
+				want := slices.Clone(c.order)
+				slices.Sort(want)
+				c.sortLines()
+				if !slices.Equal(c.order, want) {
+					t.Fatalf("%s, %d keys, pass %d: radix order differs from slices.Sort", name, n, pass)
+				}
+			}
+		}
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"hoop/internal/engine"
 )
 
-// Cursor feeds one thread's pre-segmented (SplitTxs) transactions to the
+// Cursor feeds one thread's pre-segmented (OpSink.SplitTxs) transactions to the
 // engine, one segment per RunTx call, exactly as the direct workload
 // runner would have issued them. It implements engine.TxRunner. A Cursor
 // is reusable: Reset points it at another thread's segments while keeping

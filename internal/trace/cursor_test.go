@@ -45,21 +45,22 @@ func TestCursorReplayZeroAllocs(t *testing.T) {
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	txs, err := SplitTxs(sink.Ops, 1)
+	txs, err := sink.SplitTxs(0, 1)
 	if err != nil || len(txs[0]) != txCount {
 		t.Fatalf("split: %v (%d txs)", err, len(txs[0]))
 	}
+	payload := sink.Payload()
 
 	dst := cursorBenchSystem(t)
 	denv := dst.NewEnv(0)
 	var cur Cursor
-	cur.Reset("alloc-test", 0, txs[0], sink.Payload)
+	cur.Reset("alloc-test", 0, txs[0], payload)
 	for cur.Done() < txCount { // warm pass: grows the scratch buffer
 		cur.RunTx(denv)
 	}
 	allocs := testing.AllocsPerRun(2*txCount, func() {
 		if cur.Done() == txCount {
-			cur.Reset("alloc-test", 0, txs[0], sink.Payload)
+			cur.Reset("alloc-test", 0, txs[0], payload)
 		}
 		cur.RunTx(denv)
 	})

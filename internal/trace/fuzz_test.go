@@ -1,13 +1,16 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hoop/internal/engine"
 	"hoop/internal/mem"
+	"hoop/internal/telemetry"
 )
 
 // Fuzz input format: a sequence of records, each a header byte followed
@@ -129,9 +132,9 @@ var fuzzTraceFixture = []byte{
 }
 
 // decodeFuzzOps turns fuzz bytes into an op stream and its payload
-// buffer, well formed per thread except for what SplitTxs and ReplayOps
+// buffer, well formed per thread except for what the split and ReplayOps
 // must catch: a thread outside the system, a transaction left open at the
-// end (SplitTxs), and a store whose bytes fall outside the payload
+// end (the split), and a store whose bytes fall outside the payload
 // (ReplayOps and Cursor). Every action opens its thread's transaction
 // first if none is open, and each thread addresses only its own region.
 func decodeFuzzOps(raw []byte) (ops []Op, payload []byte) {
@@ -221,11 +224,68 @@ func runCursor(cur *Cursor, env *engine.Env, segs [][]Op) (panicked any) {
 	return nil
 }
 
+// checkFuzzRecording records ops as telemetry events through an OpSink
+// with tiny chunks, so short streams cross op and payload chunk
+// boundaries and stores overflow whole chunks. The sink must give back
+// the same ops, each store at its own fresh offset holding the bytes it
+// named in payload, and split them from its chunks as splitFlat splits
+// its flat copy.
+func checkFuzzRecording(t *testing.T, ops []Op, payload []byte) {
+	t.Helper()
+	s := OpSink{chunkOps: 5, chunkBytes: 24}
+	for _, op := range ops {
+		e := telemetry.Event{Core: int16(op.Thread), Addr: op.Addr}
+		switch op.Kind {
+		case OpTxBegin:
+			e.Kind = telemetry.KindTxBegin
+		case OpTxEnd:
+			e.Kind = telemetry.KindTxCommit
+		case OpTxAbort:
+			e.Kind = telemetry.KindTxAbort
+		case OpLoad:
+			e.Kind, e.Bytes = telemetry.KindLoad, int64(op.Size)
+		case OpStore:
+			e.Kind, e.Data = telemetry.KindStore, payload[op.Off:op.Off+uint64(op.Size)]
+		case OpScan:
+			e.Kind, e.Addr, e.Bytes, e.Aux = telemetry.KindScan, 0, int64(op.Addr), int64(op.Size)
+		}
+		s.Emit(e)
+	}
+	got, recorded := s.Ops(0, s.Len()), s.Payload()
+	if err := s.Err(); err != nil || len(got) != len(ops) {
+		t.Fatalf("sink recorded %d of %d ops (err %v)", len(got), len(ops), err)
+	}
+	var next uint64
+	for i, g := range got {
+		w := ops[i]
+		if w.Kind == OpStore {
+			if g.Off != next || !bytes.Equal(recorded[g.Off:g.Off+uint64(g.Size)], payload[w.Off:w.Off+uint64(w.Size)]) {
+				t.Fatalf("op %d: store recorded at payload offset %d with other bytes, want offset %d", i, g.Off, next)
+			}
+			next += uint64(g.Size)
+			g.Off = w.Off
+		}
+		if g != w {
+			t.Fatalf("op %d: sink recorded %+v, stream has %+v", i, g, w)
+		}
+	}
+	if uint64(len(recorded)) != next {
+		t.Fatalf("sink payload holds %d bytes, stores wrote %d", len(recorded), next)
+	}
+	chunked, cerr := s.SplitTxs(0, fuzzThreads)
+	flat, ferr := splitFlat(got, fuzzThreads)
+	if (cerr != nil) != (ferr != nil) || !reflect.DeepEqual(chunked, flat) {
+		t.Fatalf("chunked split (%v) differs from the flat split (%v)", cerr, ferr)
+	}
+}
+
 // FuzzTraceReader drives the in-memory trace readers with arbitrary op
-// streams. ReplayOps must reject exactly the streams naming a thread
-// outside the system or a store outside the payload, and SplitTxs, which
+// streams. A stream whose stores all fall inside the payload must record
+// through a small-chunked OpSink unchanged (checkFuzzRecording).
+// ReplayOps must reject exactly the streams naming a thread outside the
+// system or a store outside the payload, and the split (splitTxs), which
 // never reads the payload, the first plus streams that leave a
-// transaction open. A stream SplitTxs accepts must come back as each
+// transaction open. A stream the split accepts must come back as each
 // thread's ops in order, cut after every TxEnd/TxAbort and nowhere else.
 // Replaying those segments through Cursors on Opt-Undo must panic with
 // the payload error exactly when a store falls outside the payload, and
@@ -250,14 +310,18 @@ func FuzzTraceReader(f *testing.F) {
 			openTail = openTail || (op.Kind != 0 && !isClose(op))
 		}
 
+		if !badStore {
+			checkFuzzRecording(t, ops, payload)
+		}
+
 		direct := fuzzSystem(t, engine.SchemeHOOP)
 		commits, replayErr := ReplayOps(direct, ops, payload)
 		if (replayErr != nil) != (outOfRange || badStore) {
 			t.Fatalf("ReplayOps error %v, out-of-range thread %v, store outside the payload %v", replayErr, outOfRange, badStore)
 		}
-		txs, splitErr := SplitTxs(ops, fuzzThreads)
+		txs, splitErr := splitFlat(ops, fuzzThreads)
 		if (splitErr != nil) != (outOfRange || openTail) {
-			t.Fatalf("SplitTxs error %v, out-of-range thread %v, open transaction %v", splitErr, outOfRange, openTail)
+			t.Fatalf("split error %v, out-of-range thread %v, open transaction %v", splitErr, outOfRange, openTail)
 		}
 		if splitErr != nil {
 			return

@@ -3,12 +3,13 @@
 // boundaries, loads, stores with their data — so the run can be replayed
 // bit-identically against any persistence scheme. This mirrors how the
 // paper's platform consumed Pin-captured application traces. Captures
-// live in memory: OpSink records them, and ReplayOps, SplitTxs and Cursor
-// reissue them.
+// live in memory: OpSink records them and splits them per thread
+// (OpSink.SplitTxs), and ReplayOps and Cursor reissue them.
 package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"hoop/internal/mem"
 	"hoop/internal/telemetry"
@@ -76,13 +77,35 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 	return Op{}, false, nil
 }
 
+// Chunk geometry of an OpSink recording: 16 Ki ops (384 KB) per op chunk
+// and 1 MB per payload chunk. Chunks of this size are pooled (see
+// Release), so captures run one after another reuse their recording
+// buffers.
+const (
+	chunkOps   = 16 << 10
+	chunkBytes = 1 << 20
+)
+
+var (
+	opChunks      = sync.Pool{New: func() any { c := make([]Op, 0, chunkOps); return &c }}
+	payloadChunks = sync.Pool{New: func() any { c := make([]byte, 0, chunkBytes); return &c }}
+)
+
 // OpSink is a telemetry.Sink that collects a workload's operations in
 // memory while they execute: subscribe it to a system's hub with
 // RecordMask and run the workload. The engine executes on one goroutine
-// and emits exactly one event per operation in issue order, so Ops is the
-// operation stream. Store data is copied onto the end of Payload (events
-// only alias the written bytes during Emit), and each store Op records
-// where its bytes landed; Ops and Payload are replayed together.
+// and emits exactly one event per operation in issue order, so the
+// recorded ops are the operation stream. Store data is copied into the
+// sink's payload (events only alias the written bytes during Emit), and
+// each store Op's Off is where its bytes sit in the payload that Payload
+// returns.
+//
+// Recording never regrows a buffer: ops and store data land in fixed-size
+// chunks drawn from a pool. A store's bytes never span two payload
+// chunks; one that does not fit the current chunk opens the next, and one
+// larger than a chunk gets a chunk of its own. Ops, Payload and SplitTxs
+// copy what they return out of the chunks into exactly sized slices, and
+// Release ends the recording.
 //
 // An event Op cannot represent makes the sink's error sticky: further
 // events are dropped and the error surfaces from Err. Emit cannot return
@@ -90,9 +113,19 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 // engine's emit path would kill the whole worker, so sticky-and-surface
 // is the contract.
 type OpSink struct {
-	Ops     []Op
-	Payload []byte
+	// full and fullPay are the filled chunks in recording order; cur and
+	// curPay are the chunks being filled.
+	full    [][]Op
+	fullPay [][]byte
+	cur     []Op
+	curPay  []byte
+	n       int    // ops recorded
+	npay    uint64 // payload bytes recorded
 	err     error
+
+	// chunkOps and chunkBytes override the chunk geometry when non-zero
+	// (tests shrink it to reach chunk boundaries with small streams).
+	chunkOps, chunkBytes int
 }
 
 // Emit implements telemetry.Sink.
@@ -105,16 +138,144 @@ func (s *OpSink) Emit(e telemetry.Event) {
 		s.err = err
 		return
 	}
-	if ok {
-		if op.Kind == OpStore {
-			op.Off = uint64(len(s.Payload))
-			s.Payload = append(s.Payload, e.Data...)
-		}
-		s.Ops = append(s.Ops, op)
+	if !ok {
+		return
 	}
+	if op.Kind == OpStore {
+		op.Off = s.npay
+		s.recordData(e.Data)
+	}
+	if len(s.cur) == cap(s.cur) {
+		if s.cur != nil {
+			s.full = append(s.full, s.cur)
+		}
+		s.cur = s.newOpChunk()
+	}
+	s.cur = append(s.cur, op)
+	s.n++
+}
+
+// recordData appends one store's bytes to the payload, keeping them in
+// one chunk.
+func (s *OpSink) recordData(data []byte) {
+	if len(data) > cap(s.curPay)-len(s.curPay) {
+		if len(s.curPay) > 0 {
+			s.fullPay = append(s.fullPay, s.curPay)
+		}
+		s.curPay = nil
+		if len(data) > s.payloadChunkSize() {
+			s.fullPay = append(s.fullPay, append([]byte(nil), data...))
+			s.npay += uint64(len(data))
+			return
+		}
+		s.curPay = s.newPayloadChunk()
+	}
+	s.curPay = append(s.curPay, data...)
+	s.npay += uint64(len(data))
+}
+
+func (s *OpSink) newOpChunk() []Op {
+	if s.chunkOps != 0 {
+		return make([]Op, 0, s.chunkOps)
+	}
+	return (*opChunks.Get().(*[]Op))[:0]
+}
+
+func (s *OpSink) payloadChunkSize() int {
+	if s.chunkBytes != 0 {
+		return s.chunkBytes
+	}
+	return chunkBytes
+}
+
+func (s *OpSink) newPayloadChunk() []byte {
+	if s.chunkBytes != 0 {
+		return make([]byte, 0, s.chunkBytes)
+	}
+	return (*payloadChunks.Get().(*[]byte))[:0]
 }
 
 // Err reports the sticky collection error, if any.
 func (s *OpSink) Err() error { return s.err }
+
+// Len reports how many ops the sink has recorded.
+func (s *OpSink) Len() int { return s.n }
+
+// chunksFrom returns the recorded ops from index from on, as the chunks
+// that hold them.
+func (s *OpSink) chunksFrom(from int) [][]Op {
+	var out [][]Op
+	for _, c := range append(s.full[:len(s.full):len(s.full)], s.cur) {
+		if from >= len(c) {
+			from -= len(c)
+			continue
+		}
+		out = append(out, c[from:])
+		from = 0
+	}
+	return out
+}
+
+// Ops copies the recorded ops [from, to) into one exactly sized slice.
+func (s *OpSink) Ops(from, to int) []Op {
+	if from < 0 || to < from || to > s.n {
+		panic(fmt.Sprintf("trace: ops [%d, %d) outside the %d recorded", from, to, s.n))
+	}
+	out := make([]Op, 0, to-from)
+	for _, c := range s.chunksFrom(from) {
+		out = append(out, c[:min(len(c), to-from-len(out))]...)
+	}
+	return out
+}
+
+// Payload copies the recorded store data into one exactly sized buffer,
+// which every recorded store's Off indexes.
+func (s *OpSink) Payload() []byte {
+	out := make([]byte, 0, s.npay)
+	for _, c := range s.fullPay {
+		out = append(out, c...)
+	}
+	return append(out, s.curPay...)
+}
+
+// SplitTxs partitions the recorded ops from index from on into per-thread
+// transaction segments: out[t][i] is thread t's i-th transaction, the ops
+// from its opening TxBegin (plus any preceding out-of-transaction ops,
+// which attach forward) through the TxEnd or TxAbort that closes it.
+// Per-thread order is preserved; the global interleaving is deliberately
+// discarded — a replayer reissues each thread's transactions under its
+// own scheme's timing, letting the engine's min-clock scheduler rebuild
+// that scheme's interleaving. Store ops keep their payload offsets, so
+// the segments replay against the payload Payload returns. An op naming
+// a thread at or past threads, or a thread left with an open transaction,
+// is an error.
+func (s *OpSink) SplitTxs(from, threads int) ([][][]Op, error) {
+	return splitTxs(s.chunksFrom(from), threads)
+}
+
+// Closes counts each thread's transaction closes (TxEnd or TxAbort) among
+// the recorded ops from index from on.
+func (s *OpSink) Closes(from, threads int) ([]int, error) {
+	_, ntxs, _, err := countTxs(s.chunksFrom(from), threads)
+	return ntxs, err
+}
+
+// Release empties the sink and returns its last op chunk and its last
+// payload chunk to the pools, which is all a small capture uses. Earlier
+// chunks are left to the garbage collector: a pooled chunk stays live
+// through the next collection, so pooling a large capture's every chunk
+// would raise the heap peak that recycling is meant to lower. Slices
+// that Ops, Payload and SplitTxs returned stay valid.
+func (s *OpSink) Release() {
+	if cap(s.cur) == chunkOps {
+		c := s.cur[:0]
+		opChunks.Put(&c)
+	}
+	if cap(s.curPay) == chunkBytes {
+		c := s.curPay[:0]
+		payloadChunks.Put(&c)
+	}
+	*s = OpSink{err: s.err, chunkOps: s.chunkOps, chunkBytes: s.chunkBytes}
+}
 
 var _ telemetry.Sink = (*OpSink)(nil)

@@ -48,14 +48,14 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.Ops) == 0 {
+	if sink.Len() == 0 {
 		t.Fatal("nothing recorded")
 	}
 
 	// Replay onto Opt-Undo and verify its recovered state matches the
 	// original system's committed oracle.
 	dst := traceSystem(t, engine.SchemeUndo)
-	txs, err := ReplayOps(dst, sink.Ops, sink.Payload)
+	txs, err := ReplayOps(dst, sink.Ops(0, sink.Len()), sink.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestOpSinkRejectsUnrepresentableCore(t *testing.T) {
 			t.Fatalf("core %d must fail the capture, got %v", core, err)
 		}
 		sink.Emit(telemetry.Event{Kind: telemetry.KindTxCommit, Core: 0})
-		if len(sink.Ops) != 1 || sink.Ops[0].Thread != math.MaxInt16 {
-			t.Fatalf("core %d: recorded %+v, want only the op before the error", core, sink.Ops)
+		if ops := sink.Ops(0, sink.Len()); len(ops) != 1 || ops[0].Thread != math.MaxInt16 {
+			t.Fatalf("core %d: recorded %+v, want only the op before the error", core, ops)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 	}
 
 	dst := abortSys(engine.SchemeUndo)
-	txs, err := ReplayOps(dst, sink.Ops, sink.Payload)
+	txs, err := ReplayOps(dst, sink.Ops(0, sink.Len()), sink.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +180,11 @@ func TestRecordReplayAbortEquivalence(t *testing.T) {
 	}
 }
 
+// splitFlat splits a flat op stream, as OpSink.SplitTxs splits its chunks.
+func splitFlat(ops []Op, threads int) ([][][]Op, error) {
+	return splitTxs([][]Op{ops}, threads)
+}
+
 func TestSplitTxs(t *testing.T) {
 	ops := []Op{
 		{Kind: OpLoad, Thread: 1, Addr: 0, Size: 8}, // pre-tx op attaches forward
@@ -191,7 +196,7 @@ func TestSplitTxs(t *testing.T) {
 		{Kind: OpTxBegin, Thread: 0},
 		{Kind: OpTxEnd, Thread: 0},
 	}
-	txs, err := SplitTxs(ops, 2)
+	txs, err := splitFlat(ops, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +209,10 @@ func TestSplitTxs(t *testing.T) {
 	if txs[0][0][1] != ops[3] {
 		t.Fatalf("store split as %+v, want %+v (payload offset kept)", txs[0][0][1], ops[3])
 	}
-	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 5}}, 2); err == nil {
+	if _, err := splitFlat([]Op{{Kind: OpTxBegin, Thread: 5}}, 2); err == nil {
 		t.Fatal("out-of-range thread must fail")
 	}
-	if _, err := SplitTxs([]Op{{Kind: OpTxBegin, Thread: 0}}, 1); err == nil {
+	if _, err := splitFlat([]Op{{Kind: OpTxBegin, Thread: 0}}, 1); err == nil {
 		t.Fatal("trailing open transaction must fail")
 	}
 }

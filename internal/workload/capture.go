@@ -2,28 +2,31 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"hoop/internal/engine"
 	"hoop/internal/trace"
 )
 
-// Captured is one (workload, seed) column's recorded op stream: setup ops
-// followed by the measured window's ops plus padding transactions. The
+// Captured is one (workload, seed) column's recorded op stream, split the
+// way replays read it: the setup ops in recorded global order, then each
+// thread's measured-window transactions plus padding transactions. The
 // padding exists because the engine's min-clock scheduler draws a
 // different number of transactions from each thread under each scheme's
 // timing — a replayer needs headroom on every thread beyond what the
-// capture scheme happened to consume.
+// capture scheme happened to consume. Every slice is exactly sized, and
+// nothing of the raw recording is kept.
 type Captured struct {
 	// Workload is the recorded workload's name.
 	Workload string
 	// Threads is the thread count the capture ran with.
 	Threads int
-	// SetupOps is the index in Ops where setup ends and the measured
-	// stream begins. Replayers execute Ops[:SetupOps] in recorded global
-	// order, then feed Ops[SetupOps:] per thread as transactions.
-	SetupOps int
-	// Ops is the full recorded stream.
-	Ops []trace.Op
+	// Setup is the pre-window op stream; replayers execute it in recorded
+	// global order.
+	Setup []trace.Op
+	// Measured[t][i] is thread t's i-th transaction of the measured window
+	// and its padding (trace.OpSink.SplitTxs), fed to a replayer per thread.
+	Measured [][][]trace.Op
 	// Payload holds the stores' data; each store Op names its bytes by
 	// offset and size.
 	Payload []byte
@@ -41,32 +44,38 @@ const padFloor = 16
 // run callback receives the freshly built runners and executes the
 // measured phase however the caller wants (the harness passes its
 // measurement window); everything the engine emits before run returns is
-// recorded. After run returns, every thread's runner is driven further to
-// build per-thread padding, so the capture replays against schemes whose
-// scheduling draws more transactions from some thread than this run did.
+// recorded. After run returns, Capture detaches sys (engine.System.Detach)
+// and drives every thread's runner further to build per-thread padding,
+// so the capture replays against schemes whose scheduling draws more
+// transactions from some thread than this run did. The padding is
+// recorded but not simulated: sys's simulated numbers stay as run left
+// them, and sys can no longer Run.
 func Capture(sys *engine.System, w Workload, seed uint64, run func(runners []engine.TxRunner)) (*Captured, error) {
 	sink := &trace.OpSink{}
+	defer sink.Release()
 	sys.Subscribe(sink, trace.RecordMask)
 	runners := w.Runners(sys, seed)
 	if err := sink.Err(); err != nil {
 		return nil, fmt.Errorf("workload: capturing %s setup: %w", w.Name, err)
 	}
-	setupOps := len(sink.Ops)
+	setupOps := sink.Len()
 	run(runners)
 	if err := sink.Err(); err != nil {
 		return nil, fmt.Errorf("workload: capturing %s: %w", w.Name, err)
 	}
+	sys.Detach()
+	return padAndSplit(sys, w.Name, runners, sink, setupOps)
+}
+
+// padAndSplit runs the padding transactions on sys, recording them into
+// sink, then copies the recording out of sink into a Captured.
+func padAndSplit(sys *engine.System, name string, runners []engine.TxRunner, sink *trace.OpSink, setupOps int) (*Captured, error) {
 	threads := sys.Config().Threads
-	consumed := make([]int, threads)
-	maxConsumed := 0
-	for _, op := range sink.Ops[setupOps:] {
-		if op.Kind == trace.OpTxEnd || op.Kind == trace.OpTxAbort {
-			consumed[op.Thread]++
-			if c := consumed[op.Thread]; c > maxConsumed {
-				maxConsumed = c
-			}
-		}
+	consumed, err := sink.Closes(setupOps, threads)
+	if err != nil {
+		return nil, fmt.Errorf("workload: capturing %s: %w", name, err)
 	}
+	maxConsumed := slices.Max(consumed)
 	target := maxConsumed + maxConsumed/4 + padFloor
 	for t := 0; t < threads; t++ {
 		env := sys.NewEnv(t)
@@ -75,13 +84,17 @@ func Capture(sys *engine.System, w Workload, seed uint64, run func(runners []eng
 		}
 	}
 	if err := sink.Err(); err != nil {
-		return nil, fmt.Errorf("workload: padding %s capture: %w", w.Name, err)
+		return nil, fmt.Errorf("workload: padding %s capture: %w", name, err)
+	}
+	measured, err := sink.SplitTxs(setupOps, threads)
+	if err != nil {
+		return nil, fmt.Errorf("workload: splitting %s capture: %w", name, err)
 	}
 	return &Captured{
-		Workload: w.Name,
+		Workload: name,
 		Threads:  threads,
-		SetupOps: setupOps,
-		Ops:      sink.Ops,
-		Payload:  sink.Payload,
+		Setup:    sink.Ops(0, setupOps),
+		Measured: measured,
+		Payload:  sink.Payload(),
 	}, nil
 }
