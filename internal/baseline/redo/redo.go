@@ -233,9 +233,10 @@ func (s *Scheme) forceCheckpoint(now sim.Time) sim.Time {
 }
 
 // checkpoint applies up to n committed line images in place, reading each
-// back from its log record, and truncates the log past them. A checkpoint batch is this scheme's cleanup epoch, so
-// it brackets the work with GC start/end events; onDemand marks batches
-// forced by a full log ring (truncation on the critical path).
+// back from its log record, and truncates the log past them. A checkpoint
+// batch is this scheme's cleanup epoch, so it brackets the work with GC
+// start/end events; onDemand marks batches forced by a full log ring
+// (truncation on the critical path).
 func (s *Scheme) checkpoint(now sim.Time, n int, onDemand bool) sim.Time {
 	n = min(n, len(s.ckptQueue)-s.ckptHead)
 	if n == 0 {

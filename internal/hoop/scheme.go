@@ -366,38 +366,33 @@ func (s *Scheme) Store(core int, tx persist.TxID, addr mem.PAddr, val []byte, no
 	if s.cfg.DisablePacking {
 		flushAt = 1 // ablation: one slice per word update
 	}
-	// Line-at-a-time split done inline (persist.WordsOf allocates its
-	// result; this loop is under every simulated store): one line-state
-	// update per touched line, then its words one by one.
-	for off := 0; off < len(val); {
-		first := addr + mem.PAddr(off)
-		line := mem.LineIndex(first)
-		n := min(mem.WordsPerLine-mem.WordInLine(first), (len(val)-off)/mem.WordSize)
+	// Word-at-a-time split done inline (persist.WordsOf allocates its
+	// result; this loop is under every simulated store).
+	for off := 0; off < len(val); off += mem.WordSize {
+		wAddr := addr + mem.PAddr(off)
+		line := mem.LineIndex(wAddr)
 		ls := s.lines.Ref(line)
-		ls.mask |= uint8(1<<n-1) << mem.WordInLine(first)
+		ls.mask |= 1 << uint(mem.WordInLine(wAddr))
 		ls.writer = tx
-		m := s.mcOf(first)
+		m := s.mcOf(wAddr)
 		ms := &cs.mc[m]
-		for end := off + n*mem.WordSize; off < end; off += mem.WordSize {
-			wAddr := addr + mem.PAddr(off)
-			found := false
-			for i := 0; i < ms.bufN; i++ {
-				if ms.buf[i].Addr == wAddr {
-					copy(ms.buf[i].Val[:], val[off:off+mem.WordSize]) // same-word update coalesces in the buffer
-					found = true
-					break
-				}
+		found := false
+		for i := 0; i < ms.bufN; i++ {
+			if ms.buf[i].Addr == wAddr {
+				copy(ms.buf[i].Val[:], val[off:off+mem.WordSize]) // same-word update coalesces in the buffer
+				found = true
+				break
 			}
-			if !found {
-				w := &ms.buf[ms.bufN]
-				w.Addr = wAddr
-				copy(w.Val[:], val[off:off+mem.WordSize])
-				ms.bufN++
-				cs.txWords++
-			}
-			if ms.bufN >= flushAt {
-				now = s.flushSlice(core, m, now)
-			}
+		}
+		if !found {
+			w := &ms.buf[ms.bufN]
+			w.Addr = wAddr
+			copy(w.Val[:], val[off:off+mem.WordSize])
+			ms.bufN++
+			cs.txWords++
+		}
+		if ms.bufN >= flushAt {
+			now = s.flushSlice(core, m, now)
 		}
 	}
 	return now

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"math/bits"
+	"slices"
 
 	"hoop/internal/mem"
 	"hoop/internal/u64map"
@@ -17,10 +18,10 @@ import (
 // smallest address first.
 //
 // Keying by line rather than by word means a pass sorts and looks up one
-// entry per migrated line instead of one per word, and the sort is a
-// radix sort (sortLines), not a comparison sort. Clear is O(1) and keeps
-// every backing array, so a steady GC cadence performs no allocation.
-// The zero value is ready to use.
+// entry per migrated line instead of one per word, and a large pass sorts
+// with a radix sort (sortLines) rather than a comparison sort. Clear is
+// O(1) and keeps every backing array, so a steady GC cadence performs no
+// allocation. The zero value is ready to use.
 type Coalescer struct {
 	slot  u64map.Map[int32] // line index -> position in lines
 	lines []coalescedLine
@@ -79,20 +80,25 @@ func (c *Coalescer) Lines(fn func(line uint64, mask uint8, words *[mem.WordsPerL
 	}
 }
 
-// maxRadixBits bounds sortLines' digit width.
-const maxRadixBits = 8
+// radixMinLines is the pass size from which sortLines radix-sorts. On
+// line sets recorded from the benchmark workloads' GC passes, slices.Sort
+// is faster below about a thousand lines. From 1400 lines on, the radix
+// sort is faster on most passes of the KV soak and the paper matrix (up
+// to 9 times) and up to about twice as slow on the nearly reverse-sorted
+// passes of the sweep rows.
+const radixMinLines = 1024
 
-// sortLines sorts order ascending with an LSD radix sort, ping-ponging
-// between order and the reused spare buffer. The digit width grows with
-// the key count, from 2 bits up to maxRadixBits, so a pass's counting
-// costs about as much as its moves. A digit every key shares leaves the
-// order unchanged, so its pass is skipped; a pass's line set spans a few
+// sortLines sorts order ascending. A pass of radixMinLines or more lines
+// takes an LSD radix sort over 8-bit digits, ping-ponging between order
+// and the reused spare buffer. A digit every key shares leaves the order
+// unchanged, so its pass is skipped; a pass's line set spans a few
 // address bits, so most of the 64-bit key's digits are skipped. The keys
 // are distinct line indices, so stability does not matter for the
 // result, which equals slices.Sort's.
 func (c *Coalescer) sortLines() {
 	n := len(c.order)
-	if n < 2 {
+	if n < radixMinLines {
+		slices.Sort(c.order)
 		return
 	}
 	and, or := ^uint64(0), uint64(0)
@@ -104,18 +110,15 @@ func (c *Coalescer) sortLines() {
 	if cap(c.spare) < n {
 		c.spare = make([]uint64, n)
 	}
-	width := min(maxRadixBits, max(2, bits.Len(uint(n))-2))
-	mask := uint64(1)<<width - 1
 	src, dst := c.order, c.spare[:n]
-	var counts [1 << maxRadixBits]int
-	count := counts[:mask+1]
-	for shift := 0; shift < 64; shift += width {
-		if (varying>>shift)&mask == 0 {
+	var count [256]int
+	for shift := 0; shift < 64; shift += 8 {
+		if (varying>>shift)&0xFF == 0 {
 			continue
 		}
-		clear(count)
+		clear(count[:])
 		for _, k := range src {
-			count[(k>>shift)&mask]++
+			count[(k>>shift)&0xFF]++
 		}
 		sum := 0
 		for d, m := range count {
@@ -123,7 +126,7 @@ func (c *Coalescer) sortLines() {
 			sum += m
 		}
 		for _, k := range src {
-			d := (k >> shift) & mask
+			d := (k >> shift) & 0xFF
 			dst[count[d]] = k
 			count[d]++
 		}

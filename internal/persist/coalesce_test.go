@@ -127,9 +127,10 @@ func TestCoalescerClearRefillZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSortLinesMatchesSort holds the coalescer's radix sort to slices.Sort
-// over random, clustered and high-bit line sets of many sizes, sorting
-// each set twice so both the order and spare buffers serve as the source.
+// TestSortLinesMatchesSort holds the coalescer's sort to slices.Sort over
+// random, clustered and high-bit line sets of many sizes on both sides of
+// radixMinLines, sorting each set twice so both the order and spare
+// buffers serve as the radix sort's source.
 // Keys reach the sort through Ref where they are line indices of real
 // addresses, and are set directly for full 64-bit keys.
 func TestSortLinesMatchesSort(t *testing.T) {
@@ -145,7 +146,7 @@ func TestSortLinesMatchesSort(t *testing.T) {
 	}
 	var c Coalescer
 	for name, draw := range shapes {
-		for _, n := range []int{0, 1, 2, 3, 17, 255, 256, 257, 1000, 5000} {
+		for _, n := range []int{0, 1, 2, 17, radixMinLines - 1, radixMinLines, radixMinLines + 1, 1400, 5000} {
 			for pass := 0; pass < 2; pass++ {
 				c.Clear()
 				seen := map[uint64]bool{}
@@ -165,7 +166,7 @@ func TestSortLinesMatchesSort(t *testing.T) {
 				slices.Sort(want)
 				c.sortLines()
 				if !slices.Equal(c.order, want) {
-					t.Fatalf("%s, %d keys, pass %d: radix order differs from slices.Sort", name, n, pass)
+					t.Fatalf("%s, %d keys, pass %d: order differs from slices.Sort", name, n, pass)
 				}
 			}
 		}

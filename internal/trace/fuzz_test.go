@@ -224,15 +224,13 @@ func runCursor(cur *Cursor, env *engine.Env, segs [][]Op) (panicked any) {
 	return nil
 }
 
-// checkFuzzRecording records ops as telemetry events through an OpSink
-// with tiny chunks, so short streams cross op and payload chunk
-// boundaries and stores overflow whole chunks. The sink must give back
-// the same ops, each store at its own fresh offset holding the bytes it
-// named in payload, and split them from its chunks as splitFlat splits
-// its flat copy.
+// checkFuzzRecording records ops as telemetry events through an OpSink.
+// The sink must give back the same ops, each store at its own fresh
+// offset holding the bytes it named in payload, and split them from its
+// chunks as splitFlat splits its flat copy.
 func checkFuzzRecording(t *testing.T, ops []Op, payload []byte) {
 	t.Helper()
-	s := OpSink{chunkOps: 5, chunkBytes: 24}
+	var s OpSink
 	for _, op := range ops {
 		e := telemetry.Event{Core: int16(op.Thread), Addr: op.Addr}
 		switch op.Kind {
@@ -281,7 +279,7 @@ func checkFuzzRecording(t *testing.T, ops []Op, payload []byte) {
 
 // FuzzTraceReader drives the in-memory trace readers with arbitrary op
 // streams. A stream whose stores all fall inside the payload must record
-// through a small-chunked OpSink unchanged (checkFuzzRecording).
+// through an OpSink unchanged (checkFuzzRecording).
 // ReplayOps must reject exactly the streams naming a thread outside the
 // system or a store outside the payload, and the split (splitTxs), which
 // never reads the payload, the first plus streams that leave a

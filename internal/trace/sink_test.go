@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -125,28 +124,29 @@ func checkSinkMatches(t *testing.T, what string, s *OpSink, ref *refSink) {
 	}
 }
 
-// TestOpSinkChunksMatchFlatRecording records seeded streams into sinks
-// with several tiny chunk geometries — stores that fit, fill a chunk
-// exactly, straddle its end, or exceed a whole chunk — and holds every
-// copy the sink makes to a flat append-only recording of the same events.
+// TestOpSinkChunksMatchFlatRecording records seeded streams that span
+// several chunks — one of many small ops that fills op chunks, one of
+// large stores that fill payload chunks and straddle their ends — and
+// holds every copy the sink makes to a flat append-only recording of the
+// same events.
 func TestOpSinkChunksMatchFlatRecording(t *testing.T) {
-	for _, geo := range [][2]int{{1, 8}, {3, 16}, {7, 24}, {16, 64}, {100, 1000}, {0, 0}} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			s := &OpSink{chunkOps: geo[0], chunkBytes: geo[1]}
-			ref := &refSink{}
-			for _, e := range randomEvents(seed, 300, 8) {
-				s.Emit(e)
-				ref.Emit(e)
-			}
-			if err := s.Err(); err != nil {
-				t.Fatal(err)
-			}
-			checkSinkMatches(t, fmt.Sprintf("geometry %v, seed %d", geo, seed), s, ref)
-			s.Release()
-			if s.Len() != 0 || len(s.Payload()) != 0 {
-				t.Fatalf("Release left %d ops and %d payload bytes", s.Len(), len(s.Payload()))
-			}
+	for _, c := range []struct {
+		seed          uint64
+		txs, maxWords int
+	}{{1, 10000, 4}, {2, 10000, 4}, {3, 300, 4096}, {4, 300, 4096}} {
+		var s OpSink
+		ref := &refSink{}
+		for _, e := range randomEvents(c.seed, c.txs, c.maxWords) {
+			s.Emit(e)
+			ref.Emit(e)
 		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.full) == 0 && len(s.fullPay) == 0 {
+			t.Fatalf("seed %d: the stream fit one op chunk and one payload chunk", c.seed)
+		}
+		checkSinkMatches(t, fmt.Sprintf("seed %d", c.seed), &s, ref)
 	}
 }
 
@@ -157,7 +157,6 @@ func TestOpSinkChunksMatchFlatRecording(t *testing.T) {
 // payload, and offsets outside it must stay errors.
 func TestOpSinkChunkBoundaries(t *testing.T) {
 	var s OpSink
-	defer s.Release()
 	ref := &refSink{}
 	emit := func(e telemetry.Event) { s.Emit(e); ref.Emit(e) }
 	value := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
@@ -213,59 +212,51 @@ func TestOpSinkChunkBoundaries(t *testing.T) {
 	env.TxEnd()
 }
 
-// TestOpSinkAllocatesOnlyTheColumn bounds the recording's memory churn:
-// once the chunk pools are warm, recording a small capture (one chunk of
-// ops and one of payload) and copying out its setup ops, per-thread
-// transactions and payload allocates at most 1.25 times what those
-// copies retain.
-func TestOpSinkAllocatesOnlyTheColumn(t *testing.T) {
-	evs := randomEvents(7, 2500, 16)
+// TestOpSinkRecordsWithoutRegrowth bounds the recording's memory churn.
+// Recording a capture that spans several chunks and copying out its setup
+// ops, per-thread transactions and payload stores each op and payload
+// byte twice — once in a chunk, once in the column — so it may allocate
+// at most twice what the column retains, plus one unfilled chunk of each
+// kind and 5% for chunk tails and the chunk lists. Regrowing a flat
+// recording with append would allocate several times the column.
+func TestOpSinkRecordsWithoutRegrowth(t *testing.T) {
+	evs := randomEvents(7, 10000, 64)
 	setup := len(evs) / 10
 	for setup > 0 && evs[setup-1].Kind != telemetry.KindTxCommit && evs[setup-1].Kind != telemetry.KindTxAbort {
 		setup--
 	}
-	record := func() (retained uint64) {
-		var s OpSink
-		for _, e := range evs[:setup] {
-			s.Emit(e)
-		}
-		setupOps := s.Len()
-		for _, e := range evs[setup:] {
-			s.Emit(e)
-		}
-		ops := s.Ops(0, setupOps)
-		txs, err := s.SplitTxs(setupOps, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := s.Payload()
-		if len(s.full) != 0 || len(s.fullPay) != 0 {
-			t.Fatalf("the capture filled %d op and %d payload chunks, want it to fit one of each", len(s.full), len(s.fullPay))
-		}
-		s.Release()
-		const opBytes, sliceBytes = 24, 24
-		retained = uint64(len(ops)*opBytes + len(payload) + len(txs)*sliceBytes)
-		for _, th := range txs {
-			retained += uint64(len(th) * sliceBytes)
-			for _, tx := range th {
-				retained += uint64(len(tx) * opBytes)
-			}
-		}
-		return retained
-	}
-	// Keep the pools warm: no collection empties them, and with one P the
-	// chunks the warm-up puts back sit in the slot the measured run takes
-	// from (a pooled item in another P's private slot cannot be stolen).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	record()
+	const opBytes, sliceBytes = 24, 24
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	retained := record()
+	var s OpSink
+	for _, e := range evs[:setup] {
+		s.Emit(e)
+	}
+	setupOps := s.Len()
+	for _, e := range evs[setup:] {
+		s.Emit(e)
+	}
+	ops := s.Ops(0, setupOps)
+	txs, err := s.SplitTxs(setupOps, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := s.Payload()
 	runtime.ReadMemStats(&after)
+	if len(s.full) < 2 || len(s.fullPay) < 2 {
+		t.Fatalf("the capture filled %d op and %d payload chunks, want several of each", len(s.full), len(s.fullPay))
+	}
+	retained := uint64(len(ops)*opBytes + len(payload) + len(txs)*sliceBytes)
+	for _, th := range txs {
+		retained += uint64(len(th) * sliceBytes)
+		for _, tx := range th {
+			retained += uint64(len(tx) * opBytes)
+		}
+	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("recording allocated %d bytes for a column that retains %d (%.3fx)", alloc, retained, float64(alloc)/float64(retained))
-	if float64(alloc) > 1.25*float64(retained) {
-		t.Fatalf("recording allocated %d bytes for a column that retains %d (%.2fx), want at most 1.25x", alloc, retained, float64(alloc)/float64(retained))
+	bound := 1.05 * float64(2*retained+chunkOps*opBytes+chunkBytes)
+	t.Logf("recording allocated %d bytes for a column that retains %d (%.3fx); bound %.0f", alloc, retained, float64(alloc)/float64(retained), bound)
+	if float64(alloc) > bound {
+		t.Fatalf("recording allocated %d bytes for a column that retains %d, want at most %.0f", alloc, retained, bound)
 	}
 }

@@ -9,7 +9,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 
 	"hoop/internal/mem"
 	"hoop/internal/telemetry"
@@ -78,17 +77,10 @@ func opFromEvent(e telemetry.Event) (op Op, ok bool, err error) {
 }
 
 // Chunk geometry of an OpSink recording: 16 Ki ops (384 KB) per op chunk
-// and 1 MB per payload chunk. Chunks of this size are pooled (see
-// Release), so captures run one after another reuse their recording
-// buffers.
+// and 1 MB per payload chunk.
 const (
 	chunkOps   = 16 << 10
 	chunkBytes = 1 << 20
-)
-
-var (
-	opChunks      = sync.Pool{New: func() any { c := make([]Op, 0, chunkOps); return &c }}
-	payloadChunks = sync.Pool{New: func() any { c := make([]byte, 0, chunkBytes); return &c }}
 )
 
 // OpSink is a telemetry.Sink that collects a workload's operations in
@@ -101,11 +93,10 @@ var (
 // returns.
 //
 // Recording never regrows a buffer: ops and store data land in fixed-size
-// chunks drawn from a pool. A store's bytes never span two payload
-// chunks; one that does not fit the current chunk opens the next, and one
-// larger than a chunk gets a chunk of its own. Ops, Payload and SplitTxs
-// copy what they return out of the chunks into exactly sized slices, and
-// Release ends the recording.
+// chunks. A store's bytes never span two payload chunks; one that does not
+// fit the current chunk opens the next, and one larger than a chunk gets a
+// chunk of its own. Ops, Payload and SplitTxs copy what they return out of
+// the chunks into exactly sized slices, so the chunks die with the sink.
 //
 // An event Op cannot represent makes the sink's error sticky: further
 // events are dropped and the error surfaces from Err. Emit cannot return
@@ -122,10 +113,6 @@ type OpSink struct {
 	n       int    // ops recorded
 	npay    uint64 // payload bytes recorded
 	err     error
-
-	// chunkOps and chunkBytes override the chunk geometry when non-zero
-	// (tests shrink it to reach chunk boundaries with small streams).
-	chunkOps, chunkBytes int
 }
 
 // Emit implements telemetry.Sink.
@@ -149,7 +136,7 @@ func (s *OpSink) Emit(e telemetry.Event) {
 		if s.cur != nil {
 			s.full = append(s.full, s.cur)
 		}
-		s.cur = s.newOpChunk()
+		s.cur = make([]Op, 0, chunkOps)
 	}
 	s.cur = append(s.cur, op)
 	s.n++
@@ -163,36 +150,15 @@ func (s *OpSink) recordData(data []byte) {
 			s.fullPay = append(s.fullPay, s.curPay)
 		}
 		s.curPay = nil
-		if len(data) > s.payloadChunkSize() {
+		if len(data) > chunkBytes {
 			s.fullPay = append(s.fullPay, append([]byte(nil), data...))
 			s.npay += uint64(len(data))
 			return
 		}
-		s.curPay = s.newPayloadChunk()
+		s.curPay = make([]byte, 0, chunkBytes)
 	}
 	s.curPay = append(s.curPay, data...)
 	s.npay += uint64(len(data))
-}
-
-func (s *OpSink) newOpChunk() []Op {
-	if s.chunkOps != 0 {
-		return make([]Op, 0, s.chunkOps)
-	}
-	return (*opChunks.Get().(*[]Op))[:0]
-}
-
-func (s *OpSink) payloadChunkSize() int {
-	if s.chunkBytes != 0 {
-		return s.chunkBytes
-	}
-	return chunkBytes
-}
-
-func (s *OpSink) newPayloadChunk() []byte {
-	if s.chunkBytes != 0 {
-		return make([]byte, 0, s.chunkBytes)
-	}
-	return (*payloadChunks.Get().(*[]byte))[:0]
 }
 
 // Err reports the sticky collection error, if any.
@@ -258,24 +224,6 @@ func (s *OpSink) SplitTxs(from, threads int) ([][][]Op, error) {
 func (s *OpSink) Closes(from, threads int) ([]int, error) {
 	_, ntxs, _, err := countTxs(s.chunksFrom(from), threads)
 	return ntxs, err
-}
-
-// Release empties the sink and returns its last op chunk and its last
-// payload chunk to the pools, which is all a small capture uses. Earlier
-// chunks are left to the garbage collector: a pooled chunk stays live
-// through the next collection, so pooling a large capture's every chunk
-// would raise the heap peak that recycling is meant to lower. Slices
-// that Ops, Payload and SplitTxs returned stay valid.
-func (s *OpSink) Release() {
-	if cap(s.cur) == chunkOps {
-		c := s.cur[:0]
-		opChunks.Put(&c)
-	}
-	if cap(s.curPay) == chunkBytes {
-		c := s.curPay[:0]
-		payloadChunks.Put(&c)
-	}
-	*s = OpSink{err: s.err, chunkOps: s.chunkOps, chunkBytes: s.chunkBytes}
 }
 
 var _ telemetry.Sink = (*OpSink)(nil)

@@ -52,7 +52,6 @@ const padFloor = 16
 // them, and sys can no longer Run.
 func Capture(sys *engine.System, w Workload, seed uint64, run func(runners []engine.TxRunner)) (*Captured, error) {
 	sink := &trace.OpSink{}
-	defer sink.Release()
 	sys.Subscribe(sink, trace.RecordMask)
 	runners := w.Runners(sys, seed)
 	if err := sink.Err(); err != nil {

@@ -114,7 +114,6 @@ func abortMixWL() Workload {
 // the oracle the detached padding must match.
 func simulatedPaddingCapture(sys *engine.System, w Workload, seed uint64, txs int) (*Captured, error) {
 	sink := &trace.OpSink{}
-	defer sink.Release()
 	sys.Subscribe(sink, trace.RecordMask)
 	runners := w.Runners(sys, seed)
 	setupOps := sink.Len()
