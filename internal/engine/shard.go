@@ -14,7 +14,7 @@ import (
 // lifecycle: one goroutine, one engine, one persist-scheme instance per
 // shard. Shards are the composable unit the service tier scales out —
 // because each shard's engine is fully self-contained (own sim.Stats,
-// mem.Store, PRNGs; the same isolation harness.RunCells relies on), a
+// mem.Store, PRNGs; the same isolation the harness cell pool relies on), a
 // fleet of shards executes on real OS threads while every shard's
 // simulated run stays bit-identical to a serial execution of the same
 // request sequence.

@@ -58,7 +58,7 @@ func Ablation(opts Options) (*Grid, error) {
 		}
 	}
 	opts.attachTrace("ablation", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -197,45 +197,6 @@ func cacheStore(cc *cellCache, kind, key string, v any) error {
 	return cc.writeFile(key+".json", data)
 }
 
-// cachedBatch memoizes a batch of n jobs. With a cache, key(i) names job
-// i ("" = uncacheable); run receives the indices of every job the cache
-// could not serve, in order, and returns their values, which are then
-// stored. With cc nil every job runs. Returns all n values and the count
-// served from the cache.
-func cachedBatch[T any](cc *cellCache, kind string, n int, key func(i int) string, run func(miss []int) ([]T, error)) ([]T, int, error) {
-	vals := make([]T, n)
-	keys := make([]string, n)
-	var miss []int
-	for i := range vals {
-		if cc != nil {
-			keys[i] = key(i)
-		}
-		if keys[i] != "" {
-			if v, ok := cacheLoad[T](cc, kind, keys[i]); ok {
-				vals[i] = v
-				continue
-			}
-		}
-		miss = append(miss, i)
-	}
-	if len(miss) == 0 {
-		return vals, n, nil
-	}
-	res, err := run(miss)
-	if err != nil {
-		return nil, 0, err
-	}
-	for k, i := range miss {
-		vals[i] = res[k]
-		if keys[i] != "" {
-			if err := cacheStore(cc, kind, keys[i], res[k]); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	return vals, n - len(miss), nil
-}
-
 // writeFile writes via a temp file + rename so an interrupted run never
 // leaves a half-written entry a later run could load.
 func (cc *cellCache) writeFile(name string, data []byte) error {

@@ -2,9 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hoop/internal/cc"
@@ -35,7 +32,7 @@ type Cell struct {
 	// Sink, when non-nil, is subscribed to the cell's telemetry hub for
 	// telemetry.MaskTrace at the start of the measurement window. Each
 	// cell owns its sink exclusively (one worker runs one cell), so sinks
-	// need no locking even under parallel RunCells.
+	// need no locking even on a parallel pool.
 	Sink telemetry.Sink
 }
 
@@ -93,102 +90,6 @@ func (s CellStats) String() string {
 	return out
 }
 
-// RunCells executes every cell on a bounded worker pool and returns the
-// per-cell metrics in input order. workers < 1 means runtime.GOMAXPROCS.
-// Because cells are fully independent and seeded individually, the results
-// are bit-identical for every worker count; only wall-clock changes.
-func RunCells(cells []Cell, workers int) ([]Metrics, CellStats, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	stats := CellStats{Cells: len(cells), Workers: workers}
-	if len(cells) == 0 {
-		return nil, stats, nil
-	}
-	start := time.Now()
-	results := make([]Metrics, len(cells))
-	walls := make([]time.Duration, len(cells))
-	errs := make([]error, len(cells))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				cellStart := time.Now()
-				results[i], errs[i] = runCell(cells[i])
-				walls[i] = time.Since(cellStart)
-			}
-		}()
-	}
-	wg.Wait()
-	stats.Wall = time.Since(start)
-	for i, d := range walls {
-		stats.CellSum += d
-		if d > stats.MaxCell {
-			stats.MaxCell = d
-		}
-		if errs[i] != nil {
-			return nil, stats, fmt.Errorf("harness: %s on %s: %w", cells[i].Workload.Name, cells[i].Scheme, errs[i])
-		}
-	}
-	return results, stats, nil
-}
-
-// runCellsCached is RunCells behind the run's cell cache: cells whose
-// full inputs (cellKey) are memoized skip execution, the rest run on the
-// worker pool and are stored afterwards. Every non-matrix section
-// (TableIV, the GC/latency/map-size sweeps, ablation) and the direct
-// matrix run through here. Results are byte-identical with and without
-// the cache.
-func runCellsCached(cells []Cell, opts Options) ([]Metrics, CellStats, error) {
-	return runCellsMemo(cells, opts, func(miss []int) ([]Metrics, CellStats, error) {
-		return RunCells(pick(cells, miss), opts.workers())
-	})
-}
-
-// runCellsMemo serves cells from the cache and hands the indices of the
-// misses to exec, which runs them and reports its pool stats. The
-// returned stats count every cell, cached ones included.
-func runCellsMemo(cells []Cell, opts Options, exec func(miss []int) ([]Metrics, CellStats, error)) ([]Metrics, CellStats, error) {
-	cache, err := opts.ensureCache()
-	if err != nil {
-		return nil, CellStats{}, err
-	}
-	var stats CellStats
-	mets, cached, err := cachedBatch(cache, kindCell, len(cells), func(i int) string { return cellKey(cells[i]) },
-		func(miss []int) ([]Metrics, error) {
-			res, s, err := exec(miss)
-			stats = s
-			return res, err
-		})
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Cells, stats.Cached = len(cells), cached
-	if stats.Workers == 0 {
-		stats.Workers = opts.workers()
-	}
-	return mets, stats, nil
-}
-
-// pick returns xs[idx[0]], xs[idx[1]], ...
-func pick[T any](xs []T, idx []int) []T {
-	out := make([]T, len(idx))
-	for k, i := range idx {
-		out[k] = xs[i]
-	}
-	return out
-}
-
 // buildSystem constructs a paper-default system with the given scheme,
 // applying mut (which may be nil) before construction.
 func buildSystem(scheme string, mut func(*engine.Config)) (*engine.System, error) {
@@ -204,19 +105,9 @@ func buildSystem(scheme string, mut func(*engine.Config)) (*engine.System, error
 // its single-branch guard.
 var phaseMask = telemetry.MaskPhases | telemetry.MaskOf(telemetry.KindTxCommit)
 
-// runCell executes the cell's transactions on a fresh system and returns
-// the measurement window. The system is released when the cell ends, so
-// the next cell reuses its cache tag arrays.
-func runCell(c Cell) (Metrics, error) {
-	m, sys, err := runCellSystem(c)
-	if sys != nil {
-		sys.Release()
-	}
-	return m, err
-}
-
-// runCellSystem is runCell without the release: it also returns the
-// system, so tests can compare durable images.
+// runCellSystem executes the cell's transactions on a fresh system and
+// returns the measurement window and the system, which the caller
+// releases (tests compare its durable image first).
 func runCellSystem(c Cell) (Metrics, *engine.System, error) {
 	sys, err := buildSystem(c.Scheme, c.mut())
 	if err != nil {

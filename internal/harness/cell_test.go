@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -17,37 +16,6 @@ import (
 // install).
 func quickWL(name string) workload.Workload {
 	return workload.MustBuild(name, workload.Options{ValBytes: 64, Keys: 4096})
-}
-
-// TestRunCellsMatchesSerial checks the pool's core guarantee: the measured
-// numbers are bit-identical whether cells run on one worker or many.
-func TestRunCellsMatchesSerial(t *testing.T) {
-	var cells []Cell
-	for _, s := range []string{engine.SchemeHOOP, engine.SchemeRedo, engine.SchemeNative} {
-		for _, wl := range []workload.Workload{quickWL("hashmap"), quickWL("queue")} {
-			cells = append(cells, Cell{Scheme: s, Workload: wl, Txs: 200, Seed: 7})
-		}
-	}
-	serial, serialStats, err := RunCells(cells, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, parStats, err := RunCells(cells, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialStats.Workers != 1 || parStats.Workers != 4 {
-		t.Fatalf("worker counts: serial=%d parallel=%d", serialStats.Workers, parStats.Workers)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		for i := range serial {
-			if !reflect.DeepEqual(serial[i], parallel[i]) {
-				t.Errorf("cell %d (%s on %s) diverges:\nserial:   %+v\nparallel: %+v",
-					i, cells[i].Workload.Name, cells[i].Scheme, serial[i], parallel[i])
-			}
-		}
-		t.Fatal("parallel metrics must be bit-identical to serial")
-	}
 }
 
 // TestCellLatencyHistogram: the window's latency histogram counts exactly
@@ -104,37 +72,6 @@ func TestRunCellsEmpty(t *testing.T) {
 	if err != nil || len(mets) != 0 || stats.Cells != 0 {
 		t.Fatalf("empty batch: mets=%v stats=%+v err=%v", mets, stats, err)
 	}
-}
-
-// TestParallelMatrixDeterminism runs a reduced paper matrix at workers=1
-// and workers=GOMAXPROCS and requires identical Metrics everywhere.
-func TestParallelMatrixDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix run is seconds-long")
-	}
-	workloads := []workload.Workload{quickWL("hashmap"), workload.YCSB(64)}
-	opts := Options{Quick: true, Seed: 3}
-	opts.Workers = 1
-	m1, err := RunMatrixOn(opts, workloads, engine.AllSchemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 0 // GOMAXPROCS
-	mN, err := RunMatrixOn(opts, workloads, engine.AllSchemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1.Cells, mN.Cells) {
-		for _, w := range m1.Workloads {
-			for _, s := range m1.Schemes {
-				if !reflect.DeepEqual(m1.Cells[w][s], mN.Cells[w][s]) {
-					t.Errorf("%s on %s diverges between worker counts", w, s)
-				}
-			}
-		}
-		t.Fatal("matrix must be independent of worker count")
-	}
-	t.Logf("pool: %s", mN.Stats)
 }
 
 func TestWearOnRequiresQuiescer(t *testing.T) {

@@ -72,7 +72,7 @@ func ContentionFigure(opts Options) (*Grid, *Grid, error) {
 			}
 		}
 	}
-	metrics, _, err := runCellsCached(cells, opts)
+	metrics, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, nil, err
 	}

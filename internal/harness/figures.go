@@ -51,7 +51,7 @@ func Figure10(opts Options) (*Grid, error) {
 		}
 	}
 	opts.attachTrace("fig10", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func Figure12(opts Options) (*Grid, error) {
 		})
 	}
 	opts.attachTrace("fig12", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func Figure13(opts Options) (*Grid, error) {
 		})
 	}
 	opts.attachTrace("fig13", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
-	"time"
 
 	"hoop/internal/engine"
 	"hoop/internal/sim"
@@ -45,10 +41,10 @@ func RunMatrix(opts Options) (*Matrix, error) {
 // in the cell cache first (opts.CacheDir). Among the misses, each
 // workload column executes once — its first missing cell runs with a
 // recorder subscribed — and the column's other missing cells replay that
-// in-memory capture (see replay.go), all on one worker pool
-// (captureAndReplay). opts.DirectMatrix runs every missing cell by direct
-// execution instead. Direct, capture, and replay cells share one cache
-// key because they are bit-identical, at every worker count.
+// in-memory capture (see replay.go), all on one worker pool (runCached).
+// opts.DirectMatrix runs every missing cell by direct execution instead.
+// Direct, capture, and replay cells share one cache key because they are
+// bit-identical, at every worker count.
 func RunMatrixOn(opts Options, workloads []workload.Workload, schemes []string) (*Matrix, error) {
 	return runMatrix(opts, "matrix", workloads, schemes)
 }
@@ -63,163 +59,19 @@ func runMatrix(opts Options, section string, workloads []workload.Workload, sche
 		}
 	}
 	opts.attachTrace(section, cells)
-	if opts.DirectMatrix || len(cells) == 0 {
-		mets, stats, err := runCellsCached(cells, opts)
-		if err != nil {
-			return nil, err
-		}
-		return assembleMatrix(cells, mets, stats, schemes), nil
+	ns := len(schemes)
+	if opts.DirectMatrix {
+		ns = 0
 	}
-	capturesRun := 0
-	mets, stats, err := runCellsMemo(cells, opts, func(miss []int) ([]Metrics, CellStats, error) {
-		res, stats, n, err := captureAndReplay(cells, miss, len(schemes), opts.workers())
-		capturesRun = n
-		return res, stats, err
-	})
+	mets, stats, capturesRun, err := runCached(cells, opts, ns)
 	if err != nil {
 		return nil, err
 	}
 	m := assembleMatrix(cells, mets, stats, schemes)
-	m.Captures, m.CapturesRun = len(workloads), capturesRun
+	if ns > 0 {
+		m.Captures, m.CapturesRun = len(workloads), capturesRun
+	}
 	return m, nil
-}
-
-// matrixTask is one cell of a captureAndReplay pool: k indexes miss, and
-// col is the column a replay cell replays (nil for a capture).
-type matrixTask struct {
-	k   int
-	col *workload.Captured
-}
-
-// captureAndReplay runs the matrix cells at the indices in miss
-// (workload-major, ns schemes per column) as the record-once/replay-many
-// pipeline on one pool of workers: each column's first missing cell runs
-// as a capture, and the column's other missing cells replay it. No stage
-// barrier stands between the two. The ready queue holds the captures
-// first, in column order; when a capture finishes, its column's replays
-// join the queue behind any pending capture, heaviest column first. Each
-// replay task carries its column, so a column is freed once its last
-// replay ends. The first error stops further dispatch. Returns the results
-// in miss order, the pool stats, and the number of captures run.
-func captureAndReplay(cells []Cell, miss []int, ns, workers int) ([]Metrics, CellStats, int, error) {
-	var queue []matrixTask // ready tasks: captures, then replays heaviest column first
-	capturing := make([]bool, len(cells)/ns)
-	replays := make([][]int, len(capturing)) // column -> its replay cells' k
-	for k, i := range miss {
-		col := i / ns
-		if capturing[col] {
-			replays[col] = append(replays[col], k)
-			continue
-		}
-		capturing[col] = true
-		queue = append(queue, matrixTask{k: k})
-	}
-	captures := len(queue)
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(miss))
-	stats := CellStats{Cells: len(miss), Workers: workers}
-	if len(miss) == 0 {
-		return nil, stats, 0, nil
-	}
-	res := make([]Metrics, len(miss))
-	walls := make([]time.Duration, len(miss))
-	var (
-		mu      sync.Mutex
-		wake    = sync.NewCond(&mu)
-		running int
-		failed  error
-	)
-	// next blocks until a task is ready and returns it, or returns false
-	// once the queue is drained with nothing running, or after an error.
-	next := func() (matrixTask, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for failed == nil && len(queue) == 0 && running > 0 {
-			wake.Wait()
-		}
-		if failed != nil || len(queue) == 0 {
-			return matrixTask{}, false
-		}
-		running++
-		t := queue[0]
-		queue[0] = matrixTask{} // the queue must not keep a finished column alive
-		queue = queue[1:]
-		return t, true
-	}
-	// done records a finished task and, for a capture, queues its column's
-	// replays.
-	done := func(t matrixTask, col *workload.Captured, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		running--
-		switch {
-		case err != nil:
-			if failed == nil {
-				c := cells[miss[t.k]]
-				failed = fmt.Errorf("harness: %s on %s: %w", c.Workload.Name, c.Scheme, err)
-			}
-		case col != nil:
-			at, w := 0, columnWeight(col)
-			for at < len(queue) && (queue[at].col == nil || columnWeight(queue[at].col) >= w) {
-				at++
-			}
-			ks := replays[miss[t.k]/ns]
-			batch := make([]matrixTask, len(ks))
-			for j, k := range ks {
-				batch[j] = matrixTask{k: k, col: col}
-			}
-			queue = slices.Insert(queue, at, batch...)
-		}
-		wake.Broadcast()
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t, ok := next(); ok; t, ok = next() {
-				cellStart := time.Now()
-				met, col, err := runMatrixTask(cells[miss[t.k]], t.col)
-				res[t.k], walls[t.k] = met, time.Since(cellStart)
-				done(t, col, err)
-			}
-		}()
-	}
-	wg.Wait()
-	stats.Wall = time.Since(start)
-	for _, d := range walls {
-		stats.CellSum += d
-		stats.MaxCell = max(stats.MaxCell, d)
-	}
-	if failed != nil {
-		return nil, stats, 0, failed
-	}
-	return res, stats, captures, nil
-}
-
-// runMatrixTask runs one cell of the pipeline: a capture when col is nil,
-// returning the column it records, or else a replay of col. Either way the
-// cell's system is released when it ends. A panic comes back as an error,
-// so one bad cell cannot take the pool down.
-func runMatrixTask(c Cell, col *workload.Captured) (met Metrics, captured *workload.Captured, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-		}
-	}()
-	var sys *engine.System
-	if col != nil {
-		met, sys, err = replayCellRun(c, col)
-	} else {
-		met, captured, sys, err = captureCellRun(c)
-	}
-	if sys != nil {
-		sys.Release()
-	}
-	return met, captured, err
 }
 
 // assembleMatrix indexes per-cell metrics into the workload × scheme map.
@@ -236,84 +88,49 @@ func assembleMatrix(cells []Cell, mets []Metrics, stats CellStats, schemes []str
 	return m
 }
 
-// Figure7a renders normalized transaction throughput (Figure 7a: higher is
-// better, normalized to Opt-Redo as in the paper).
-func Figure7a(m *Matrix) *Grid {
-	g := &Grid{
-		Title:   "Figure 7a: transaction throughput (normalized to Opt-Redo; higher is better)",
-		RowName: "workload",
-		Rows:    m.Workloads,
-		Cols:    m.Schemes,
-	}
+// matrixGrid renders one value per matrix cell, each divided by its
+// workload's value under the base scheme unless base is "".
+func matrixGrid(m *Matrix, title, format, base string, val func(Metrics) float64) *Grid {
+	g := &Grid{Title: title, RowName: "workload", Rows: m.Workloads, Cols: m.Schemes, Format: format}
 	for _, w := range m.Workloads {
-		base := m.Cells[w][engine.SchemeRedo].Throughput()
 		row := make([]float64, len(m.Schemes))
 		for j, s := range m.Schemes {
-			row[j] = m.Cells[w][s].Throughput() / base
+			row[j] = val(m.Cells[w][s])
+			if base != "" {
+				row[j] /= val(m.Cells[w][base])
+			}
 		}
 		g.Cells = append(g.Cells, row)
 	}
 	return g
+}
+
+// Figure7a renders normalized transaction throughput (Figure 7a: higher is
+// better, normalized to Opt-Redo as in the paper).
+func Figure7a(m *Matrix) *Grid {
+	return matrixGrid(m, "Figure 7a: transaction throughput (normalized to Opt-Redo; higher is better)", "",
+		engine.SchemeRedo, Metrics.Throughput)
 }
 
 // Figure7b renders critical-path latency (Figure 7b: lower is better,
 // normalized to the native system).
 func Figure7b(m *Matrix) *Grid {
-	g := &Grid{
-		Title:   "Figure 7b: critical-path latency (normalized to Ideal; lower is better)",
-		RowName: "workload",
-		Rows:    m.Workloads,
-		Cols:    m.Schemes,
-	}
-	for _, w := range m.Workloads {
-		base := float64(m.Cells[w][engine.SchemeNative].AvgLatency())
-		row := make([]float64, len(m.Schemes))
-		for j, s := range m.Schemes {
-			row[j] = float64(m.Cells[w][s].AvgLatency()) / base
-		}
-		g.Cells = append(g.Cells, row)
-	}
-	return g
+	return matrixGrid(m, "Figure 7b: critical-path latency (normalized to Ideal; lower is better)", "",
+		engine.SchemeNative, func(c Metrics) float64 { return float64(c.AvgLatency()) })
 }
 
 // Figure8 renders NVM write traffic per transaction (normalized to the
 // native system; lower is better).
 func Figure8(m *Matrix) *Grid {
-	g := &Grid{
-		Title:   "Figure 8: NVM write traffic per transaction (normalized to Ideal; lower is better)",
-		RowName: "workload",
-		Rows:    m.Workloads,
-		Cols:    m.Schemes,
-	}
-	for _, w := range m.Workloads {
-		base := m.Cells[w][engine.SchemeNative].WritesPerTx()
-		row := make([]float64, len(m.Schemes))
-		for j, s := range m.Schemes {
-			row[j] = m.Cells[w][s].WritesPerTx() / base
-		}
-		g.Cells = append(g.Cells, row)
-	}
-	return g
+	return matrixGrid(m, "Figure 8: NVM write traffic per transaction (normalized to Ideal; lower is better)", "",
+		engine.SchemeNative, Metrics.WritesPerTx)
 }
 
 // Figure9 renders NVM energy per transaction (normalized to the native
 // system; lower is better).
 func Figure9(m *Matrix) *Grid {
-	g := &Grid{
-		Title:   "Figure 9: NVM energy per transaction (normalized to Ideal; lower is better)",
-		RowName: "workload",
-		Rows:    m.Workloads,
-		Cols:    m.Schemes,
-	}
-	for _, w := range m.Workloads {
-		base := m.Cells[w][engine.SchemeNative].EnergyPerTx()
-		row := make([]float64, len(m.Schemes))
-		for j, s := range m.Schemes {
-			row[j] = m.Cells[w][s].EnergyPerTx() / base
-		}
-		g.Cells = append(g.Cells, row)
-	}
-	return g
+	return matrixGrid(m, "Figure 9: NVM energy per transaction (normalized to Ideal; lower is better)", "",
+		engine.SchemeNative, Metrics.EnergyPerTx)
 }
 
 // Headline computes the paper's headline comparisons from a matrix: HOOP's

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"hoop/internal/engine"
 	"hoop/internal/telemetry"
@@ -76,10 +75,6 @@ func captureCellRun(c Cell) (Metrics, *workload.Captured, *engine.System, error)
 	return met, cap, sys, nil
 }
 
-// cursorPool recycles replay cursors (and their load scratch buffers)
-// across replay cells, so a 49-cell matrix allocates its cursors once.
-var cursorPool = sync.Pool{New: func() any { return new(trace.Cursor) }}
-
 // replayCellRun executes one replay cell: the column's setup stream in
 // recorded order, then the standard measurement window driven by replay
 // runners. Returns the system so tests can compare durable images.
@@ -96,17 +91,10 @@ func replayCellRun(c Cell, col *workload.Captured) (Metrics, *engine.System, err
 	}
 	sys.SyncClocks()
 	runners := make([]engine.TxRunner, col.Threads)
-	cursors := make([]*trace.Cursor, col.Threads)
+	cursors := make([]trace.Cursor, col.Threads)
 	for t := range runners {
-		cur := cursorPool.Get().(*trace.Cursor)
-		cur.Reset(col.Workload, t, col.Measured[t], col.Payload)
-		cursors[t] = cur
-		runners[t] = cur
+		cursors[t].Reset(col.Workload, t, col.Measured[t], col.Payload)
+		runners[t] = &cursors[t]
 	}
-	met := measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) })
-	for _, cur := range cursors {
-		cur.Reset("", 0, nil, nil)
-		cursorPool.Put(cur)
-	}
-	return met, sys, nil
+	return measureWindow(sys, c.Txs, c.Sink, func(txs int) { sys.Run(runners, txs) }), sys, nil
 }

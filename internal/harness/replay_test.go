@@ -134,42 +134,3 @@ func TestReplayMatchesDirect(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixReplayMatchesDirectMatrix locks the two RunMatrixOn pipelines
-// against each other at the API boundary.
-func TestMatrixReplayMatchesDirectMatrix(t *testing.T) {
-	opts := Options{Quick: true, Seed: 3, Workers: 2}
-	wls := []workload.Workload{quickWL("queue")}
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
-	replayM, err := RunMatrixOn(opts, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.DirectMatrix = true
-	directM, err := RunMatrixOn(opts, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayM.Cells, directM.Cells) {
-		t.Fatalf("replay matrix diverges from direct matrix\nreplay: %+v\ndirect: %+v", replayM.Cells, directM.Cells)
-	}
-}
-
-// TestMatrixReplayWorkerDeterminism: the replay pipeline stays bit-
-// identical at every worker count (the acceptance bar the -race CI job
-// holds it to).
-func TestMatrixReplayWorkerDeterminism(t *testing.T) {
-	wls := []workload.Workload{quickWL("hashmap")}
-	schemes := []string{engine.SchemeRedo, engine.SchemeHOOP, engine.SchemeNative}
-	m1, err := RunMatrixOn(Options{Quick: true, Seed: 3, Workers: 1}, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m4, err := RunMatrixOn(Options{Quick: true, Seed: 3, Workers: 4}, wls, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1.Cells, m4.Cells) {
-		t.Fatal("replay matrix differs between 1 and 4 workers")
-	}
-}

@@ -60,12 +60,6 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 	if err != nil {
 		return rep, err
 	}
-	stamp := func(section, name string) func() {
-		start := time.Now()
-		cache.setSection(section)
-		fmt.Fprintf(w, "\n==== %s ====\n", name)
-		return func() { fmt.Fprintf(w, "(%s computed in %.1fs)\n", name, time.Since(start).Seconds()) }
-	}
 	render := func(slug string, g *Grid) {
 		g.Render(w)
 		if opts.Charts {
@@ -78,189 +72,135 @@ func RunSections(w io.Writer, opts Options, sections []string) (*Report, error) 
 			}
 		}
 	}
-
-	if want["tables"] {
-		done := stamp("tables", "Tables I-III")
-		RenderTableI(w)
-		fmt.Fprintln(w)
-		RenderTableII(w, engine.DefaultConfig(engine.SchemeHOOP))
-		fmt.Fprintln(w)
-		RenderTableIII(w)
-		done()
-	}
-
-	if want["fig7-9"] {
-		done := stamp("fig7-9", "Figures 7a, 7b, 8, 9 (workload x scheme matrix)")
-		m, err := RunMatrix(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Matrix = m
-		rep.Fig7a, rep.Fig7b, rep.Fig8, rep.Fig9 = Figure7a(m), Figure7b(m), Figure8(m), Figure9(m)
-		rep.Headline = ComputeHeadline(m)
-		render("figure7a", rep.Fig7a)
-		fmt.Fprintln(w)
-		render("figure7b", rep.Fig7b)
-		fmt.Fprintln(w)
-		render("figure8", rep.Fig8)
-		fmt.Fprintln(w)
-		render("figure9", rep.Fig9)
-		fmt.Fprintln(w)
-		fmt.Fprint(w, FormatHeadline(rep.Headline))
-		// §IV-C read-path profile, averaged over the HOOP cells.
-		var agg Metrics
-		agg.Counters = map[string]int64{}
-		for _, wl := range m.Workloads {
-			c := m.Cells[wl][engine.SchemeHOOP]
-			for k, v := range c.Counters {
-				agg.Counters[k] += v
+	// grid runs a section that renders one grid, keeping it in *dst
+	// unless dst is nil.
+	grid := func(slug string, dst **Grid, run func(Options) (*Grid, error)) func() error {
+		return func() error {
+			g, err := run(opts)
+			if err != nil {
+				return err
 			}
+			if dst != nil {
+				*dst = g
+			}
+			render(slug, g)
+			return nil
 		}
-		rep.Profile = ComputeReadProfile(agg)
-		fmt.Fprintf(w, "Read-path profile (§IV-C): %.2f loads/LLC-miss, %.1f%% parallel reads, %.1f%% LLC miss ratio, %.1f%% eviction-buffer hits\n",
-			rep.Profile.LoadsPerLLCMiss, rep.Profile.ParallelReadFrac*100,
-			rep.Profile.LLCMissRatio*100, rep.Profile.EvictBufHitFrac*100)
-		fmt.Fprint(w, FormatPhaseBreakdown(m))
-		fmt.Fprintf(w, "Matrix pool: %s\n", m.Stats)
-		if m.Captures > 0 {
-			fmt.Fprintf(w, "Matrix captures: %d captures for %d cells (executed %d)\n",
-				m.Captures, m.Stats.Cells, m.CapturesRun)
-		}
-		if cache != nil {
-			fmt.Fprintf(w, "Matrix cache: %d/%d cells cached (executed %d) in %s\n",
-				m.Stats.Cached, m.Stats.Cells, m.Stats.Cells-m.Stats.Cached, opts.CacheDir)
-		}
-		done()
 	}
-
-	if want["tableIV"] {
-		done := stamp("tableIV", "Table IV (GC data reduction)")
-		g, err := TableIV(opts)
-		if err != nil {
+	all := []struct {
+		name, title string
+		run         func() error
+	}{
+		{"tables", "Tables I-III", func() error {
+			RenderTableI(w)
+			fmt.Fprintln(w)
+			RenderTableII(w, engine.DefaultConfig(engine.SchemeHOOP))
+			fmt.Fprintln(w)
+			RenderTableIII(w)
+			return nil
+		}},
+		{"fig7-9", "Figures 7a, 7b, 8, 9 (workload x scheme matrix)", func() error {
+			m, err := RunMatrix(opts)
+			if err != nil {
+				return err
+			}
+			rep.Matrix = m
+			rep.Fig7a, rep.Fig7b, rep.Fig8, rep.Fig9 = Figure7a(m), Figure7b(m), Figure8(m), Figure9(m)
+			rep.Headline = ComputeHeadline(m)
+			render("figure7a", rep.Fig7a)
+			fmt.Fprintln(w)
+			render("figure7b", rep.Fig7b)
+			fmt.Fprintln(w)
+			render("figure8", rep.Fig8)
+			fmt.Fprintln(w)
+			render("figure9", rep.Fig9)
+			fmt.Fprintln(w)
+			fmt.Fprint(w, FormatHeadline(rep.Headline))
+			// §IV-C read-path profile, averaged over the HOOP cells.
+			var agg Metrics
+			agg.Counters = map[string]int64{}
+			for _, wl := range m.Workloads {
+				c := m.Cells[wl][engine.SchemeHOOP]
+				for k, v := range c.Counters {
+					agg.Counters[k] += v
+				}
+			}
+			rep.Profile = ComputeReadProfile(agg)
+			fmt.Fprintf(w, "Read-path profile (§IV-C): %.2f loads/LLC-miss, %.1f%% parallel reads, %.1f%% LLC miss ratio, %.1f%% eviction-buffer hits\n",
+				rep.Profile.LoadsPerLLCMiss, rep.Profile.ParallelReadFrac*100,
+				rep.Profile.LLCMissRatio*100, rep.Profile.EvictBufHitFrac*100)
+			fmt.Fprint(w, FormatPhaseBreakdown(m))
+			fmt.Fprintf(w, "Matrix pool: %s\n", m.Stats)
+			if m.Captures > 0 {
+				fmt.Fprintf(w, "Matrix captures: %d captures for %d cells (executed %d)\n",
+					m.Captures, m.Stats.Cells, m.CapturesRun)
+			}
+			if cache != nil {
+				fmt.Fprintf(w, "Matrix cache: %d/%d cells cached (executed %d) in %s\n",
+					m.Stats.Cached, m.Stats.Cells, m.Stats.Cells-m.Stats.Cached, opts.CacheDir)
+			}
+			return nil
+		}},
+		{"tableIV", "Table IV (GC data reduction)", grid("tableIV", &rep.TableIV, TableIV)},
+		{"fig10", "Figure 10 (GC period sweep)", grid("figure10", &rep.Fig10, Figure10)},
+		{"fig11", "Figure 11 (parallel recovery)", func() error {
+			g, rrep, err := Figure11(opts)
+			if err != nil {
+				return err
+			}
+			rep.Fig11 = g
+			render("figure11", g)
+			fmt.Fprintf(w, "functional recovery: %d committed txs, %d slices scanned, %d words restored (verified replay)\n",
+				rrep.CommittedTxs, rrep.SlicesScanned, rrep.WordsRecovered)
+			return nil
+		}},
+		{"fig12", "Figure 12 (NVM latency sensitivity)", grid("figure12", &rep.Fig12, Figure12)},
+		{"fig13", "Figure 13 (mapping-table size sensitivity)", grid("figure13", &rep.Fig13, Figure13)},
+		{"sweep-valsize", "Sweep: throughput vs value size (64 B - 64 KB)", grid("sweep-valsize", &rep.SweepValSize, SweepValSize)},
+		{"sweep-scan", "Sweep: throughput vs range-scan fraction", grid("sweep-scan", &rep.SweepScan, SweepScanFrac)},
+		{"contention", "Contention sweep (cc policies: OCC vs wound-wait 2PL)", func() error {
+			tput, aborts, err := ContentionFigure(opts)
+			if err != nil {
+				return err
+			}
+			rep.Contention, rep.ContentionAborts = tput, aborts
+			render("contention-throughput", tput)
+			fmt.Fprintln(w)
+			render("contention-aborts", aborts)
+			return nil
+		}},
+		{"area", "Area overhead (§III-H)", func() error { RenderArea(w); return nil }},
+		{"ablation", "Ablation (packing / coalescing / condensed mapping)", grid("ablation", nil, Ablation)},
+		{"wear", "Uniform wear (§III-D)", func() error {
+			wr, err := Wear(opts)
+			if err != nil {
+				return err
+			}
+			RenderWear(w, wr)
+			return nil
+		}},
+		{"fig7-9-1k", "Figures 7-9 on the 1 KB-item data sets", func() error {
+			m, err := runMatrix(opts, "fig7-9-1k", workload.LargeItemSuite(opts.WL), engine.AllSchemes)
+			if err != nil {
+				return err
+			}
+			render("figure7a-1k", Figure7a(m))
+			fmt.Fprintln(w)
+			render("figure8-1k", Figure8(m))
+			return nil
+		}},
+	}
+	for _, s := range all {
+		if !want[s.name] {
+			continue
+		}
+		start := time.Now()
+		cache.setSection(s.name)
+		fmt.Fprintf(w, "\n==== %s ====\n", s.title)
+		if err := s.run(); err != nil {
 			return rep, err
 		}
-		rep.TableIV = g
-		render("tableIV", g)
-		done()
-	}
-
-	if want["fig10"] {
-		done := stamp("fig10", "Figure 10 (GC period sweep)")
-		g, err := Figure10(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Fig10 = g
-		render("figure10", g)
-		done()
-	}
-
-	if want["fig11"] {
-		done := stamp("fig11", "Figure 11 (parallel recovery)")
-		g, rrep, err := Figure11(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Fig11 = g
-		render("figure11", g)
-		fmt.Fprintf(w, "functional recovery: %d committed txs, %d slices scanned, %d words restored (verified replay)\n",
-			rrep.CommittedTxs, rrep.SlicesScanned, rrep.WordsRecovered)
-		done()
-	}
-
-	if want["fig12"] {
-		done := stamp("fig12", "Figure 12 (NVM latency sensitivity)")
-		g, err := Figure12(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Fig12 = g
-		render("figure12", g)
-		done()
-	}
-
-	if want["fig13"] {
-		done := stamp("fig13", "Figure 13 (mapping-table size sensitivity)")
-		g, err := Figure13(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Fig13 = g
-		render("figure13", g)
-		done()
-	}
-
-	if want["sweep-valsize"] {
-		done := stamp("sweep-valsize", "Sweep: throughput vs value size (64 B - 64 KB)")
-		g, err := SweepValSize(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.SweepValSize = g
-		render("sweep-valsize", g)
-		done()
-	}
-
-	if want["sweep-scan"] {
-		done := stamp("sweep-scan", "Sweep: throughput vs range-scan fraction")
-		g, err := SweepScanFrac(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.SweepScan = g
-		render("sweep-scan", g)
-		done()
-	}
-
-	if want["contention"] {
-		done := stamp("contention", "Contention sweep (cc policies: OCC vs wound-wait 2PL)")
-		tput, aborts, err := ContentionFigure(opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Contention, rep.ContentionAborts = tput, aborts
-		render("contention-throughput", tput)
-		fmt.Fprintln(w)
-		render("contention-aborts", aborts)
-		done()
-	}
-
-	if want["area"] {
-		done := stamp("area", "Area overhead (§III-H)")
-		RenderArea(w)
-		done()
-	}
-
-	if want["ablation"] {
-		done := stamp("ablation", "Ablation (packing / coalescing / condensed mapping)")
-		g, err := Ablation(opts)
-		if err != nil {
-			return rep, err
-		}
-		render("ablation", g)
-		done()
-	}
-
-	if want["wear"] {
-		done := stamp("wear", "Uniform wear (§III-D)")
-		rep2, err := Wear(opts)
-		if err != nil {
-			return rep, err
-		}
-		RenderWear(w, rep2)
-		done()
-	}
-
-	if want["fig7-9-1k"] {
-		done := stamp("fig7-9-1k", "Figures 7-9 on the 1 KB-item data sets")
-		m, err := runMatrix(opts, "fig7-9-1k", workload.LargeItemSuite(opts.WL), engine.AllSchemes)
-		if err != nil {
-			return rep, err
-		}
-		render("figure7a-1k", Figure7a(m))
-		fmt.Fprintln(w)
-		render("figure8-1k", Figure8(m))
-		done()
+		fmt.Fprintf(w, "(%s computed in %.1fs)\n", s.title, time.Since(start).Seconds())
 	}
 	if s := cache.statsReport(); s != "" {
 		fmt.Fprintf(w, "\n%s", s)

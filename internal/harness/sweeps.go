@@ -42,7 +42,7 @@ func SweepValSize(opts Options) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweepGrid("Sweep: YCSB-A throughput (Ktx/s) vs value size", m), nil
+	return matrixGrid(m, "Sweep: YCSB-A throughput (Ktx/s) vs value size", "%.1f", "", sweepKtxs), nil
 }
 
 // SweepScanFrac measures scan-workload throughput for every scheme as the
@@ -53,25 +53,8 @@ func SweepScanFrac(opts Options) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweepGrid("Sweep: throughput (Ktx/s) vs range-scan fraction", m), nil
+	return matrixGrid(m, "Sweep: throughput (Ktx/s) vs range-scan fraction", "%.1f", "", sweepKtxs), nil
 }
 
-// sweepGrid renders a sweep matrix as absolute throughput, one row per
-// sweep point, one column per scheme.
-func sweepGrid(title string, m *Matrix) *Grid {
-	g := &Grid{
-		Title:   title,
-		RowName: "workload",
-		Rows:    m.Workloads,
-		Cols:    m.Schemes,
-		Format:  "%.1f",
-	}
-	for _, w := range m.Workloads {
-		row := make([]float64, len(m.Schemes))
-		for j, s := range m.Schemes {
-			row[j] = m.Cells[w][s].Throughput() / 1e3
-		}
-		g.Cells = append(g.Cells, row)
-	}
-	return g
-}
+// sweepKtxs is a sweep grid's cell value: absolute throughput in Ktx/s.
+func sweepKtxs(c Metrics) float64 { return c.Throughput() / 1e3 }

@@ -149,7 +149,7 @@ func TableIV(opts Options) (*Grid, error) {
 		}
 	}
 	opts.attachTrace("tableIV", cells)
-	mets, _, err := runCellsCached(cells, opts)
+	mets, _, _, err := runCached(cells, opts, 0)
 	if err != nil {
 		return nil, err
 	}

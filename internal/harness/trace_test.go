@@ -53,7 +53,7 @@ func traceLabels(t *testing.T, trace []byte) (labels []string, events int) {
 }
 
 // TestTraceIdenticalAcrossWorkerCounts locks the cell trace's core
-// guarantee: the combined JSONL trace is byte-identical for every RunCells
+// guarantee: the combined JSONL trace is byte-identical for every pool
 // worker count, because each cell's stream depends only on its seed and
 // cells are concatenated in construction order. Runs under -race in CI.
 func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {

@@ -57,17 +57,20 @@ func WearOn(opts Options, scheme string) (WearReport, error) {
 	if err != nil {
 		return WearReport{}, err
 	}
-	key := func(int) string {
-		return cacheKey(kindWear, scheme, mut, fmt.Sprintf("workload=hashmap\nseed=%d\ntxs=%d\nopts=%+v", opts.Seed, txs, opts.WL))
+	key := ""
+	if cache != nil {
+		key = cacheKey(kindWear, scheme, mut, fmt.Sprintf("workload=hashmap\nseed=%d\ntxs=%d\nopts=%+v", opts.Seed, txs, opts.WL))
 	}
-	reps, _, err := cachedBatch(cache, kindWear, 1, key, func([]int) ([]WearReport, error) {
-		rep, err := runWear(scheme, mut, txs, opts)
-		return []WearReport{rep}, err
-	})
-	if err != nil {
-		return WearReport{}, err
+	if key != "" {
+		if rep, ok := cacheLoad[WearReport](cache, kindWear, key); ok {
+			return rep, nil
+		}
 	}
-	return reps[0], nil
+	rep, err := runWear(scheme, mut, txs, opts)
+	if err != nil || key == "" {
+		return rep, err
+	}
+	return rep, cacheStore(cache, kindWear, key, rep)
 }
 
 // runWear executes the wear experiment and summarizes the device's wear
